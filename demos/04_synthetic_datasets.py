@@ -4,8 +4,7 @@ Real interaction datasets are expensive; their difficulty is not. The
 generator reproduces the statistical shape (class counts falling
 geometrically from head to tail, four feature blocks per drug) with
 knobs for separability, so training behavior on the tail can be studied
-at desk scale. Bit-vector similarity featurization is included for
-completeness.
+at desk scale.
 """
 
 import tempfile
@@ -14,10 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from tailfocal import (
-    BitProfile,
     DatasetSpec,
     generate_dataset,
-    jaccard,
     preset_spec,
     read_dataset,
     sample_class_counts,
@@ -58,13 +55,3 @@ write_dataset(path, records, n_classes=spec.n_classes)
 back, back_stats = read_dataset(path)
 print(f"wrote and re-read {len(back)} records from {path}")
 print("counts preserved:", np.array_equal(back_stats.counts, stats.counts))
-print()
-
-# Jaccard similarity over bit profiles, the usual featurization for raw
-# drug fingerprints. "difference" mode is intersection over symmetric
-# difference, capped when profiles are identical; "union" mode is the
-# classic intersection over union.
-a = BitProfile("DB001", np.array([1, 1, 1, 0, 0, 1], dtype=bool))
-b = BitProfile("DB002", np.array([0, 1, 1, 1, 0, 0], dtype=bool))
-print(f"difference ratio: {jaccard(a, b):.4f}")
-print(f"union overlap:    {jaccard(a, b, mode='union'):.4f}")

@@ -14,13 +14,10 @@ from .analysis import (
 from .datagen import (
     MODALITIES,
     PRESETS,
-    BitProfile,
     DatasetSpec,
     ModalityVectors,
     Record,
     generate_dataset,
-    jaccard,
-    jaccard_matrix,
     preset_spec,
     read_dataset,
     records_to_arrays,

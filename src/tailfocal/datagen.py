@@ -7,17 +7,12 @@ chemical structure, substructure, target, enzyme stand-ins). Features are
 class prototype + drug offset + noise, so informativeness per modality is
 a knob: zero noise with distinct prototypes is linearly separable, scaling
 a modality's prototypes to zero makes that block pure noise.
-
-Bit-vector profiles and the Jaccard-style featurizer live here too. The
-default similarity is intersection over *symmetric difference*,
-|A&B| / (|A|B| - |A&B|), which blows up for identical sets and is capped;
-the classic intersection-over-union form is available as mode="union".
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,15 +26,12 @@ __all__ = [
     "DatasetSpec",
     "ModalityVectors",
     "Record",
-    "BitProfile",
     "preset_spec",
     "sample_class_counts",
     "generate_dataset",
     "records_to_arrays",
     "write_dataset",
     "read_dataset",
-    "jaccard",
-    "jaccard_matrix",
 ]
 
 MODALITIES = ("g", "s", "t", "e")
@@ -398,57 +390,3 @@ def read_dataset(path) -> tuple[list[Record], ClassStats | None]:
         return records, None
     return records, class_stats_from_counts(tally)
 
-
-# ---------------------------------------------------------------------------
-# bit profiles and the Jaccard-style featurizer
-
-
-@dataclass(frozen=True)
-class BitProfile:
-    """A drug's fixed-width boolean annotation vector (targets, enzymes, ...)."""
-
-    name: str
-    bits: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
-        if bits.ndim != 1 or bits.size == 0:
-            raise ConfigError("bits must be a non-empty 1-D boolean vector")
-        object.__setattr__(self, "bits", bits)
-
-
-def jaccard(a: BitProfile, b: BitProfile, mode: str = "difference", cap: float = 1e6) -> float:
-    """Set similarity of two equal-width bit profiles.
-
-    mode="difference" (default): |A&B| / (|A|B| - |A&B|), intersection over
-    symmetric difference. Identical profiles make the denominator zero and
-    return `cap`. mode="union": the classic |A&B| / |A|B|; two all-zero
-    profiles count as identical (1.0).
-    """
-    if a.bits.size != b.bits.size:
-        raise ConfigError(
-            f"profiles {a.name!r} ({a.bits.size} bits) and {b.name!r} "
-            f"({b.bits.size} bits) differ in width"
-        )
-    inter = int(np.sum(a.bits & b.bits))
-    union = int(np.sum(a.bits | b.bits))
-    if mode == "difference":
-        denom = union - inter
-        if denom == 0:
-            return float(cap)
-        return inter / denom
-    if mode == "union":
-        if union == 0:
-            return 1.0
-        return inter / union
-    raise ConfigError(f"mode must be 'difference' or 'union', got {mode!r}")
-
-
-def jaccard_matrix(profiles: list[BitProfile], mode: str = "difference", cap: float = 1e6) -> np.ndarray:
-    """Pairwise similarity matrix over a profile list; a drug's row is its feature vector."""
-    n = len(profiles)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = jaccard(profiles[i], profiles[j], mode=mode, cap=cap)
-    return out

@@ -9,12 +9,17 @@ cross-entropy term on tail classes only:
     tfl(p_y) = -(1 - p_y)^gamma * ln(p_y) - beta * ln(p_y)   [tail classes]
     tfl(p_y) = fl(p_y)                                        [head classes]
 
-ce/wce/fl/cb/tfl are functions of the true-class probability; bs and ldam
-act on logits directly (both reduce to cross entropy over count-adjusted
-logits). Every evaluator reports three things: the loss value, the
-derivative with respect to the true-class probability, and the full
-gradient with respect to the logits (through the softmax for the
-probability-form losses).
+Every evaluation reports three things: the loss value, the derivative with
+respect to the true-class probability, and the full gradient with respect
+to the logits.
+
+One private core, `_rows`, evaluates all rows of a batch at once. ce/wce/fl/cb/tfl
+are functions of the true-class probability and act on softmax rows,
+reaching the logits through the softmax chain rule; bs and ldam act on the
+logits directly, as cross entropy over count-shifted logits. `batch_loss`
+is the mean of the core's rows. `loss_on_logits` and the seven scalar
+functions are one-row views of the same core; the scalar functions build a
+`LossSpec`, so hyperparameters are checked in `LossSpec` alone.
 
 All logs are natural. The true-class probability is clamped to
 [1e-12, 1 - 1e-12] in both the value and the derivative, so finite
@@ -23,6 +28,7 @@ difference checks on the logits stay consistent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,7 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("ce", "wce", "fl", "cb", "bs", "ldam", "tfl")
+_SHIFTED = ("bs", "ldam")
 
 _P_LO = 1e-12
 _P_HI = 1.0 - 1e-12
@@ -70,8 +77,9 @@ class LossEval:
 class LossSpec:
     """Which loss to run and with what hyperparameters.
 
-    Fields irrelevant to `kind` are ignored. wce/cb/bs/ldam need `stats`;
-    tfl needs `tail` (and uses gamma and beta).
+    Every hyperparameter must be finite; beyond that, fields irrelevant to
+    `kind` are ignored. wce/cb/bs/ldam need `stats`; tfl needs `tail` (and
+    uses gamma and beta).
     """
 
     kind: str
@@ -87,6 +95,9 @@ class LossSpec:
         if kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
         object.__setattr__(self, "kind", kind)
+        for name in ("gamma", "beta", "lam", "margin_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if kind in ("fl", "tfl") and self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if kind == "tfl" and self.beta < 0:
@@ -101,201 +112,14 @@ class LossSpec:
             raise ConfigError("loss 'tfl' needs a tail partition")
 
 
-def softmax(z) -> np.ndarray:
-    """Numerically stable softmax of a 1-D logit vector."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise ConfigError("logits must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(z)):
-        raise ConfigError("logits contain non-finite values")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-# ---------------------------------------------------------------------------
-# value / dL-dP cores, shared by the scalar API and the vectorized batch path.
-# Each takes the clamped true-class probability as an array and returns
-# (value, grad_p) arrays of the same shape.
-
-
-def _ce_terms(pc):
-    return -np.log(pc), -1.0 / pc
-
-
-def _focal_terms(pc, gamma):
-    # two-term form of the derivative; at gamma = 0 the first term is
-    # exactly zero and the second is exactly -1/p, so fl(gamma=0) == ce
-    # holds bit for bit.
-    one_m = 1.0 - pc
-    log_p = np.log(pc)
-    value = -(one_m**gamma) * log_p
-    grad = gamma * one_m ** (gamma - 1.0) * log_p - one_m**gamma / pc
-    return value, grad
-
-
-def _tfl_terms(pc, gamma, beta, tail_flag):
-    value, grad = _focal_terms(pc, gamma)
-    boost = np.asarray(tail_flag, dtype=float) * beta
-    value = value - boost * np.log(pc)
-    grad = grad - boost / pc
-    return value, grad
-
-
-def _clamp(py):
-    return np.clip(py, _P_LO, _P_HI)
-
-
-def _check_prob_vector(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ConfigError("p must be a non-empty 1-D probability vector")
-    if not np.all(np.isfinite(p)):
-        raise ConfigError("p contains non-finite values")
-    if np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
-        raise ConfigError("p is not a probability distribution")
-    return p
-
-
-def _check_label(y, n: int) -> int:
-    y = int(y)
-    if not 0 <= y < n:
-        raise IndexError(f"label {y} out of range for {n} classes")
-    return y
-
-
-def _through_softmax(p: np.ndarray, y: int, grad_p: float) -> np.ndarray:
-    # chain rule through the softmax jacobian row for P_y:
-    # dP_y/dz_j = P_y * (delta_yj - p_j)
-    gz = grad_p * p[y] * (-p)
-    gz[y] += grad_p * p[y]
-    return gz
-
-
-def _eval_p_form(p, y, terms) -> LossEval:
-    p = _check_prob_vector(p)
-    y = _check_label(y, p.size)
-    pc = _clamp(p[y])
-    value, grad_p = terms(np.asarray(pc))
-    return LossEval(
-        value=float(value),
-        grad_p=float(grad_p),
-        grad_z=_through_softmax(p, y, float(grad_p)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# scalar API
-
-
-def ce_loss(p, y) -> LossEval:
-    """Cross entropy -ln(P_y). grad_z comes out as p - onehot(y)."""
-    return _eval_p_form(p, y, _ce_terms)
-
-
-def wce_loss(p, y, stats: ClassStats) -> LossEval:
-    """Cross entropy weighted by inverse class frequency, total / n_y."""
-    p = _check_prob_vector(p)
-    y = _check_label(y, p.size)
-    if stats.n_classes != p.size:
-        raise ConfigError(f"stats cover {stats.n_classes} classes, p has {p.size}")
-    w = stats.total / stats.counts[y]
-    return _eval_p_form(p, y, lambda pc: tuple(w * t for t in _ce_terms(pc)))
-
-
-def focal_loss(p, y, gamma: float = 2.0) -> LossEval:
-    """Focal loss -(1 - P_y)^gamma * ln(P_y)."""
-    if gamma < 0:
-        raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    return _eval_p_form(p, y, lambda pc: _focal_terms(pc, gamma))
-
-
-def cb_loss(p, y, lam: float, stats: ClassStats) -> LossEval:
-    """Class-balanced cross entropy: weight (1 - lam) / (1 - lam^n_y)."""
-    if not 0.0 < lam < 1.0:
-        raise ConfigError(f"lam must be in (0, 1), got {lam}")
-    p = _check_prob_vector(p)
-    y = _check_label(y, p.size)
-    if stats.n_classes != p.size:
-        raise ConfigError(f"stats cover {stats.n_classes} classes, p has {p.size}")
-    w = (1.0 - lam) / (1.0 - lam ** int(stats.counts[y]))
-    return _eval_p_form(p, y, lambda pc: tuple(w * t for t in _ce_terms(pc)))
-
-
-def tfl_loss(p, y, gamma: float, beta: float, tail: TailPartition) -> LossEval:
-    """Tail-aware focal loss: focal everywhere, plus beta * (-ln P_y) on tail classes."""
-    if gamma < 0:
-        raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    if beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    p = _check_prob_vector(p)
-    y = _check_label(y, p.size)
-    if tail.is_tail.size != p.size:
-        raise ConfigError(f"partition covers {tail.is_tail.size} classes, p has {p.size}")
-    flag = bool(tail.is_tail[y])
-    return _eval_p_form(p, y, lambda pc: _tfl_terms(pc, gamma, beta, flag))
-
-
-def _adjusted_ce(z, y, shift) -> LossEval:
-    # bs and ldam are cross entropy over shifted logits u = z + shift
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise ConfigError("logits must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(z)):
-        raise ConfigError("logits contain non-finite values")
-    y = _check_label(y, z.size)
-    u = z + shift
-    m = u.max()
-    log_norm = m + np.log(np.exp(u - m).sum())
-    q = np.exp(u - log_norm)
-    gz = q.copy()
-    gz[y] -= 1.0
-    return LossEval(
-        value=float(log_norm - u[y]),
-        grad_p=float(-1.0 / _clamp(q[y])),
-        grad_z=gz,
-    )
-
-
-def bs_loss(z, y, stats: ClassStats) -> LossEval:
-    """Balanced softmax: -ln( n_y e^{z_y} / sum_i n_i e^{z_i} )."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1 and stats.n_classes != z.size:
-        raise ConfigError(f"stats cover {stats.n_classes} classes, z has {z.size}")
-    return _adjusted_ce(z, y, np.log(stats.counts.astype(float)))
-
-
-def ldam_loss(z, y, margin_c: float, stats: ClassStats) -> LossEval:
-    """Margin loss: cross entropy over z_i - C / n_i^(1/4), applied to all classes."""
-    if not 0.0 < margin_c <= 1.0:
-        raise ConfigError(f"margin_c must be in (0, 1], got {margin_c}")
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1 and stats.n_classes != z.size:
-        raise ConfigError(f"stats cover {stats.n_classes} classes, z has {z.size}")
-    margins = margin_c / stats.counts.astype(float) ** 0.25
-    return _adjusted_ce(z, y, -margins)
-
-
-def loss_on_logits(spec: LossSpec, z, y) -> LossEval:
-    """Evaluate any configured loss on raw logits."""
-    if spec.kind == "bs":
-        return bs_loss(z, y, spec.stats)
-    if spec.kind == "ldam":
-        return ldam_loss(z, y, spec.margin_c, spec.stats)
-    p = softmax(z)
-    if spec.kind == "ce":
-        return ce_loss(p, y)
-    if spec.kind == "wce":
-        return wce_loss(p, y, spec.stats)
-    if spec.kind == "fl":
-        return focal_loss(p, y, spec.gamma)
-    if spec.kind == "cb":
-        return cb_loss(p, y, spec.lam, spec.stats)
-    return tfl_loss(p, y, spec.gamma, spec.beta, spec.tail)
-
-
-# ---------------------------------------------------------------------------
-# vectorized batch path
+def _finite(x, ndim: int, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.size == 0:
+        shape = "1-D vector" if ndim == 1 else "(batch, classes) array"
+        raise ConfigError(f"{what} must be a non-empty {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"non-finite values in {what}")
+    return x
 
 
 def _softmax_rows(Z: np.ndarray) -> np.ndarray:
@@ -304,65 +128,153 @@ def _softmax_rows(Z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def softmax(z) -> np.ndarray:
+    """Numerically stable softmax of a 1-D logit vector."""
+    return _softmax_rows(_finite(z, 1, "logits")[None])[0]
+
+
+def _check_prob_vector(p) -> np.ndarray:
+    p = _finite(p, 1, "p")
+    if np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
+        raise ConfigError("p is not a probability distribution")
+    return p
+
+
+def _per_class(spec: LossSpec) -> np.ndarray | None:
+    """The per-class vector a kind applies: bs/ldam logit shift, wce/cb
+    weight, tfl tail boost. ce and fl have none."""
+    if spec.kind == "tfl":
+        return spec.tail.is_tail.astype(float) * spec.beta
+    if spec.kind in ("ce", "fl"):
+        return None
+    counts = spec.stats.counts.astype(float)
+    if spec.kind == "wce":
+        return spec.stats.total / counts
+    if spec.kind == "cb":
+        return (1.0 - spec.lam) / (1.0 - spec.lam**counts)
+    if spec.kind == "bs":
+        return np.log(counts)
+    return -spec.margin_c / counts**0.25
+
+
+def _rows(spec: LossSpec, X: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (values, grad_p, grad_z) of a finite (B, n) batch.
+
+    X holds probability rows for the probability-form kinds and logit rows
+    for bs/ldam; grad_z is always with respect to the logits.
+    """
+    b, n = X.shape
+    Y = np.asarray(Y)
+    if Y.shape != (b,):
+        raise ConfigError(f"labels shape {Y.shape} does not match batch {b}")
+    Y = Y.astype(np.int64)
+    if np.any(Y < 0) or np.any(Y >= n):
+        raise ConfigError(f"labels out of range for {n} classes")
+    per_class = _per_class(spec)
+    if per_class is not None and per_class.size != n:
+        raise ConfigError(f"loss {spec.kind!r} is set up for {per_class.size} classes, got {n}")
+    rows = np.arange(b)
+
+    if spec.kind in _SHIFTED:
+        # cross entropy over the shifted logits u = z + shift
+        U = X + per_class
+        m = U.max(axis=1, keepdims=True)
+        log_norm = m[:, 0] + np.log(np.exp(U - m).sum(axis=1))
+        G = np.exp(U - log_norm[:, None])
+        grad_p = -1.0 / np.clip(G[rows, Y], _P_LO, _P_HI)
+        G[rows, Y] -= 1.0
+        return log_norm - U[rows, Y], grad_p, G
+
+    py = X[rows, Y]
+    pc = np.clip(py, _P_LO, _P_HI)
+    log_p = np.log(pc)
+    if spec.kind in ("fl", "tfl"):
+        # two-term form of the derivative; at gamma = 0 the first term is
+        # exactly zero and the second is exactly -1/p, so fl(gamma=0) == ce
+        # holds bit for bit.
+        one_m = 1.0 - pc
+        values = -(one_m**spec.gamma) * log_p
+        grad_p = spec.gamma * one_m ** (spec.gamma - 1.0) * log_p - one_m**spec.gamma / pc
+    else:
+        values, grad_p = -log_p, -1.0 / pc
+    if spec.kind == "tfl":
+        boost = per_class[Y]
+        values = values - boost * log_p
+        grad_p = grad_p - boost / pc
+    elif per_class is not None:
+        w = per_class[Y]
+        values, grad_p = w * values, w * grad_p
+
+    # chain rule through the softmax: dP_y/dz_j = P_y * (delta_yj - p_j)
+    coef = grad_p * py
+    G = -coef[:, None] * X
+    G[rows, Y] += coef
+    return values, grad_p, G
+
+
+def _on_logits(spec: LossSpec, Z: np.ndarray, Y):
+    return _rows(spec, Z if spec.kind in _SHIFTED else _softmax_rows(Z), Y)
+
+
+def _one_row(out) -> LossEval:
+    values, grad_p, grad_z = out
+    return LossEval(value=float(values[0]), grad_p=float(grad_p[0]), grad_z=grad_z[0])
+
+
+def _on_probs(spec: LossSpec, p, y) -> LossEval:
+    return _one_row(_rows(spec, _check_prob_vector(p)[None], [y]))
+
+
+# ---------------------------------------------------------------------------
+# scalar API: one-row views of the core
+
+
+def ce_loss(p, y) -> LossEval:
+    """Cross entropy -ln(P_y). grad_z comes out as p - onehot(y)."""
+    return _on_probs(LossSpec(kind="ce"), p, y)
+
+
+def wce_loss(p, y, stats: ClassStats) -> LossEval:
+    """Cross entropy weighted by inverse class frequency, total / n_y."""
+    return _on_probs(LossSpec(kind="wce", stats=stats), p, y)
+
+
+def focal_loss(p, y, gamma: float = 2.0) -> LossEval:
+    """Focal loss -(1 - P_y)^gamma * ln(P_y)."""
+    return _on_probs(LossSpec(kind="fl", gamma=gamma), p, y)
+
+
+def cb_loss(p, y, lam: float, stats: ClassStats) -> LossEval:
+    """Class-balanced cross entropy: weight (1 - lam) / (1 - lam^n_y)."""
+    return _on_probs(LossSpec(kind="cb", lam=lam, stats=stats), p, y)
+
+
+def tfl_loss(p, y, gamma: float, beta: float, tail: TailPartition) -> LossEval:
+    """Tail-aware focal loss: focal everywhere, plus beta * (-ln P_y) on tail classes."""
+    return _on_probs(LossSpec(kind="tfl", gamma=gamma, beta=beta, tail=tail), p, y)
+
+
+def bs_loss(z, y, stats: ClassStats) -> LossEval:
+    """Balanced softmax: -ln( n_y e^{z_y} / sum_i n_i e^{z_i} )."""
+    return loss_on_logits(LossSpec(kind="bs", stats=stats), z, y)
+
+
+def ldam_loss(z, y, margin_c: float, stats: ClassStats) -> LossEval:
+    """Margin loss: cross entropy over z_i - C / n_i^(1/4), applied to all classes."""
+    return loss_on_logits(LossSpec(kind="ldam", margin_c=margin_c, stats=stats), z, y)
+
+
+def loss_on_logits(spec: LossSpec, z, y) -> LossEval:
+    """Evaluate any configured loss on raw logits."""
+    return _one_row(_on_logits(spec, _finite(z, 1, "logits")[None], [y]))
+
+
 def batch_loss(spec: LossSpec, Z, Y) -> tuple[float, np.ndarray]:
     """Mean loss over a batch of logit rows, plus its gradient.
 
     Returns (mean value, grad) where grad has Z's shape and already carries
     the 1/B factor, so it can feed a backward pass directly.
     """
-    Z = np.asarray(Z, dtype=float)
-    Y = np.asarray(Y)
-    if Z.ndim != 2 or Z.shape[0] == 0:
-        raise ConfigError("Z must be a non-empty (batch, classes) array")
-    if Y.shape != (Z.shape[0],):
-        raise ConfigError(f"labels shape {Y.shape} does not match batch {Z.shape[0]}")
-    if not np.all(np.isfinite(Z)):
-        raise ConfigError("logits contain non-finite values")
-    Y = Y.astype(np.int64)
-    n = Z.shape[1]
-    if np.any(Y < 0) or np.any(Y >= n):
-        raise ConfigError(f"labels out of range for {n} classes")
-    b = Z.shape[0]
-    rows = np.arange(b)
-
-    if spec.kind in ("bs", "ldam"):
-        if spec.stats.n_classes != n:
-            raise ConfigError(f"stats cover {spec.stats.n_classes} classes, Z has {n}")
-        if spec.kind == "bs":
-            shift = np.log(spec.stats.counts.astype(float))
-        else:
-            shift = -spec.margin_c / spec.stats.counts.astype(float) ** 0.25
-        U = Z + shift
-        m = U.max(axis=1, keepdims=True)
-        log_norm = m[:, 0] + np.log(np.exp(U - m).sum(axis=1))
-        values = log_norm - U[rows, Y]
-        G = np.exp(U - log_norm[:, None])
-        G[rows, Y] -= 1.0
-        return float(values.mean()), G / b
-
-    P = _softmax_rows(Z)
-    pc = _clamp(P[rows, Y])
-    if spec.kind == "ce":
-        values, gp = _ce_terms(pc)
-    elif spec.kind == "wce":
-        if spec.stats.n_classes != n:
-            raise ConfigError(f"stats cover {spec.stats.n_classes} classes, Z has {n}")
-        w = spec.stats.total / spec.stats.counts[Y]
-        values, gp = (w * t for t in _ce_terms(pc))
-    elif spec.kind == "fl":
-        values, gp = _focal_terms(pc, spec.gamma)
-    elif spec.kind == "cb":
-        if spec.stats.n_classes != n:
-            raise ConfigError(f"stats cover {spec.stats.n_classes} classes, Z has {n}")
-        w = (1.0 - spec.lam) / (1.0 - spec.lam ** spec.stats.counts[Y].astype(float))
-        values, gp = (w * t for t in _ce_terms(pc))
-    else:
-        if spec.tail.is_tail.size != n:
-            raise ConfigError(f"partition covers {spec.tail.is_tail.size} classes, Z has {n}")
-        values, gp = _tfl_terms(pc, spec.gamma, spec.beta, spec.tail.is_tail[Y])
-
-    # chain through softmax: dL/dz_j = gp * P_y * (delta - p_j)
-    coef = gp * P[rows, Y]
-    G = -coef[:, None] * P
-    G[rows, Y] += coef
-    return float(values.mean()), G / b
+    Z = _finite(Z, 2, "logits")
+    values, _, G = _on_logits(spec, Z, Y)
+    return float(values.mean()), G / Z.shape[0]

@@ -1,17 +1,14 @@
-"""Synthetic dataset generation, file round trips, and bit-profile features."""
+"""Synthetic dataset generation and file round trips."""
 
 import numpy as np
 import pytest
 
 from tailfocal import (
     PRESETS,
-    BitProfile,
     ConfigError,
     DataFormatError,
     DatasetSpec,
     generate_dataset,
-    jaccard,
-    jaccard_matrix,
     preset_spec,
     read_dataset,
     records_to_arrays,
@@ -248,63 +245,3 @@ class TestDatasetFiles:
         with pytest.raises(DataFormatError, match="modality s"):
             read_dataset(path)
 
-
-class TestJaccard:
-    def test_difference_mode_example(self):
-        a = BitProfile("a", [1, 1, 1, 0])
-        b = BitProfile("b", [0, 1, 1, 1])
-        assert jaccard(a, b) == 1.0
-        assert jaccard(a, b, mode="union") == 0.5
-
-    def test_disjoint_profiles(self):
-        a = BitProfile("a", [1, 1, 0, 0])
-        b = BitProfile("b", [0, 0, 1, 1])
-        assert jaccard(a, b) == 0.0
-        assert jaccard(a, b, mode="union") == 0.0
-
-    def test_identical_profiles_hit_cap(self):
-        a = BitProfile("a", [1, 0, 1])
-        assert jaccard(a, a) == 1e6
-        assert jaccard(a, a, cap=99.0) == 99.0
-        assert jaccard(a, a, mode="union") == 1.0
-
-    def test_empty_profiles(self):
-        a = BitProfile("a", [0, 0, 0])
-        b = BitProfile("b", [0, 0, 0])
-        assert jaccard(a, b) == 1e6
-        assert jaccard(a, b, mode="union") == 1.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(41)
-        for _ in range(30):
-            a = BitProfile("a", rng.integers(0, 2, size=16))
-            b = BitProfile("b", rng.integers(0, 2, size=16))
-            assert jaccard(a, b) == jaccard(b, a)
-            assert jaccard(a, b, mode="union") == jaccard(b, a, mode="union")
-
-    def test_width_mismatch(self):
-        a = BitProfile("a", [1, 0])
-        b = BitProfile("b", [1, 0, 1])
-        with pytest.raises(ConfigError):
-            jaccard(a, b)
-
-    def test_unknown_mode(self):
-        a = BitProfile("a", [1, 0])
-        with pytest.raises(ConfigError):
-            jaccard(a, a, mode="dice")
-
-    def test_matrix_diagonal_is_cap(self):
-        profiles = [
-            BitProfile("a", [1, 0, 1]),
-            BitProfile("b", [1, 1, 0]),
-            BitProfile("c", [0, 0, 1]),
-        ]
-        m = jaccard_matrix(profiles)
-        assert m.shape == (3, 3)
-        np.testing.assert_array_equal(np.diag(m), [1e6] * 3)
-        assert m[0, 1] == m[1, 0]
-        assert m[0, 1] == pytest.approx(1.0 / 2.0)
-
-    def test_bitprofile_validation(self):
-        with pytest.raises(ConfigError):
-            BitProfile("a", [])

@@ -380,6 +380,17 @@ class TestCli:
         path.write_text(TINY_CFG_TEXT + "loss.gamma = -2.0\n")
         assert main(["train", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "nan"],
+        ["--loss", "fl", "--gamma", "inf"],
+        ["--beta", "nan"],
+        ["--beta", "inf"],
+    ])
+    def test_non_finite_hyperparameter_flag_exits_3(self, tmp_path, capsys, flags):
+        cfg = self._write_cfg(tmp_path)
+        assert main(["train", "--config", cfg, *flags]) == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_unknown_loss_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--loss", "hinge"])

@@ -367,6 +367,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             LossSpec(kind="ldam", margin_c=0.0, stats=stats)
 
+    @pytest.mark.parametrize("kind, field", [
+        ("fl", "gamma"), ("tfl", "gamma"), ("tfl", "beta"), ("cb", "lam"),
+        ("ldam", "margin_c"), ("ce", "gamma"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite_hyperparameters(self, kind, field, value):
+        stats = class_stats_from_counts([9, 1])
+        with pytest.raises(ConfigError, match=field):
+            LossSpec(kind=kind, stats=stats, tail=tail_partition(stats, 0.9), **{field: value})
+
+    def test_label_out_of_range_is_config_error_on_every_path(self):
+        stats = class_stats_from_counts([9, 1])
+        with pytest.raises(ConfigError, match="out of range"):
+            ce_loss(np.array([0.5, 0.5]), 5)
+        with pytest.raises(ConfigError, match="out of range"):
+            loss_on_logits(LossSpec(kind="ce"), np.zeros(2), -1)
+        with pytest.raises(ConfigError, match="out of range"):
+            bs_loss(np.zeros(2), 2, stats)
+
     def test_rejects_probability_vector_not_summing_to_one(self):
         with pytest.raises(ConfigError):
             ce_loss(np.array([0.2, 0.2]), 0)
