@@ -62,7 +62,8 @@ i = np.searchsorted(grid, 0.95)
 print(f"at P_y = {grid[i]:.3f}: |fl grad| = {abs(fl[i, 2]):.4f}, "
       f"|tfl grad| = {abs(tfl[i, 2]):.4f}")
 
-out = Path(tempfile.mkdtemp(prefix="curves-"))
-for kind, table in (("fl", fl), ("tfl", tfl)):
-    write_curve(out / f"{kind}.csv", table)
-print(f"curve tables written under {out} (columns: p, loss, grad)")
+with tempfile.TemporaryDirectory(prefix="curves-") as tmp:
+    out = Path(tmp)
+    for kind, table in (("fl", fl), ("tfl", tfl)):
+        write_curve(out / f"{kind}.csv", table)
+    print(f"curve tables written under {out} (columns: p, loss, grad)")

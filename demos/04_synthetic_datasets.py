@@ -50,8 +50,9 @@ print(f"first record: {first.drug_a} x {first.drug_b} -> class {first.label}, "
 print()
 
 # Datasets round-trip through a plain text format, stats included.
-path = Path(tempfile.mkdtemp(prefix="ddipairs-")) / "pairs.tsv"
-write_dataset(path, records, n_classes=spec.n_classes)
-back, back_stats = read_dataset(path)
-print(f"wrote and re-read {len(back)} records from {path}")
+with tempfile.TemporaryDirectory(prefix="ddipairs-") as tmp:
+    path = Path(tmp) / "pairs.tsv"
+    write_dataset(path, records, n_classes=spec.n_classes)
+    back, back_stats = read_dataset(path)
+    print(f"wrote and re-read {len(back)} records from {path}")
 print("counts preserved:", np.array_equal(back_stats.counts, stats.counts))

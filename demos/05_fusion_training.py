@@ -16,7 +16,6 @@ import numpy as np
 from tailfocal import (
     LossSpec,
     ModelConfig,
-    OptimizerConfig,
     class_stats_from_counts,
     load_model,
     metrics_report,
@@ -60,9 +59,10 @@ print(f"epoch loss: {losses[0]:.4f} -> {losses[-1]:.4f} over {len(losses)} epoch
 print()
 
 # Models round-trip through a single .npz checkpoint.
-path = Path(tempfile.mkdtemp(prefix="fusion-")) / "model.npz"
-save_model(path, result.model_config, result.params)
-config, params = load_model(path)
+with tempfile.TemporaryDirectory(prefix="fusion-") as tmp:
+    path = Path(tmp) / "model.npz"
+    save_model(path, result.model_config, result.params)
+    config, params = load_model(path)
 print(f"checkpoint restored: {config.k_stages} stages, "
       f"hidden width {config.hidden_dim}, params {len(params)} arrays")
 

@@ -51,24 +51,24 @@ print()
 
 # All seven losses on the same dataset, same split, same model init. The
 # metric columns are accuracy, macro precision/recall/F1, AUC, and AUPR.
-out = Path(tempfile.mkdtemp(prefix="experiments-"))
-print("loss   accuracy  macro_f1  macro_auc")
-for kind, vals in compare_losses(base, out_dir=out / "cmp"):
-    print(f"{kind:6} {vals[0]:8.4f} {vals[3]:9.4f} {vals[4]:10.4f}")
-print()
+with tempfile.TemporaryDirectory(prefix="experiments-") as tmp:
+    out = Path(tmp)
+    print("loss   accuracy  macro_f1  macro_auc")
+    for kind, vals in compare_losses(base, out_dir=out / "cmp"):
+        print(f"{kind:6} {vals[0]:8.4f} {vals[3]:9.4f} {vals[4]:10.4f}")
+    print()
 
-# Ablating modality streams shows how much each block carries.
-print("variant ablation (macro F1):")
-for variant, vals in ablate(base, variants=("GSTE", "GS", "TE")):
-    print(f"  {variant:5} {vals[3]:.4f}")
-print()
+    # Ablating modality streams shows how much each block carries.
+    print("variant ablation (macro F1):")
+    for variant, vals in ablate(base, variants=("GSTE", "GS", "TE"), out_dir=out / "abl"):
+        print(f"  {variant:5} {vals[3]:.4f}")
+    print()
 
-# Sweep one tail-loss hyperparameter over a grid, repeating with shifted
-# seeds; each row reports per-metric mean and spread across repeats.
-print("beta   mean macro_f1  std")
-for value, mean, std in sweep(base, SweepConfig(parameter="beta",
-                                                grid=(0.0, 1.0, 2.0),
-                                                repeats=2)):
-    print(f"{value:4.1f} {mean[3]:13.4f} {std[3]:6.4f}")
-print()
-print(f"reports on disk under {out}")
+    # Sweep one tail-loss hyperparameter over a grid, repeating with shifted
+    # seeds; each row reports per-metric mean and spread across repeats.
+    print("beta   mean macro_f1  std")
+    grid = SweepConfig(parameter="beta", grid=(0.0, 1.0, 2.0), repeats=2)
+    for value, mean, std in sweep(base, grid, out_dir=out / "sweep"):
+        print(f"{value:4.1f} {mean[3]:13.4f} {std[3]:6.4f}")
+    print()
+    print(f"reports on disk under {out}")

@@ -51,7 +51,6 @@ from .fusion import (
     VARIANTS,
     EpochStats,
     ModelConfig,
-    OptimizerConfig,
     backward,
     forward,
     init_params,

@@ -11,6 +11,7 @@ a modality's prototypes to zero makes that block pure noise.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,16 +84,17 @@ class DatasetSpec:
             raise ConfigError(
                 f"n_samples ({self.n_samples}) must cover every class ({self.n_classes})"
             )
-        if self.cir < 1:
-            raise ConfigError(f"cir must be >= 1, got {self.cir}")
+        if not 1.0 <= self.cir < math.inf:
+            raise ConfigError(f"cir must be finite and >= 1, got {self.cir}")
         if self.n_drugs < 2:
             raise ConfigError(f"n_drugs must be >= 2, got {self.n_drugs}")
         if len(self.embed_dims) != 4 or any(int(d) < 1 for d in self.embed_dims):
             raise ConfigError("embed_dims must be four positive widths (g, s, t, e)")
-        if len(self.signal_scale) != 4 or any(v < 0 for v in self.signal_scale):
-            raise ConfigError("signal_scale must be four non-negative factors")
-        if self.offset_scale < 0 or self.noise_scale < 0:
-            raise ConfigError("offset_scale and noise_scale must be >= 0")
+        if len(self.signal_scale) != 4 or not all(0.0 <= v < math.inf for v in self.signal_scale):
+            raise ConfigError("signal_scale must be four finite factors >= 0")
+        for name in ("offset_scale", "noise_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def preset_spec(name: str, seed: int = 0, embed_dims=(64, 64, 64, 64), **overrides) -> DatasetSpec:

@@ -17,6 +17,14 @@ Config files are flat key = value text with section prefixes::
     optim.epochs = 50
     split.test_fraction = 0.2
 
+The keys are the fields of RunConfig's sections (DataConfig, LossConfig,
+NetConfig, OptimConfig, SplitConfig) plus `seed`, and each value is parsed
+by its field's type: `none` for an optional field, comma-separated items
+for a tuple. A field added to a section is a config key with no other
+edit. The section dataclasses check their values, so an out-of-range or
+non-finite value (`optim.lr = nan`, `split.val_fraction = -0.5`) is a
+ConfigError (CLI exit 3) before any data is built.
+
 Every run writes its effective config next to its outputs, and that file
 reproduces the run exactly when fed back in.
 """
@@ -24,7 +32,8 @@ reproduces the run exactly when fed back in.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,7 +51,7 @@ from .fusion import (
     VARIANTS,
     EpochStats,
     ModelConfig,
-    OptimizerConfig,
+    OptimConfig,
     init_params,
     predict_proba,
     save_model,
@@ -118,16 +127,10 @@ class SplitConfig:
     val_fraction: float = 0.1
     stratified: bool = True
 
-
-@dataclass(frozen=True)
-class OptimConfig:
-    lr: float = 1e-3
-    batch_size: int = 256
-    epochs: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    patience: int | None = 10
+    def __post_init__(self):
+        for name in ("test_fraction", "val_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -227,26 +230,14 @@ def build_loss_spec(cfg: LossConfig, stats: ClassStats) -> LossSpec:
 
 
 def _dataset_spec(data: DataConfig, seed: int) -> DatasetSpec:
-    if data.preset is not None:
-        return preset_spec(
-            data.preset,
-            seed=seed,
-            embed_dims=data.embed_dims,
-            signal_scale=data.signal_scale,
-            offset_scale=data.offset_scale,
-            noise_scale=data.noise_scale,
-        )
-    return DatasetSpec(
-        n_classes=data.n_classes,
-        n_samples=data.n_samples,
-        cir=data.cir,
-        n_drugs=data.n_drugs,
-        embed_dims=data.embed_dims,
-        seed=seed,
-        signal_scale=data.signal_scale,
-        offset_scale=data.offset_scale,
-        noise_scale=data.noise_scale,
-    )
+    spec = asdict(data)
+    preset = spec.pop("preset")
+    del spec["path"]
+    if preset is None:
+        return DatasetSpec(seed=seed, **spec)
+    for name in ("n_classes", "n_samples", "cir", "n_drugs"):  # the preset fixes these
+        del spec[name]
+    return preset_spec(preset, seed=seed, **spec)
 
 
 def load_run_data(run: RunConfig):
@@ -303,33 +294,18 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     loss_spec = build_loss_spec(run.loss, train_stats)
     tail = loss_spec.tail if loss_spec.tail is not None else tail_partition(train_stats, run.loss.ts)
 
+    net = asdict(run.model)
+    modalities = VARIANTS[net.pop("variant").upper()]
     embed_dims = tuple(feats_a[m].shape[1] for m in ("g", "s", "t", "e"))
-    model_config = ModelConfig(
-        n_classes=n_classes,
-        embed_dims=embed_dims,
-        hidden_dim=run.model.hidden_dim,
-        k_stages=run.model.k_stages,
-        classifier_dims=run.model.classifier_dims,
-        activation=run.model.activation,
-        pool_window=run.model.pool_window,
-        modalities=VARIANTS[run.model.variant.upper()],
-    )
+    model_config = ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
     params = init_params(model_config, seed=run.seed + 2)
-    opt = OptimizerConfig(
-        lr=run.optim.lr,
-        batch_size=run.optim.batch_size,
-        epochs=run.optim.epochs,
-        beta1=run.optim.beta1,
-        beta2=run.optim.beta2,
-        eps=run.optim.eps,
-        seed=run.seed + 3,
-        patience=run.optim.patience,
-    )
     train_data = (_take(feats_a, train_idx), _take(feats_b, train_idx), labels[train_idx])
     val_data = None
     if val_idx.size:
         val_data = (_take(feats_a, val_idx), _take(feats_b, val_idx), labels[val_idx])
-    trace = train(model_config, params, train_data, loss_spec, opt, val_data=val_data)
+    trace = train(
+        model_config, params, train_data, loss_spec, run.optim, val_data=val_data, seed=run.seed + 3
+    )
 
     probs = predict_proba(model_config, params, _take(feats_a, test_idx), _take(feats_b, test_idx))
     report = metrics_report(probs, labels[test_idx])
@@ -352,35 +328,37 @@ def _timestamp_line() -> str:
     return f"# generated {datetime.now(timezone.utc).isoformat()}\n"
 
 
-def _write_run_outputs(out_dir, run: RunConfig, result: RunResult) -> None:
+def _write_table(out_dir, name: str, header, rows, run: RunConfig) -> None:
+    """Write a CSV table of (label, values) rows, and `run`'s effective.cfg beside it.
+
+    Values print as %.12g; a None value is an empty cell.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for label, values in rows:
+            cells = ["" if v is None else f"{v:.12g}" for v in values]
+            fh.write(",".join([label, *cells]) + "\n")
     with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
         fh.write(config_to_text(run))
+
+
+def _write_run_outputs(out_dir, run: RunConfig, result: RunResult) -> None:
+    trace = [(str(s.epoch), (s.train_loss, s.val_macro_f1)) for s in result.trace]
+    _write_table(out_dir, "trace.csv", ("epoch", "train_loss", "val_macro_f1"), trace, run)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(_timestamp_line())
         fh.write(format_summary(result.report))
     with open(os.path.join(out_dir, "per_class.csv"), "w") as fh:
         fh.write(format_per_class(result.report))
-    with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
-        fh.write("epoch,train_loss,val_macro_f1\n")
-        for row in result.trace:
-            val = "" if row.val_macro_f1 is None else f"{row.val_macro_f1:.12g}"
-            fh.write(f"{row.epoch},{row.train_loss:.12g},{val}\n")
     save_model(os.path.join(out_dir, "checkpoint.npz"), result.model_config, result.params)
 
 
-_METRIC_COLUMNS = (
-    ("accuracy", lambda r: r.accuracy),
-    ("macro_precision", lambda r: r.macro_precision),
-    ("macro_recall", lambda r: r.macro_recall),
-    ("macro_f1", lambda r: r.macro_f1),
-    ("macro_auc", lambda r: r.macro_auc),
-    ("macro_aupr", lambda r: r.macro_aupr),
-)
+_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "macro_auc", "macro_aupr")
 
 
 def _metric_row(report: MetricsReport) -> list[float]:
-    return [fn(report) for _, fn in _METRIC_COLUMNS]
+    return [getattr(report, name) for name in _METRICS]
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
@@ -392,13 +370,7 @@ def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
         result = run_training(sub, _data=data)
         rows.append((kind, _metric_row(result.report)))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "losses.csv"), "w") as fh:
-            fh.write("loss," + ",".join(name for name, _ in _METRIC_COLUMNS) + "\n")
-            for kind, vals in rows:
-                fh.write(kind + "," + ",".join(f"{v:.12g}" for v in vals) + "\n")
-        with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
-            fh.write(config_to_text(run))
+        _write_table(out_dir, "losses.csv", ("loss", *_METRICS), rows, run)
     return rows
 
 
@@ -413,13 +385,7 @@ def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
         result = run_training(sub, _data=data)
         rows.append((variant.upper(), _metric_row(result.report)))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "ablation.csv"), "w") as fh:
-            fh.write("variant," + ",".join(name for name, _ in _METRIC_COLUMNS) + "\n")
-            for variant, vals in rows:
-                fh.write(variant + "," + ",".join(f"{v:.12g}" for v in vals) + "\n")
-        with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
-            fh.write(config_to_text(run))
+        _write_table(out_dir, "ablation.csv", ("variant", *_METRICS), rows, run)
     return rows
 
 
@@ -432,32 +398,17 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
         rep_run = replace(run, seed=seed)
         data = load_run_data(rep_run)
         for value in cfg.grid:
-            loss = rep_run.loss
-            if cfg.parameter == "beta":
-                loss = replace(loss, beta=float(value))
-            elif cfg.parameter == "gamma":
-                loss = replace(loss, gamma=float(value))
-            else:
-                loss = replace(loss, ts=float(value))
+            loss = replace(rep_run.loss, **{cfg.parameter: float(value)})
             result = run_training(replace(rep_run, loss=loss), _data=data)
             per_value[value].append(_metric_row(result.report))
     for value in cfg.grid:
         arr = np.array(per_value[value])
         rows.append((float(value), arr.mean(axis=0), arr.std(axis=0)))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        header = [cfg.parameter]
-        for name, _ in _METRIC_COLUMNS:
-            header += [f"mean_{name}", f"std_{name}"]
-        with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for value, mean, std in rows:
-                cells = [f"{value:.12g}"]
-                for k in range(mean.size):
-                    cells += [f"{mean[k]:.12g}", f"{std[k]:.12g}"]
-                fh.write(",".join(cells) + "\n")
-        with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
-            fh.write(config_to_text(run))
+        header = [cfg.parameter] + [f"{s}_{name}" for name in _METRICS for s in ("mean", "std")]
+        # mean and std of each metric side by side
+        table = [(f"{v:.12g}", np.column_stack([m, sd]).ravel()) for v, m, sd in rows]
+        _write_table(out_dir, "sweep.csv", header, table, run)
     return rows
 
 
@@ -497,26 +448,27 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+_SECTIONS = ("data", "loss", "model", "optim", "split")
+
+
 def config_to_text(run: RunConfig) -> str:
     """Flatten a RunConfig to the key = value text format (full round trip)."""
     lines = [f"seed = {run.seed}"]
-    for section in ("data", "loss", "model", "optim", "split"):
+    for section in _SECTIONS:
         obj = getattr(run, section)
         for f in fields(obj):
             lines.append(f"{section}.{f.name} = {_fmt_value(getattr(obj, f.name))}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(v):
-    return int(v)
-
-
-def _parse_float(v):
-    return float(v)
-
-
-def _parse_str(v):
-    return v
+def _config_keys() -> dict:
+    """Every config key with the type annotation of the field it sets."""
+    run_types = typing.get_type_hints(RunConfig)
+    keys = {"seed": run_types["seed"]}
+    for section in _SECTIONS:
+        for name, annotation in typing.get_type_hints(run_types[section]).items():
+            keys[f"{section}.{name}"] = annotation
+    return keys
 
 
 def _parse_bool(v):
@@ -528,68 +480,27 @@ def _parse_bool(v):
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-def _parse_opt_str(v):
-    return None if v.lower() == "none" else v
-
-
-def _parse_opt_int(v):
-    return None if v.lower() == "none" else int(v)
-
-
-def _parse_int_tuple(v):
-    return tuple(int(x) for x in v.split(","))
-
-
-def _parse_opt_int_tuple(v):
-    return None if v.lower() == "none" else _parse_int_tuple(v)
-
-
-def _parse_float_tuple(v):
-    return tuple(float(x) for x in v.split(","))
-
-
-_PARSERS = {
-    "seed": _parse_int,
-    "data.preset": _parse_opt_str,
-    "data.path": _parse_opt_str,
-    "data.n_classes": _parse_int,
-    "data.n_samples": _parse_int,
-    "data.cir": _parse_float,
-    "data.n_drugs": _parse_int,
-    "data.embed_dims": _parse_int_tuple,
-    "data.signal_scale": _parse_float_tuple,
-    "data.offset_scale": _parse_float,
-    "data.noise_scale": _parse_float,
-    "loss.kind": _parse_str,
-    "loss.gamma": _parse_float,
-    "loss.beta": _parse_float,
-    "loss.ts": _parse_float,
-    "loss.lam": _parse_float,
-    "loss.margin_c": _parse_float,
-    "model.hidden_dim": _parse_int,
-    "model.k_stages": _parse_int,
-    "model.classifier_dims": _parse_opt_int_tuple,
-    "model.activation": _parse_str,
-    "model.pool_window": _parse_int,
-    "model.variant": _parse_str,
-    "optim.lr": _parse_float,
-    "optim.batch_size": _parse_int,
-    "optim.epochs": _parse_int,
-    "optim.beta1": _parse_float,
-    "optim.beta2": _parse_float,
-    "optim.eps": _parse_float,
-    "optim.patience": _parse_opt_int,
-    "split.test_fraction": _parse_float,
-    "split.val_fraction": _parse_float,
-    "split.stratified": _parse_bool,
-}
+def _parse_value(annotation, text: str):
+    """Parse one config value as `annotation`: int, float, str, bool, X | None,
+    or tuple[X, ...] (comma-separated)."""
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        if text.lower() == "none":
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _parse_value(inner, text)
+    if typing.get_origin(annotation) is tuple:
+        return tuple(_parse_value(args[0], item) for item in text.split(","))
+    if annotation is bool:
+        return _parse_bool(text)
+    return annotation(text)
 
 
 def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse config text into a RunConfig, overriding `base` (defaults if None)."""
     run = base if base is not None else RunConfig()
-    updates: dict[str, dict] = {"data": {}, "loss": {}, "model": {}, "optim": {}, "split": {}}
-    seed = None
+    keys = _config_keys()
+    updates: dict[str, dict] = {section: {} for section in ("", *_SECTIONS)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -599,29 +510,18 @@ def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in keys:
             raise DataFormatError(f"line {lineno}: unknown config key {key!r}")
         try:
-            parsed = _PARSERS[key](value)
+            parsed = _parse_value(keys[key], value)
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad value for {key}: {exc}") from None
-        if key == "seed":
-            seed = parsed
-        else:
-            section, _, name = key.partition(".")
-            updates[section][name] = parsed
+        section, _, name = key.rpartition(".")
+        updates[section][name] = parsed
 
-    run = replace(
-        run,
-        data=replace(run.data, **updates["data"]),
-        loss=replace(run.loss, **updates["loss"]),
-        model=replace(run.model, **updates["model"]),
-        optim=replace(run.optim, **updates["optim"]),
-        split=replace(run.split, **updates["split"]),
-    )
-    if seed is not None:
-        run = replace(run, seed=seed)
-    return run
+    # "" holds the top-level keys (seed)
+    sections = {s: replace(getattr(run, s), **updates[s]) for s in _SECTIONS}
+    return replace(run, **sections, **updates[""])
 
 
 def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:

@@ -22,7 +22,8 @@ streams (and the partner concatenation with them).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .metrics import confusion_metrics
 __all__ = [
     "VARIANTS",
     "ModelConfig",
-    "OptimizerConfig",
+    "OptimConfig",
     "EpochStats",
     "param_shapes",
     "init_params",
@@ -118,23 +119,27 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
+class OptimConfig:
     lr: float = 1e-3
     batch_size: int = 256
     epochs: int = 50
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
     patience: int | None = 10
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
 
@@ -387,12 +392,15 @@ def train(
     params: dict,
     train_data,
     loss_spec: LossSpec,
-    opt: OptimizerConfig,
+    opt: OptimConfig,
     val_data=None,
+    seed: int = 0,
 ) -> list[EpochStats]:
     """Mini-batch training with per-parameter adaptive step scaling.
 
     train_data / val_data: (features_a, features_b, labels) triples.
+    `seed` drives the per-epoch batch shuffle and nothing else; the same
+    params, data, opt and seed give bit-identical training.
     Updates `params` in place and returns per-epoch statistics. With
     val_data and a patience, stops once validation macro-F1 has not
     improved for `patience` consecutive epochs. Raises TrainingError the
@@ -406,7 +414,7 @@ def train(
     if next(iter(fa.values())).shape[0] != n:
         raise ConfigError("labels and features disagree on sample count")
 
-    rng = np.random.default_rng(opt.seed)
+    rng = np.random.default_rng(seed)
     names = sorted(params)
     m1 = {k: np.zeros_like(params[k]) for k in names}
     m2 = {k: np.zeros_like(params[k]) for k in names}
@@ -467,16 +475,7 @@ def train(
 
 def save_model(path, config: ModelConfig, params: dict) -> None:
     """Self-describing checkpoint: config as JSON plus every tensor with its shape."""
-    meta = {
-        "n_classes": config.n_classes,
-        "embed_dims": list(config.embed_dims),
-        "hidden_dim": config.hidden_dim,
-        "k_stages": config.k_stages,
-        "classifier_dims": list(config.classifier_dims),
-        "activation": config.activation,
-        "pool_window": config.pool_window,
-        "modalities": list(config.modalities),
-    }
+    meta = asdict(config)
     arrays = {f"param/{k}": np.asarray(v, dtype=float) for k, v in params.items()}
     np.savez(path, config=np.array(json.dumps(meta)), **arrays)
 
@@ -485,16 +484,9 @@ def load_model(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Inverse of save_model; rejects checkpoints whose tensors do not fit the config."""
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["config"]))
-        config = ModelConfig(
-            n_classes=meta["n_classes"],
-            embed_dims=tuple(meta["embed_dims"]),
-            hidden_dim=meta["hidden_dim"],
-            k_stages=meta["k_stages"],
-            classifier_dims=tuple(meta["classifier_dims"]),
-            activation=meta["activation"],
-            pool_window=meta["pool_window"],
-            modalities=tuple(meta["modalities"]),
-        )
+        if sorted(meta) != sorted(f.name for f in fields(ModelConfig)):
+            raise ConfigError(f"checkpoint config keys {sorted(meta)} do not match ModelConfig")
+        config = ModelConfig(**meta)
         expected = param_shapes(config)
         params = {}
         for name, shape in expected.items():

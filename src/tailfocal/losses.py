@@ -151,7 +151,7 @@ def _per_class(spec: LossSpec) -> np.ndarray | None:
     if spec.kind == "wce":
         return spec.stats.total / counts
     if spec.kind == "cb":
-        return (1.0 - spec.lam) / (1.0 - spec.lam**counts)
+        return (1.0 - spec.lam) / -np.expm1(counts * np.log(spec.lam))
     if spec.kind == "bs":
         return np.log(counts)
     return -spec.margin_c / counts**0.25

@@ -1,5 +1,7 @@
 """Synthetic dataset generation and file round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,24 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_spec("DDI-DB999")
+
+
+class TestDatasetSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("cir", math.nan), ("cir", math.inf), ("cir", 0.5),
+        ("noise_scale", math.nan), ("noise_scale", math.inf), ("noise_scale", -0.1),
+        ("offset_scale", math.nan), ("offset_scale", -0.1),
+        ("signal_scale", (1.0, math.nan, 1.0, 1.0)),
+        ("signal_scale", (1.0, 1.0, math.inf, 1.0)),
+        ("signal_scale", (1.0, 1.0, 1.0, -1.0)),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DatasetSpec(**{**TINY, field: value})
+
+    def test_preset_overrides_are_checked(self):
+        with pytest.raises(ConfigError, match="noise_scale"):
+            preset_spec("DDIMDL", noise_scale=math.nan)
 
 
 class TestGenerator:

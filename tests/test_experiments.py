@@ -1,5 +1,7 @@
 """Experiment orchestration: splits, config files, run outputs, CLI."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,12 @@ class TestSplitIndices:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigError):
             split_indices(np.array([0, 1]), 1.0, seed=0)
+
+    @pytest.mark.parametrize("field", ["test_fraction", "val_fraction"])
+    @pytest.mark.parametrize("value", [-0.5, 1.0, math.nan, math.inf])
+    def test_split_config_rejects_bad_fraction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SplitConfig(**{field: value})
 
 
 class TestLossSpecReductions:
@@ -390,6 +398,24 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         assert main(["train", "--config", cfg, *flags]) == 3
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, line, name", [
+        ("gen", "data.cir = nan", "cir"),
+        ("gen", "data.cir = inf", "cir"),
+        ("gen", "data.noise_scale = nan", "noise_scale"),
+        ("train", "optim.lr = nan", "lr"),
+        ("train", "optim.beta1 = 1.5", "beta1"),
+        ("train", "optim.eps = -1", "eps"),
+        ("train", "split.val_fraction = -0.5", "val_fraction"),
+        ("train", "split.val_fraction = nan", "val_fraction"),
+    ])
+    def test_out_of_range_config_value_exits_3(self, tmp_path, capsys, command, line, name):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CFG_TEXT + line + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_loss_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

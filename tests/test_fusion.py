@@ -1,5 +1,9 @@
 """Fusion network: shapes, forward oracle, gradients, training loop, checkpoints."""
 
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from tailfocal import (
     ConfigError,
     LossSpec,
     ModelConfig,
-    OptimizerConfig,
+    OptimConfig,
     TrainingError,
     backward,
     batch_loss,
@@ -95,6 +99,21 @@ class TestModelConfig:
         assert set(VARIANTS) == {"G", "S", "T", "E", "GS", "TE", "GSTE"}
         assert VARIANTS["GS"] == ("g", "s")
         assert VARIANTS["GSTE"] == ("g", "s", "t", "e")
+
+
+class TestOptimConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
+        ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", math.nan),
+        ("eps", -1.0), ("eps", 0.0), ("eps", math.nan), ("eps", math.inf),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            OptimConfig(**{field: value})
+
+    def test_accepts_range_edges(self):
+        OptimConfig(lr=0.0, beta1=0.0, beta2=0.0, eps=5e-324)
 
 
 class TestParamShapes:
@@ -322,8 +341,8 @@ class TestTraining:
         params = init_params(config, seed=7)
         before = {k: v.copy() for k, v in params.items()}
         data = self._toy(rng, config, 24)
-        opt = OptimizerConfig(lr=0.0, batch_size=8, epochs=3, seed=1, patience=None)
-        trace = train(config, params, data, LossSpec(kind="ce"), opt)
+        opt = OptimConfig(lr=0.0, batch_size=8, epochs=3, patience=None)
+        trace = train(config, params, data, LossSpec(kind="ce"), opt, seed=1)
         assert all(np.array_equal(params[k], before[k]) for k in params)
         assert len(trace) == 3
         assert trace[0].train_loss == pytest.approx(trace[2].train_loss, rel=1e-12)
@@ -333,16 +352,16 @@ class TestTraining:
         config = ModelConfig(**TINY)
         params = init_params(config, seed=8)
         data = self._toy(rng, config, 12)
-        opt = OptimizerConfig(epochs=0, seed=1)
-        assert train(config, params, data, LossSpec(kind="ce"), opt) == []
+        opt = OptimConfig(epochs=0)
+        assert train(config, params, data, LossSpec(kind="ce"), opt, seed=1) == []
 
     def test_loss_decreases_on_separable_toy(self):
         rng = np.random.default_rng(72)
         config = ModelConfig(**TINY)
         params = init_params(config, seed=9)
         data = self._toy(rng, config, 48)
-        opt = OptimizerConfig(lr=2e-2, batch_size=16, epochs=60, seed=2, patience=None)
-        trace = train(config, params, data, LossSpec(kind="ce"), opt)
+        opt = OptimConfig(lr=2e-2, batch_size=16, epochs=60, patience=None)
+        trace = train(config, params, data, LossSpec(kind="ce"), opt, seed=2)
         assert trace[-1].train_loss < 0.5 * trace[0].train_loss
 
     def test_early_stopping_cuts_the_trace(self):
@@ -350,8 +369,8 @@ class TestTraining:
         config = ModelConfig(**TINY)
         params = init_params(config, seed=10)
         data = self._toy(rng, config, 32)
-        opt = OptimizerConfig(lr=1e-2, batch_size=16, epochs=60, seed=3, patience=3)
-        trace = train(config, params, data, LossSpec(kind="ce"), opt, val_data=data)
+        opt = OptimConfig(lr=1e-2, batch_size=16, epochs=60, patience=3)
+        trace = train(config, params, data, LossSpec(kind="ce"), opt, val_data=data, seed=3)
         assert len(trace) < 60
         assert trace[-1].val_macro_f1 is not None
 
@@ -359,11 +378,11 @@ class TestTraining:
         rng = np.random.default_rng(74)
         config = ModelConfig(**TINY)
         data = self._toy(rng, config, 24)
-        opt = OptimizerConfig(lr=1e-3, batch_size=8, epochs=4, seed=5, patience=None)
+        opt = OptimConfig(lr=1e-3, batch_size=8, epochs=4, patience=None)
         p1 = init_params(config, seed=11)
         p2 = init_params(config, seed=11)
-        t1 = train(config, p1, data, LossSpec(kind="ce"), opt)
-        t2 = train(config, p2, data, LossSpec(kind="ce"), opt)
+        t1 = train(config, p1, data, LossSpec(kind="ce"), opt, seed=5)
+        t2 = train(config, p2, data, LossSpec(kind="ce"), opt, seed=5)
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
         assert [s.train_loss for s in t1] == [s.train_loss for s in t2]
 
@@ -373,10 +392,10 @@ class TestTraining:
         params = init_params(config, seed=12)
         params["g1_W"][:] = 1e308
         data = self._toy(rng, config, 8)
-        opt = OptimizerConfig(lr=1e-3, batch_size=8, epochs=1, seed=0, patience=None)
+        opt = OptimConfig(lr=1e-3, batch_size=8, epochs=1, patience=None)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch 0"):
-                train(config, params, data, LossSpec(kind="ce"), opt)
+                train(config, params, data, LossSpec(kind="ce"), opt, seed=0)
 
 
 class TestCheckpoints:
@@ -410,6 +429,17 @@ class TestCheckpoints:
         path = tmp_path / "model.npz"
         save_model(path, config, dropped)
         with pytest.raises(ConfigError, match="s1_b"):
+            load_model(path)
+
+    def test_config_keys_must_match_model_config(self, tmp_path):
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=17)
+        meta = dataclasses.asdict(config)
+        del meta["activation"]
+        path = tmp_path / "model.npz"
+        np.savez(path, config=np.array(json.dumps(meta)),
+                 **{f"param/{k}": v for k, v in params.items()})
+        with pytest.raises(ConfigError, match="keys"):
             load_model(path)
 
     def test_wrong_shape_rejected(self, tmp_path):

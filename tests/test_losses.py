@@ -1,6 +1,7 @@
 """Loss values and gradients for the seven classification losses."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestPointValues:
         stats = class_stats_from_counts([1000, 1000])
         out = cb_loss(np.array([0.5, 0.5]), 0, 0.999, stats)
         assert out.value == pytest.approx(0.0010962235728072518, abs=1e-15)
+
+    def test_cb_weight_matches_exact_arithmetic_on_small_counts(self):
+        # 1 - lam**n cancels for small n; the weight must stay within a few ulp
+        counts = list(range(1, 200))
+        stats = class_stats_from_counts(counts)
+        p = np.full(len(counts), 1.0 / len(counts))
+        ce = -math.log(p[0])
+        lam = Fraction(0.999)
+        for y, n in enumerate(counts):
+            want = float((1 - lam) / (1 - lam**n)) * ce
+            got = cb_loss(p, y, 0.999, stats).value
+            assert abs(got - want) <= 1e-15 * want, n
 
     def test_bs_uniform_logits_skewed_counts(self):
         stats = class_stats_from_counts([99, 1])
