@@ -93,10 +93,14 @@ def lambert_w0(x: float, tol: float = 1e-12, max_iter: int = 64) -> float:
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
 def fl_vanishing_threshold(gamma: float) -> VanishingReport:
     """Probability where the focal gradient magnitude peaks out: exp(-1/gamma)."""
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    _check_positive("gamma", gamma)
     p = math.exp(-1.0 / gamma)
     return VanishingReport(
         loss_kind="fl",
@@ -108,13 +112,19 @@ def fl_vanishing_threshold(gamma: float) -> VanishingReport:
 
 
 def tfl_vanishing_threshold(gamma: float, beta: float) -> VanishingReport:
-    """Crossover for the tail-boosted focal gradient, via Lambert W."""
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    if beta <= 0:
-        raise ConfigError(f"beta must be > 0, got {beta}")
-    w = lambert_w0((beta / gamma) * math.exp(1.0 / gamma))
-    p = beta / (gamma * w)
+    """Crossover for the tail-boosted focal gradient, via Lambert W.
+
+    Raises ConfigError when (beta/gamma) * exp(1/gamma) or the crossover
+    leaves the float range, as for a tiny gamma or a huge beta.
+    """
+    _check_positive("gamma", gamma)
+    _check_positive("beta", beta)
+    try:
+        p = beta / (gamma * lambert_w0((beta / gamma) * math.exp(1.0 / gamma)))
+    except (ArithmeticError, ConfigError):
+        raise ConfigError(
+            f"tfl crossover for gamma={gamma:g}, beta={beta:g} is outside the float range"
+        ) from None
     return VanishingReport(
         loss_kind="tfl",
         gamma=float(gamma),

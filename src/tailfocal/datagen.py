@@ -186,8 +186,8 @@ def sample_class_counts(n_classes: int, n_samples: int, cir: float) -> np.ndarra
         raise ConfigError(f"n_classes must be >= 1, got {n_classes}")
     if n_samples < n_classes:
         raise ConfigError(f"n_samples ({n_samples}) must be >= n_classes ({n_classes})")
-    if cir < 1:
-        raise ConfigError(f"cir must be >= 1, got {cir}")
+    if not 1 <= cir < math.inf:
+        raise ConfigError(f"cir must be finite and >= 1, got {cir}")
     if n_classes == 1:
         return np.array([n_samples], dtype=np.int64)
 

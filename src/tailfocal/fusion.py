@@ -193,15 +193,21 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
 # forward / backward
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _affine_act(x: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str | None) -> np.ndarray:
+    """act(x @ W.T + b) in one fresh buffer; kind None leaves it affine."""
+    z = x @ W.T
+    z += b
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
+    return z
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Activation derivative from the output alone; a > 0 iff z > 0, NaN included."""
     if kind == "relu":
-        return (z > 0.0).astype(float)
+        return a > 0.0
     return 1.0 - a * a
 
 
@@ -249,12 +255,11 @@ def _stage_input(config: ModelConfig, m: str, cur: dict[str, np.ndarray]) -> np.
 
 
 def _encode_side(config, params, feats):
-    cache = {"x0": feats, "pre": {}, "post": {}}
+    cache = {"x0": feats, "post": {}}
     pooled = {}
     pool_idx = {}
     for m in config.modalities:
         pooled[m], pool_idx[m] = _maxpool(feats[m], config.pool_window)
-    cache["pooled"] = pooled
     cache["pool_idx"] = pool_idx
 
     cur = feats
@@ -262,16 +267,13 @@ def _encode_side(config, params, feats):
         new = {}
         for m in config.modalities:
             inp = _stage_input(config, m, cur)
-            z = inp @ params[f"{m}{j}_W"].T + params[f"{m}{j}_b"]
-            new[m] = _act(z, config.activation)
-            cache["pre"][m, j] = z
+            new[m] = _affine_act(inp, params[f"{m}{j}_W"], params[f"{m}{j}_b"], config.activation)
             cache["post"][m, j] = new[m]
         cur = new
 
     fu = np.concatenate(
         [cur[m] for m in config.modalities] + [pooled[m] for m in config.modalities], axis=1
     )
-    cache["fu"] = fu
     return fu, cache
 
 
@@ -286,14 +288,12 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     fu_b, cache_b = _encode_side(config, params, fb)
     x = np.concatenate([fu_a, fu_b], axis=1)
 
-    cls = {"inputs": [], "pre": []}
+    inputs = []
     for layer in range(4):
-        cls["inputs"].append(x)
-        z = x @ params[f"cls{layer}_W"].T + params[f"cls{layer}_b"]
-        cls["pre"].append(z)
-        x = _act(z, config.activation) if layer < 3 else z
-    logits = x
-    return logits, {"a": cache_a, "b": cache_b, "cls": cls}
+        inputs.append(x)
+        kind = config.activation if layer < 3 else None
+        x = _affine_act(x, params[f"cls{layer}_W"], params[f"cls{layer}_b"], kind)
+    return x, {"a": cache_a, "b": cache_b, "cls_inputs": inputs}
 
 
 def _decode_side(config, params, cache, dfu, grads):
@@ -317,8 +317,7 @@ def _decode_side(config, params, cache, dfu, grads):
         prev = cache["x0"] if j == 1 else {m: cache["post"][m, j - 1] for m in mods}
         dprev = {m: np.zeros_like(prev[m]) for m in mods}
         for m in mods:
-            z = cache["pre"][m, j]
-            dz = dcur[m] * _act_grad(z, cache["post"][m, j], config.activation)
+            dz = dcur[m] * _act_grad(cache["post"][m, j], config.activation)
             inp = _stage_input(config, m, prev)
             grads[f"{m}{j}_W"] += dz.T @ inp
             grads[f"{m}{j}_b"] += dz.sum(axis=0)
@@ -342,16 +341,14 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
     grads = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
     g = np.asarray(grad_logits, dtype=float)
 
-    cls = cache["cls"]
+    inputs = cache["cls_inputs"]
     for layer in range(3, -1, -1):
-        x = cls["inputs"][layer]
+        x = inputs[layer]
         grads[f"cls{layer}_W"] += g.T @ x
         grads[f"cls{layer}_b"] += g.sum(axis=0)
         gx = g @ params[f"cls{layer}_W"]
         if layer > 0:
-            z = cls["pre"][layer - 1]
-            a = cls["inputs"][layer]
-            g = gx * _act_grad(z, a, config.activation)
+            g = gx * _act_grad(x, config.activation)
     fu_w = config.fused_width()
     dfu_a, dfu_b = gx[:, :fu_w], gx[:, fu_w:]
 
@@ -365,16 +362,16 @@ def predict_proba(config, params, feats_a, feats_b, batch_size: int = 1024) -> n
     fa = _check_features(config, feats_a, "a")
     fb = _check_features(config, feats_b, "b")
     n = next(iter(fa.values())).shape[0]
-    chunks = []
+    out = np.empty((n, config.n_classes))
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
         za = {m: fa[m][lo:hi] for m in config.modalities}
         zb = {m: fb[m][lo:hi] for m in config.modalities}
-        logits, _ = forward(config, params, za, zb)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        chunks.append(e / e.sum(axis=1, keepdims=True))
-    return np.concatenate(chunks, axis=0)
+        e, _ = forward(config, params, za, zb)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        np.divide(e, e.sum(axis=1, keepdims=True), out=out[lo:hi])
+    return out
 
 
 # ---------------------------------------------------------------------------

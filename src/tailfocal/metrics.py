@@ -11,7 +11,9 @@ be computed hold NaN.
 Zero-denominator conventions: precision and recall fall back to 0, as does
 F1 when both components are 0. AUC uses the Mann-Whitney rank statistic
 with midranks for ties; AUPR is the step-summed average precision
-sum_k (R_k - R_{k-1}) * P_k over descending score thresholds.
+sum_k (R_k - R_{k-1}) * P_k over descending score thresholds. Both come
+from one stable sort per class: the midranks are read off its tie groups,
+and the descending thresholds are the same groups walked in reverse.
 """
 
 from __future__ import annotations
@@ -130,16 +132,54 @@ def confusion_metrics(pred, true, n_classes: int) -> ConfusionMetrics:
     )
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+def _midranks(x: np.ndarray):
+    """1-based ranks with ties sharing their average rank.
+
+    Also returns the stable ascending order and the tie-group edges in it:
+    group k is order[edges[k]:edges[k + 1]].
+    """
     order = np.argsort(x, kind="stable")
     sx = x[order]
-    ranks = np.empty(x.size, dtype=float)
     edges = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1], [True])))
-    for k in range(edges.size - 1):
-        i, j = edges[k], edges[k + 1]
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-    return ranks
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
+    return ranks, order, edges
+
+
+def _check_inputs(scores, true) -> tuple[np.ndarray, np.ndarray]:
+    s = _check_scores(scores)
+    true = _check_labels(true, s.shape[1], "true labels")
+    if true.size != s.shape[0]:
+        raise ConfigError("scores and labels disagree on sample count")
+    return s, true
+
+
+def _macro(per_class: np.ndarray) -> float:
+    valid = ~np.isnan(per_class)
+    return float(per_class[valid].mean()) if valid.any() else float("nan")
+
+
+def _ovr_auc_ap(s: np.ndarray, true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class AUC and AP of validated inputs, from one sort per column."""
+    n, n_classes = s.shape
+    auc = np.full(n_classes, np.nan)
+    ap = np.full(n_classes, np.nan)
+    for c in range(n_classes):
+        pos = true == c
+        n_pos = int(pos.sum())
+        if n_pos == 0:
+            continue
+        ranks, order, edges = _midranks(s[:, c])
+        n_neg = n - n_pos
+        if n_neg:
+            auc[c] = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        # descending tie groups end where the ascending ones start
+        tp = np.cumsum(pos[order[::-1]], dtype=float)
+        idx = n - 1 - edges[-2::-1]
+        prec = tp[idx] / (idx + 1.0)
+        rec = tp[idx] / n_pos
+        ap[c] = float(np.sum(np.diff(np.concatenate(([0.0], rec))) * prec))
+    return auc, ap
 
 
 def roc_auc_ovr(scores, true) -> tuple[np.ndarray, float]:
@@ -149,24 +189,8 @@ def roc_auc_ovr(scores, true) -> tuple[np.ndarray, float]:
     probability a random positive outranks a random negative, ties at 0.5.
     Classes lacking positives or negatives are NaN and skipped in the macro.
     """
-    s = _check_scores(scores)
-    true = _check_labels(true, s.shape[1], "true labels")
-    if true.size != s.shape[0]:
-        raise ConfigError("scores and labels disagree on sample count")
-
-    n_classes = s.shape[1]
-    out = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        pos = true == c
-        n_pos = int(pos.sum())
-        n_neg = pos.size - n_pos
-        if n_pos == 0 or n_neg == 0:
-            continue
-        ranks = _midranks(s[:, c])
-        out[c] = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    valid = ~np.isnan(out)
-    macro = float(out[valid].mean()) if valid.any() else float("nan")
-    return out, macro
+    auc, _ = _ovr_auc_ap(*_check_inputs(scores, true))
+    return auc, _macro(auc)
 
 
 def pr_auc_ovr(scores, true) -> tuple[np.ndarray, float]:
@@ -175,44 +199,15 @@ def pr_auc_ovr(scores, true) -> tuple[np.ndarray, float]:
     Thresholds sweep the distinct score values of column c in descending
     order; AP accumulates precision at each recall step.
     """
-    s = _check_scores(scores)
-    true = _check_labels(true, s.shape[1], "true labels")
-    if true.size != s.shape[0]:
-        raise ConfigError("scores and labels disagree on sample count")
-
-    n_classes = s.shape[1]
-    out = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        pos = (true == c).astype(float)
-        n_pos = pos.sum()
-        if n_pos == 0:
-            continue
-        col = s[:, c]
-        order = np.argsort(-col, kind="stable")
-        sorted_scores = col[order]
-        tp = np.cumsum(pos[order])
-        # evaluate only where a tie group ends
-        ends = np.concatenate((sorted_scores[1:] != sorted_scores[:-1], [True]))
-        idx = np.flatnonzero(ends)
-        prec = tp[idx] / (idx + 1.0)
-        rec = tp[idx] / n_pos
-        out[c] = float(np.sum(np.diff(np.concatenate(([0.0], rec))) * prec))
-    valid = ~np.isnan(out)
-    macro = float(out[valid].mean()) if valid.any() else float("nan")
-    return out, macro
+    _, ap = _ovr_auc_ap(*_check_inputs(scores, true))
+    return ap, _macro(ap)
 
 
 def metrics_report(scores, true) -> MetricsReport:
     """Evaluate probability scores end to end; predictions are row argmax (first max wins)."""
-    s = _check_scores(scores)
-    true = _check_labels(true, s.shape[1], "true labels")
-    if true.size != s.shape[0]:
-        raise ConfigError("scores and labels disagree on sample count")
-
-    pred = np.argmax(s, axis=1)
-    conf = confusion_metrics(pred, true, s.shape[1])
-    auc, macro_auc = roc_auc_ovr(s, true)
-    aupr, macro_aupr = pr_auc_ovr(s, true)
+    s, true = _check_inputs(scores, true)
+    conf = confusion_metrics(np.argmax(s, axis=1), true, s.shape[1])
+    auc, aupr = _ovr_auc_ap(s, true)
     return MetricsReport(
         n_samples=int(true.size),
         n_classes=int(s.shape[1]),
@@ -220,8 +215,8 @@ def metrics_report(scores, true) -> MetricsReport:
         macro_precision=conf.macro_precision,
         macro_recall=conf.macro_recall,
         macro_f1=conf.macro_f1,
-        macro_auc=macro_auc,
-        macro_aupr=macro_aupr,
+        macro_auc=_macro(auc),
+        macro_aupr=_macro(aupr),
         support=conf.support,
         precision=conf.precision,
         recall=conf.recall,

@@ -1,6 +1,7 @@
 """Gradient-vanishing thresholds, Lambert W, and loss curve tables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ class TestVanishingThresholds:
             fl_vanishing_threshold(0.0)
         with pytest.raises(ConfigError):
             tfl_vanishing_threshold(2.0, 0.0)
+
+    @pytest.mark.parametrize("gamma, beta, name", [
+        (math.inf, 2.0, "gamma"),
+        (math.nan, 2.0, "gamma"),
+        (2.0, math.inf, "beta"),
+        (2.0, math.nan, "beta"),
+    ])
+    def test_rejects_non_finite_parameters(self, gamma, beta, name):
+        with pytest.raises(ConfigError, match=name):
+            tfl_vanishing_threshold(gamma, beta)
+        if name == "gamma":
+            with pytest.raises(ConfigError, match=name):
+                fl_vanishing_threshold(gamma)
+
+    @pytest.mark.parametrize("gamma, beta", [
+        (0.001, 2.0),  # exp(1/gamma) overflows
+        (2.0, 1e308),  # Lambert W argument near the float maximum
+        (0.5, 1e308),  # Lambert W argument overflows to inf
+        (1e308, 1e-308),  # Lambert W argument underflows to 0
+    ])
+    def test_out_of_float_range_crossover_is_config_error(self, gamma, beta):
+        with pytest.raises(ConfigError, match=re.escape(f"gamma={gamma:g}, beta={beta:g}")):
+            tfl_vanishing_threshold(gamma, beta)
 
 
 class TestCurveTable:

@@ -70,6 +70,11 @@ class TestClassCounts:
         with pytest.raises(ConfigError):
             sample_class_counts(5, 10, 0.5)
 
+    @pytest.mark.parametrize("cir", [math.nan, math.inf])
+    def test_rejects_non_finite_cir(self, cir):
+        with pytest.raises(ConfigError, match="cir"):
+            sample_class_counts(5, 100, cir)
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -350,6 +350,17 @@ class TestCli:
         assert code == 0
         assert "1.57348905163" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--gamma", "0.001"], "gamma=0.001"),
+        (["--beta", "1e308"], "beta=1e+308"),
+        (["--gamma", "inf"], "gamma"),
+    ])
+    def test_analyze_out_of_range_exits_3(self, capsys, flags, name):
+        assert main(["analyze", *flags]) == 3
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
+
     def test_compare_losses_command(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
         code = main(["compare-losses", "--config", cfg, "--out", str(tmp_path / "cmp")])

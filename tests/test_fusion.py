@@ -253,6 +253,32 @@ class TestForward:
         np.testing.assert_allclose(probs, full, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_inputs_left_untouched_and_calls_repeat(self, activation):
+        # the forward pass works in place on its own buffers, never on the caller's
+        rng = np.random.default_rng(55)
+        config = ModelConfig(**{**TINY, "k_stages": 2, "activation": activation})
+        params = init_params(config, seed=5)
+        fa = _rand_feats(rng, config, 9)
+        fb = _rand_feats(rng, config, 9)
+        labels = rng.integers(0, config.n_classes, size=9)
+        snapshot = [{m: v.copy() for m, v in f.items()} for f in (fa, fb)]
+        param_snapshot = {k: v.copy() for k, v in params.items()}
+
+        first, _ = forward(config, params, fa, fb)
+        kept = first.copy()
+        second, _ = forward(config, params, fa, fb)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(first, second)
+        predict_proba(config, params, fa, fb, batch_size=4)
+        assert all(np.array_equal(params[k], param_snapshot[k]) for k in params)
+        opt = OptimConfig(lr=1e-2, batch_size=4, epochs=1, patience=None)
+        train(config, params, (fa, fb, labels), LossSpec(kind="ce"), opt,
+              val_data=(fa, fb, labels), seed=0)
+        for feats, before in zip((fa, fb), snapshot):
+            assert all(np.array_equal(feats[m], before[m]) for m in feats)
+
+
 class TestBackward:
     def _fd_param_check(self, activation, seed, rtol=1e-4):
         rng = np.random.default_rng(seed)
