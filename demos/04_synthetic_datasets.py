@@ -35,13 +35,14 @@ for name in ("ddimdl", "muffin", "ddi-db110", "ddi-db171"):
     print(f"  {name:10} {spec.n_classes:4d} {spec.n_samples:7d} {spec.cir:8.0f}")
 print()
 
-# A small dataset end to end. Each record is a drug pair with four
-# embedding blocks per drug (graph, sequence, target, enzyme) and a label;
+# A small dataset end to end. The generator returns columns, one row per
+# drug pair: four embedding blocks per drug (graph, sequence, target,
+# enzyme) and a label, and records[i] views row i as one record;
 # noise_scale sets how much class structure survives into the features.
 spec = DatasetSpec(n_classes=5, n_samples=400, cir=30.0, n_drugs=25,
                    embed_dims=(8, 6, 4, 4), noise_scale=0.8, seed=11)
 records, stats = generate_dataset(spec)
-tally = np.bincount([r.label for r in records], minlength=spec.n_classes)
+tally = np.bincount(records.labels, minlength=spec.n_classes)
 print(f"{len(records)} records over {spec.n_classes} classes: {tally.tolist()}")
 
 first = records[0]

@@ -14,6 +14,7 @@ from .analysis import (
 from .datagen import (
     MODALITIES,
     PRESETS,
+    Dataset,
     DatasetSpec,
     ModalityVectors,
     Record,

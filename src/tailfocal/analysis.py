@@ -60,7 +60,9 @@ def lambert_w0(x: float, tol: float = 1e-12, max_iter: int = 64) -> float:
     Defined for x >= -1/e. Halley iteration from a branched initial guess:
     a series around the branch point for x near -1/e, log-log asymptotics
     for large x, log(1 + x) otherwise. Converges when the residual
-    |w e^w - x| drops below tol * max(1, |x|).
+    |w e^w - x| drops below tol * max(1, |x|). Above 1e300, where w e^w
+    overflows on the way to the float maximum, Newton iteration solves
+    w + log(w) = log(x) instead, to a residual below tol * log(x).
     """
     x = float(x)
     if not math.isfinite(x):
@@ -80,16 +82,24 @@ def lambert_w0(x: float, tol: float = 1e-12, max_iter: int = 64) -> float:
     else:
         w = math.log1p(x)
 
-    threshold = tol * max(1.0, abs(x))
-    for _ in range(max_iter):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= threshold:
-            return w
-        # Halley step
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        w -= f / denom
+    if x > 1e300:
+        # Newton step on w + log(w) - lx, lx = log(x) from the initial guess
+        for _ in range(max_iter):
+            f = w + math.log(w) - lx
+            if abs(f) <= tol * lx:
+                return w
+            w -= f * w / (w + 1.0)
+    else:
+        threshold = tol * max(1.0, abs(x))
+        for _ in range(max_iter):
+            ew = math.exp(w)
+            f = w * ew - x
+            if abs(f) <= threshold:
+                return w
+            # Halley step
+            wp1 = w + 1.0
+            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+            w -= f / denom
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")
 
 

@@ -1,6 +1,6 @@
 """Synthetic long-tailed drug-pair datasets, plus dataset file I/O.
 
-The generator produces interaction records shaped like the real benchmark
+The generator produces a columnar Dataset shaped like the real benchmark
 corpora: a geometric class-count decay pinned to a target class imbalance
 ratio, a pool of drugs, and four per-drug feature blocks (g, s, t, e for
 chemical structure, substructure, target, enzyme stand-ins). Features are
@@ -24,6 +24,7 @@ from .imbalance import ClassStats, class_stats_from_counts
 __all__ = [
     "MODALITIES",
     "PRESETS",
+    "Dataset",
     "DatasetSpec",
     "ModalityVectors",
     "Record",
@@ -61,6 +62,37 @@ class Record:
     label: int
     features_a: ModalityVectors
     features_b: ModalityVectors
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Drug-pair records as columns, one row per pair.
+
+    pair_ids, drug_a and drug_b are string arrays and labels an int64 array,
+    all of length n; features_a and features_b map each modality (g, s, t, e)
+    to an (n, dim) float array, with the same widths on both sides.
+    dataset[i] is row i as a Record whose vectors are views into the columns.
+    """
+
+    pair_ids: np.ndarray
+    drug_a: np.ndarray
+    drug_b: np.ndarray
+    labels: np.ndarray
+    features_a: dict
+    features_b: dict
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i) -> Record:
+        return Record(
+            pair_id=str(self.pair_ids[i]),
+            drug_a=str(self.drug_a[i]),
+            drug_b=str(self.drug_b[i]),
+            label=int(self.labels[i]),
+            features_a=ModalityVectors(*(self.features_a[m][i] for m in MODALITIES)),
+            features_b=ModalityVectors(*(self.features_b[m][i] for m in MODALITIES)),
+        )
 
 
 @dataclass(frozen=True)
@@ -103,15 +135,8 @@ def preset_spec(name: str, seed: int = 0, embed_dims=(64, 64, 64, 64), **overrid
     if key not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     n_samples, n_classes, n_drugs, cir = PRESETS[key]
-    return DatasetSpec(
-        n_classes=n_classes,
-        n_samples=n_samples,
-        cir=cir,
-        n_drugs=n_drugs,
-        embed_dims=tuple(int(d) for d in embed_dims),
-        seed=seed,
-        **overrides,
-    )
+    embed_dims = tuple(int(d) for d in embed_dims)
+    return DatasetSpec(n_classes, n_samples, cir, n_drugs, embed_dims, seed, **overrides)
 
 
 def _round_half_up(x: float) -> int:
@@ -138,10 +163,6 @@ def _geometric_middle(budget: int, k: int, hi: int, lo: int) -> np.ndarray:
     """k integer counts in [lo, hi] summing to budget, decaying geometrically
     down from just under hi. The decay rate is solved by bisection; rounding
     spreads the shortfall over the largest fractional parts."""
-    if k == 0:
-        if budget != 0:
-            raise ConfigError("no middle classes to absorb the remaining samples")
-        return np.zeros(0, dtype=np.int64)
     if budget < k * lo or budget > k * hi:
         raise ConfigError(
             f"cannot fit {budget} samples into {k} classes bounded by [{lo}, {hi}]"
@@ -219,69 +240,49 @@ def sample_class_counts(n_classes: int, n_samples: int, cir: float) -> np.ndarra
     return counts.astype(np.int64)
 
 
-def _id_format(prefix: str, n: int):
+def _names(prefix: str, n: int) -> np.ndarray:
     width = len(str(max(n - 1, 1)))
-    return lambda i: f"{prefix}{i:0{width}d}"
+    return np.array([f"{prefix}{i:0{width}d}" for i in range(n)])
 
 
-def generate_dataset(spec: DatasetSpec) -> tuple[list[Record], ClassStats]:
-    """Generate records for a spec. Same spec, same bytes: all draws come from
-    one seeded generator in a fixed order."""
+def generate_dataset(spec: DatasetSpec) -> tuple[Dataset, ClassStats]:
+    """Generate the dataset for a spec. Same spec, same bytes: all draws come
+    from one seeded generator in a fixed order."""
     counts = sample_class_counts(spec.n_classes, spec.n_samples, spec.cir)
-    stats = class_stats_from_counts(counts)
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
 
-    labels = np.repeat(np.arange(spec.n_classes), counts)
-    labels = labels[rng.permutation(n)]
+    labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), counts)[rng.permutation(n)]
     drug_a = rng.integers(0, spec.n_drugs, size=n)
     # second drug uniform over everything except the first
     drug_b = (drug_a + 1 + rng.integers(0, spec.n_drugs - 1, size=n)) % spec.n_drugs
 
-    protos = {}
-    offsets = {}
-    for m, dim, scale in zip(MODALITIES, spec.embed_dims, spec.signal_scale):
-        protos[m] = rng.normal(size=(spec.n_classes, dim)) * scale
-    for m, dim in zip(MODALITIES, spec.embed_dims):
-        offsets[m] = rng.normal(size=(spec.n_drugs, dim)) * spec.offset_scale
+    dims = list(zip(MODALITIES, spec.embed_dims))
+    scales = spec.signal_scale
+    protos = {m: rng.normal(size=(spec.n_classes, d)) * c for (m, d), c in zip(dims, scales)}
+    offsets = {m: rng.normal(size=(spec.n_drugs, d)) * spec.offset_scale for m, d in dims}
 
-    feats = {}
-    for side, drugs in (("a", drug_a), ("b", drug_b)):
-        for m, dim in zip(MODALITIES, spec.embed_dims):
-            noise = rng.normal(size=(n, dim)) * spec.noise_scale
-            feats[side, m] = protos[m][labels] + offsets[m][drugs] + noise
+    def features(drugs):
+        return {
+            m: protos[m][labels] + offsets[m][drugs] + rng.normal(size=(n, d)) * spec.noise_scale
+            for m, d in dims
+        }
 
-    pair_name = _id_format("P", n)
-    drug_name = _id_format("D", spec.n_drugs)
-    records = []
-    for i in range(n):
-        records.append(
-            Record(
-                pair_id=pair_name(i),
-                drug_a=drug_name(int(drug_a[i])),
-                drug_b=drug_name(int(drug_b[i])),
-                label=int(labels[i]),
-                features_a=ModalityVectors(*(feats["a", m][i] for m in MODALITIES)),
-                features_b=ModalityVectors(*(feats["b", m][i] for m in MODALITIES)),
-            )
-        )
-    return records, stats
+    names = _names("D", spec.n_drugs)
+    # arguments are evaluated in order, so drug a's noise is drawn before drug b's
+    columns = (_names("P", n), names[drug_a], names[drug_b], labels)
+    return Dataset(*columns, features(drug_a), features(drug_b)), class_stats_from_counts(counts)
 
 
-def records_to_arrays(records: list[Record]):
-    """Stack records into training arrays: (features_a, features_b, labels).
+def records_to_arrays(data: Dataset):
+    """A dataset's training arrays: (features_a, features_b, labels).
 
-    Each features dict maps modality name to an (n, dim) array.
+    Each features dict maps modality name to an (n, dim) array; these are
+    the dataset's own columns, not copies.
     """
-    if not records:
+    if not len(data):
         raise ConfigError("no records to stack")
-    feats_a = {}
-    feats_b = {}
-    for k, m in enumerate(MODALITIES):
-        feats_a[m] = np.stack([r.features_a[k] for r in records])
-        feats_b[m] = np.stack([r.features_b[k] for r in records])
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    return feats_a, feats_b, labels
+    return data.features_a, data.features_b, data.labels
 
 
 # ---------------------------------------------------------------------------
@@ -289,32 +290,29 @@ def records_to_arrays(records: list[Record]):
 
 _MAGIC = "ddipairs"
 _VERSION = "v1"
+_WRITE_ROWS = 1024  # rows turned into Python floats at a time
 
 
-def write_dataset(path, records: list[Record], n_classes: int | None = None) -> None:
+def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
     """One header line (schema and widths), then one tab-separated record per line.
 
     Feature blocks are comma-joined decimals at 9 significant digits, in
     fixed order g,s,t,e for drug a, then g,s,t,e for drug b.
     """
     if n_classes is None:
-        n_classes = max((r.label for r in records), default=0) + 1
-    if records:
-        dims = [len(block) for block in records[0].features_a]
-    else:
-        dims = [0, 0, 0, 0]
-    header = (
-        f"{_MAGIC} {_VERSION} n_classes={n_classes} "
-        + " ".join(f"{m}={d}" for m, d in zip(MODALITIES, dims))
-    )
+        n_classes = int(data.labels.max(initial=0)) + 1
+    blocks = [data.features_a[m] for m in MODALITIES] + [data.features_b[m] for m in MODALITIES]
+    dims = [block.shape[1] for block in blocks[:4]]
+    widths = " ".join(f"{m}={d}" for m, d in zip(MODALITIES, dims))
+    row = "%s\t%s\t%s\t%d\t" + "\t".join(",".join(["%.9g"] * d) for d in dims * 2) + "\n"
+    columns = (data.pair_ids, data.drug_a, data.drug_b, data.labels)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for r in records:
-            blocks = []
-            for side in (r.features_a, r.features_b):
-                for block in side:
-                    blocks.append(",".join(f"{v:.9g}" for v in block))
-            fh.write("\t".join([r.pair_id, r.drug_a, r.drug_b, str(r.label)] + blocks) + "\n")
+        fh.write(f"{_MAGIC} {_VERSION} n_classes={n_classes} {widths}\n")
+        for lo in range(0, len(data), _WRITE_ROWS):
+            part = slice(lo, lo + _WRITE_ROWS)
+            values = np.hstack([block[part] for block in blocks]).tolist()
+            for *fields, vals in zip(*(c[part].tolist() for c in columns), values):
+                fh.write(row % (*fields, *vals))
 
 
 _HEADER_RE = re.compile(
@@ -322,10 +320,25 @@ _HEADER_RE = re.compile(
 )
 
 
-def read_dataset(path) -> tuple[list[Record], ClassStats | None]:
+def _block_error(lineno: int, blocks: list[str], dims: list[int]) -> DataFormatError:
+    """The error for a line's first bad feature block, in file order."""
+    for k, raw in enumerate(blocks):
+        m, side, dim = MODALITIES[k % 4], "ab"[k // 4], dims[k % 4]
+        try:
+            width = len([float(v) for v in raw.split(",")]) if raw else 0
+        except ValueError:
+            return DataFormatError(f"line {lineno}: unparseable {m} block for drug {side}")
+        if width != dim:
+            return DataFormatError(
+                f"line {lineno}: modality {m} of drug {side} has {width} values, expected {dim}"
+            )
+    return DataFormatError(f"line {lineno}: unparseable feature blocks")
+
+
+def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
     """Inverse of write_dataset.
 
-    Returns (records, stats); stats is None when the file is empty or some
+    Returns (dataset, stats); stats is None when the file is empty or some
     declared class has no records (per-class statistics would be undefined).
     Malformed lines raise DataFormatError naming the 1-based line number.
     """
@@ -334,10 +347,10 @@ def read_dataset(path) -> tuple[list[Record], ClassStats | None]:
         match = _HEADER_RE.match(header)
         if not match:
             raise DataFormatError(f"line 1: bad header {header!r}")
-        n_classes = int(match.group(1))
-        dims = [int(match.group(k)) for k in range(2, 6)]
+        n_classes, *dims = (int(group) for group in match.groups())
+        widths = dims * 2  # g, s, t, e of drug a, then of drug b
 
-        records = []
+        names, labels, rows = [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -345,50 +358,35 @@ def read_dataset(path) -> tuple[list[Record], ClassStats | None]:
             fields = line.split("\t")
             if len(fields) != 12:
                 raise DataFormatError(f"line {lineno}: expected 12 fields, got {len(fields)}")
-            pair_id, a_name, b_name, label_str = fields[:4]
             try:
-                label = int(label_str)
+                label = int(fields[3])
             except ValueError:
-                raise DataFormatError(f"line {lineno}: bad label {label_str!r}") from None
+                raise DataFormatError(f"line {lineno}: bad label {fields[3]!r}") from None
             if not 0 <= label < n_classes:
-                raise DataFormatError(
-                    f"line {lineno}: label {label} outside [0, {n_classes})"
-                )
-            sides = []
-            for s, side_name in ((4, "a"), (8, "b")):
-                blocks = []
-                for k, m in enumerate(MODALITIES):
-                    raw = fields[s + k]
-                    try:
-                        vec = np.array(
-                            [float(v) for v in raw.split(",")] if raw else [], dtype=float
-                        )
-                    except ValueError:
-                        raise DataFormatError(
-                            f"line {lineno}: unparseable {m} block for drug {side_name}"
-                        ) from None
-                    if vec.size != dims[k]:
-                        raise DataFormatError(
-                            f"line {lineno}: modality {m} of drug {side_name} has "
-                            f"{vec.size} values, expected {dims[k]}"
-                        )
-                    blocks.append(vec)
-                sides.append(ModalityVectors(*blocks))
-            records.append(
-                Record(
-                    pair_id=pair_id,
-                    drug_a=a_name,
-                    drug_b=b_name,
-                    label=label,
-                    features_a=sides[0],
-                    features_b=sides[1],
-                )
-            )
+                raise DataFormatError(f"line {lineno}: label {label} outside [0, {n_classes})")
+            # widths by counting commas, and all eight blocks in one parse
+            blocks = fields[4:]
+            text = ",".join(filter(None, blocks))
+            try:
+                values = np.array(text.split(",") if text else [], dtype=float)
+            except ValueError:
+                values = None
+            if values is None or [b.count(",") + 1 if b else 0 for b in blocks] != widths:
+                raise _block_error(lineno, blocks, dims)
+            rows.append(values)
+            names.append(fields[:3])
+            labels.append(label)
 
-    if not records:
-        return records, None
-    tally = np.bincount([r.label for r in records], minlength=n_classes)
-    if np.any(tally == 0):
-        return records, None
-    return records, class_stats_from_counts(tally)
-
+    table = np.reshape(rows, (len(rows), sum(widths)))
+    del rows
+    edges = np.cumsum([0] + widths)
+    blocks = [np.ascontiguousarray(table[:, lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    names = np.reshape(np.array(names, dtype=str), (len(labels), 3))
+    labels = np.array(labels, dtype=np.int64)
+    sides = dict(zip(MODALITIES, blocks[:4])), dict(zip(MODALITIES, blocks[4:]))
+    data = Dataset(*names.T, labels, *sides)
+    # stats need a row in each class; a damaged header may declare billions
+    if not 0 < n_classes <= labels.size:
+        return data, None
+    tally = np.bincount(labels, minlength=n_classes)
+    return data, class_stats_from_counts(tally) if tally.all() else None

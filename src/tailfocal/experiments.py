@@ -39,13 +39,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .analysis import curve_table, fl_vanishing_threshold, tfl_vanishing_threshold, write_curve
-from .datagen import (
-    DatasetSpec,
-    generate_dataset,
-    preset_spec,
-    read_dataset,
-    records_to_arrays,
-)
+from .datagen import DatasetSpec, generate_dataset, preset_spec, read_dataset, write_dataset
 from .errors import ConfigError, DataFormatError
 from .fusion import (
     VARIANTS,
@@ -243,17 +237,14 @@ def _dataset_spec(data: DataConfig, seed: int) -> DatasetSpec:
 def load_run_data(run: RunConfig):
     """Resolve a run's data source into (feats_a, feats_b, labels, n_classes)."""
     if run.data.path is not None:
-        records, stats = read_dataset(run.data.path)
-        if not records:
+        data, stats = read_dataset(run.data.path)
+        if not len(data):
             raise ConfigError(f"dataset file {run.data.path} holds no records")
-        labels_max = max(r.label for r in records)
-        n_classes = stats.n_classes if stats is not None else labels_max + 1
-        feats_a, feats_b, labels = records_to_arrays(records)
-        return feats_a, feats_b, labels, n_classes
-    spec = _dataset_spec(run.data, seed=run.seed)
-    records, stats = generate_dataset(spec)
-    feats_a, feats_b, labels = records_to_arrays(records)
-    return feats_a, feats_b, labels, stats.n_classes
+        n_classes = stats.n_classes if stats is not None else int(data.labels.max()) + 1
+    else:
+        data, stats = generate_dataset(_dataset_spec(run.data, seed=run.seed))
+        n_classes = stats.n_classes
+    return data.features_a, data.features_b, data.labels, n_classes
 
 
 def _take(feats: dict, idx: np.ndarray) -> dict:
@@ -531,9 +522,7 @@ def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
 
 def write_generated_dataset(data: DataConfig, seed: int, out_path) -> ClassStats:
     """cmd-gen workhorse: generate per config and write the dataset file."""
-    from .datagen import write_dataset
-
     spec = _dataset_spec(data, seed=seed)
-    records, stats = generate_dataset(spec)
-    write_dataset(out_path, records, n_classes=spec.n_classes)
+    dataset, stats = generate_dataset(spec)
+    write_dataset(out_path, dataset, n_classes=spec.n_classes)
     return stats

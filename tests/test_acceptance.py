@@ -470,7 +470,7 @@ def test_criterion_11_largest_preset_aggregates():
     t0 = time.time()
     spec = preset_spec("ddi-db171", seed=0, embed_dims=(4, 4, 4, 4))
     records, _ = generate_dataset(spec)
-    labels = np.array([r.label for r in records])
+    labels = records.labels
     counts = np.bincount(labels, minlength=spec.n_classes)
     realized = counts.max() / counts.min()
     ok = (

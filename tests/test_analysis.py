@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +75,12 @@ class TestLambertW:
         for _ in range(60):
             x = float(rng.uniform(-0.99 / math.e, 20.0))
             assert lambert_w0(x) == pytest.approx(_bisect_w(x), abs=1e-11)
+
+    def test_log_identity_up_to_float_maximum(self):
+        xs = [*np.geomspace(3.0, 1e308, 300), 3e305, 8.24e307, sys.float_info.max]
+        for x in xs:
+            w = lambert_w0(float(x))
+            assert abs(w + math.log(w) - math.log(x)) <= 1e-12 * math.log(x)
 
     def test_rejects_argument_below_branch_point(self):
         with pytest.raises(ConfigError):
@@ -150,9 +157,14 @@ class TestVanishingThresholds:
             with pytest.raises(ConfigError, match=name):
                 fl_vanishing_threshold(gamma)
 
+    def test_crossover_with_lambert_argument_near_float_maximum(self):
+        # the Lambert W argument is (1e308 / 2) * exp(1/2) = 8.24e307
+        report = tfl_vanishing_threshold(2.0, 1e308)
+        assert report.crossover_p == pytest.approx(_bisect_crossover(2.0, 1e308), rel=1e-12)
+        assert not report.in_unit_interval
+
     @pytest.mark.parametrize("gamma, beta", [
         (0.001, 2.0),  # exp(1/gamma) overflows
-        (2.0, 1e308),  # Lambert W argument near the float maximum
         (0.5, 1e308),  # Lambert W argument overflows to inf
         (1e308, 1e-308),  # Lambert W argument underflows to 0
     ])

@@ -9,6 +9,7 @@ from tailfocal import (
     PRESETS,
     ConfigError,
     DataFormatError,
+    Dataset,
     DatasetSpec,
     generate_dataset,
     preset_spec,
@@ -217,15 +218,27 @@ class TestDatasetFiles:
 
     def test_empty_file_reads_back(self, tmp_path):
         path = tmp_path / "empty.tsv"
-        write_dataset(path, [], n_classes=4)
+        no_names = np.array([], dtype=str)
+        features = {m: np.zeros((0, d)) for m, d in zip("gste", TINY["embed_dims"])}
+        no_labels = np.array([], dtype=np.int64)
+        empty = Dataset(no_names, no_names, no_names, no_labels, features, features)
+        write_dataset(path, empty, n_classes=4)
         records, stats = read_dataset(path)
-        assert records == []
+        assert len(records) == 0
         assert stats is None
 
     def test_uncovered_class_gives_no_stats(self, tmp_path):
         records, _ = self._records()
         path = tmp_path / "d.tsv"
         write_dataset(path, records, n_classes=5)
+        loaded, stats = read_dataset(path)
+        assert len(loaded) == 60
+        assert stats is None
+
+    def test_huge_declared_class_count_gives_no_stats(self, tmp_path):
+        records, _ = self._records()
+        path = tmp_path / "d.tsv"
+        write_dataset(path, records, n_classes=10**12)
         loaded, stats = read_dataset(path)
         assert len(loaded) == 60
         assert stats is None

@@ -350,9 +350,13 @@ class TestCli:
         assert code == 0
         assert "1.57348905163" in capsys.readouterr().out
 
+    def test_analyze_reports_crossover_for_huge_beta(self, capsys):
+        assert main(["analyze", "--beta", "1e308"]) == 0
+        assert "P_y = 7.11795964478e+304" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags, name", [
         (["--gamma", "0.001"], "gamma=0.001"),
-        (["--beta", "1e308"], "beta=1e+308"),
+        (["--gamma", "0.5", "--beta", "1e308"], "beta=1e+308"),
         (["--gamma", "inf"], "gamma"),
     ])
     def test_analyze_out_of_range_exits_3(self, capsys, flags, name):
