@@ -70,8 +70,9 @@ class Dataset:
 
     pair_ids, drug_a and drug_b are string arrays and labels an int64 array,
     all of length n; features_a and features_b map each modality (g, s, t, e)
-    to an (n, dim) float array, with the same widths on both sides.
-    dataset[i] is row i as a Record whose vectors are views into the columns.
+    to an (n, dim) float array, with the same widths on both sides; other
+    column shapes raise ConfigError. dataset[i] is row i as a Record whose
+    vectors are views into the columns.
     """
 
     pair_ids: np.ndarray
@@ -80,6 +81,23 @@ class Dataset:
     labels: np.ndarray
     features_a: dict
     features_b: dict
+
+    def __post_init__(self):
+        n = len(self.labels)
+        if any(len(c) != n for c in (self.pair_ids, self.drug_a, self.drug_b)):
+            raise ConfigError("Dataset columns differ in length")
+        for side, feats in (("a", self.features_a), ("b", self.features_b)):
+            for m in MODALITIES:
+                if m not in feats:
+                    raise ConfigError(f"features_{side} lack modality {m!r}")
+                shape = np.shape(feats[m])
+                if len(shape) != 2 or shape[0] != n:
+                    raise ConfigError(f"features_{side}[{m!r}] must be ({n}, width), got {shape}")
+                width_a = np.shape(self.features_a[m])[1]
+                if side == "b" and shape[1] != width_a:
+                    raise ConfigError(
+                        f"modality {m} is {width_a} wide for drug a but {shape[1]} for drug b"
+                    )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -291,14 +309,22 @@ def records_to_arrays(data: Dataset):
 _MAGIC = "ddipairs"
 _VERSION = "v1"
 _WRITE_ROWS = 1024  # rows turned into Python floats at a time
+_BREAKS = [ord(c) for c in "\t\n\r"]  # split a field or, read as text, a line
 
 
 def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
     """One header line (schema and widths), then one tab-separated record per line.
 
     Feature blocks are comma-joined decimals at 9 significant digits, in
-    fixed order g,s,t,e for drug a, then g,s,t,e for drug b.
+    fixed order g,s,t,e for drug a, then g,s,t,e for drug b. An id holding
+    a tab or a line break raises ConfigError before the file is opened.
     """
+    for column in (data.pair_ids, data.drug_a, data.drug_b):
+        ids = np.ascontiguousarray(column, dtype=str)
+        bad = np.isin(ids.view(np.uint32), _BREAKS)  # one code point per element
+        if bad.any():
+            first = np.argmax(bad) // (ids.itemsize // 4)
+            raise ConfigError(f"id {str(ids[first])!r} holds a tab or a line break")
     if n_classes is None:
         n_classes = int(data.labels.max(initial=0)) + 1
     blocks = [data.features_a[m] for m in MODALITIES] + [data.features_b[m] for m in MODALITIES]

@@ -13,10 +13,21 @@ ending in logits. Weights are shared between the two drugs. Concatenation
 order is fixed, so swapping the pair generally changes the output; callers
 choose a canonical pair order.
 
+Both drugs of a batch run as one packed block of 2B rows, interleaved
+a0, b0, a1, b1, and so on. A row holds the active modalities side by side
+in canonical order g, s, t, e, so a partner sits right after the stream it
+enhances and each stream's input is one contiguous column slice. Each
+stage is one matmul per modality over all 2B rows, max-pooling is one pass
+over the whole row (pool_window divides every width), and the fused rows
+reshaped to (B, 2F) are the pair vectors without a copy.
+
 Everything is explicit: forward caches intermediates, backward walks them
 in reverse, and training is mini-batch Adam-style updates with optional
-early stopping on validation macro-F1. Ablation variants drop whole
-streams (and the partner concatenation with them).
+early stopping on validation macro-F1, which keeps the best epoch's
+parameters. train packs its features once; the parameters, their
+gradients and the Adam moments each live in one flat float64 buffer with a
+named view per parameter, in param_shapes order. Ablation variants drop
+whole streams (and the partner concatenation with them).
 """
 
 from __future__ import annotations
@@ -24,6 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,20 +168,30 @@ class EpochStats:
 # parameter bookkeeping
 
 
-def _stage_in_dim(config: ModelConfig, m: str, stage: int) -> int:
-    prev = config.embed_dim(m) if stage == 1 else config.hidden_dim
-    partner = _ENHANCED_BY.get(m)
-    if partner is not None and partner in config.modalities:
-        prev += config.embed_dim(partner) if stage == 1 else config.hidden_dim
-    return prev
+def _spans(config: ModelConfig, width_of) -> tuple[dict, dict, int]:
+    """Own and stage-input columns of each modality in rows that hold the
+    active modalities side by side. A partner sits right after the stream it
+    enhances, so a stream's input (itself plus its partner) is one slice."""
+    own, lo = {}, 0
+    for m in config.modalities:
+        own[m] = slice(lo, lo + width_of(m))
+        lo += width_of(m)
+    inp = {}
+    for m, cols in own.items():
+        partner = _ENHANCED_BY.get(m)
+        inp[m] = slice(cols.start, own[partner].stop) if partner in own else cols
+    return own, inp, lo
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter names and shapes; init, IO, and checks all agree on it."""
     shapes: dict[str, tuple[int, ...]] = {}
+    _, x_in, _ = _spans(config, config.embed_dim)
+    _, h_in, _ = _spans(config, lambda m: config.hidden_dim)
     for m in config.modalities:
         for j in range(1, config.k_stages + 1):
-            shapes[f"{m}{j}_W"] = (config.hidden_dim, _stage_in_dim(config, m, j))
+            cols = (x_in if j == 1 else h_in)[m]
+            shapes[f"{m}{j}_W"] = (config.hidden_dim, cols.stop - cols.start)
             shapes[f"{m}{j}_b"] = (config.hidden_dim,)
     in_dim = 2 * config.fused_width()
     for layer, out_dim in enumerate(config.classifier_dims):
@@ -190,25 +213,64 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward
+# packed layout
 
 
-def _affine_act(x: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str | None) -> np.ndarray:
-    """act(x @ W.T + b) in one fresh buffer; kind None leaves it affine."""
-    z = x @ W.T
-    z += b
-    if kind == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif kind == "tanh":
-        np.tanh(z, out=z)
-    return z
+class _Stream(NamedTuple):
+    """One modality's affine map within one enhancement stage."""
+
+    W: str  # parameter names
+    b: str
+    cols_in: slice  # its input columns: its own, then its partner's if active
+    cols_out: slice  # its columns in the stage output
+    adds: bool  # its input gradient adds to columns its enhancer already wrote
 
 
-def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Activation derivative from the output alone; a > 0 iff z > 0, NaN included."""
-    if kind == "relu":
-        return a > 0.0
-    return 1.0 - a * a
+class _Plan(NamedTuple):
+    """Everything forward, backward and train derive from the config alone."""
+
+    width: int  # packed row width: the active modalities side by side
+    cols: dict  # modality -> its columns in a packed row
+    stages: tuple  # per stage, one _Stream per active modality
+    hidden: int  # width of a stage output, len(modalities) * hidden_dim
+    params: tuple  # (name, lo, hi, shape) of each parameter in the flat buffer
+    size: int
+
+
+@lru_cache(maxsize=16)
+def _plan(config: ModelConfig) -> _Plan:
+    x_own, x_in, width = _spans(config, config.embed_dim)
+    h_own, h_in, hidden = _spans(config, lambda m: config.hidden_dim)
+    fed = {_ENHANCED_BY.get(m) for m in config.modalities}
+    stages = tuple(
+        tuple(
+            _Stream(f"{m}{j}_W", f"{m}{j}_b", (x_in if j == 1 else h_in)[m], h_own[m], m in fed)
+            for m in config.modalities
+        )
+        for j in range(1, config.k_stages + 1)
+    )
+    layout, lo = [], 0
+    for name, shape in param_shapes(config).items():
+        hi = lo + math.prod(shape)
+        layout.append((name, lo, hi, shape))
+        lo = hi
+    return _Plan(width, x_own, stages, hidden, tuple(layout), lo)
+
+
+def _flat(plan: _Plan) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """One float64 buffer and a named view into it per parameter."""
+    buf = np.empty(plan.size)
+    return buf, {name: buf[lo:hi].reshape(shape) for name, lo, hi, shape in plan.params}
+
+
+class _Packed(NamedTuple):
+    """A batch that train checked and packed once, as a (B, 2, D) block.
+
+    forward takes it in place of drug a's features, with None for drug b,
+    and backward gives no input gradients for it, since nothing asks for them.
+    """
+
+    block: np.ndarray
 
 
 def _check_features(config: ModelConfig, feats, side: str) -> dict[str, np.ndarray]:
@@ -233,11 +295,65 @@ def _check_features(config: ModelConfig, feats, side: str) -> dict[str, np.ndarr
     return out
 
 
+def _pack(config: ModelConfig, feats_a, feats_b) -> np.ndarray:
+    """(n, 2, D) block of both drugs' checked features in canonical column order."""
+    if isinstance(feats_a, _Packed):
+        return feats_a.block
+    fa = _check_features(config, feats_a, "a")
+    fb = _check_features(config, feats_b, "b")
+    n = fa[config.modalities[0]].shape[0]
+    if fb[config.modalities[0]].shape[0] != n:
+        raise ConfigError("drug a and drug b batches differ in size")
+    plan = _plan(config)
+    out = np.empty((n, 2, plan.width))
+    for side, feats in enumerate((fa, fb)):
+        for m, cols in plan.cols.items():
+            out[:, side, cols] = feats[m]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# forward / backward
+
+
+def _activate(z: np.ndarray, kind: str | None) -> None:
+    """act(z) in place; kind None leaves it affine."""
+    if kind == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
+
+
+def _affine_act(x: np.ndarray, W: np.ndarray, b: np.ndarray, kind: str | None) -> np.ndarray:
+    """act(x @ W.T + b) in one fresh buffer."""
+    z = x @ W.T
+    z += b
+    _activate(z, kind)
+    return z
+
+
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Activation derivative from the output alone; a > 0 iff z > 0, NaN included."""
+    if kind == "relu":
+        return a > 0.0
+    return 1.0 - a * a
+
+
+def _pool(x: np.ndarray, window: int) -> np.ndarray:
+    """Max over each run of `window` columns, as window - 1 elementwise
+    maxima into a contiguous buffer (a max or argmax along a short last
+    axis, or a write into a strided buffer, pays per row)."""
+    view = x.reshape(x.shape[0], -1, window)
+    pooled = view[:, :, 0].copy()
+    for k in range(1, window):
+        np.maximum(pooled, view[:, :, k], out=pooled)
+    return pooled
+
+
 def _maxpool(x: np.ndarray, window: int):
+    """Pooled values and the index of each window's first maximum."""
     b, d = x.shape
-    view = x.reshape(b, d // window, window)
-    idx = np.argmax(view, axis=2)
-    return np.take_along_axis(view, idx[:, :, None], axis=2)[:, :, 0], idx
+    return _pool(x, window), np.argmax(x.reshape(b, d // window, window), axis=2)
 
 
 def _maxpool_back(grad: np.ndarray, idx: np.ndarray, width: int, window: int) -> np.ndarray:
@@ -247,114 +363,94 @@ def _maxpool_back(grad: np.ndarray, idx: np.ndarray, width: int, window: int) ->
     return out.reshape(b, width)
 
 
-def _stage_input(config: ModelConfig, m: str, cur: dict[str, np.ndarray]) -> np.ndarray:
-    partner = _ENHANCED_BY.get(m)
-    if partner is not None and partner in config.modalities:
-        return np.concatenate([cur[m], cur[partner]], axis=1)
-    return cur[m]
-
-
-def _encode_side(config, params, feats):
-    cache = {"x0": feats, "post": {}}
-    pooled = {}
-    pool_idx = {}
-    for m in config.modalities:
-        pooled[m], pool_idx[m] = _maxpool(feats[m], config.pool_window)
-    cache["pool_idx"] = pool_idx
-
-    cur = feats
-    for j in range(1, config.k_stages + 1):
-        new = {}
-        for m in config.modalities:
-            inp = _stage_input(config, m, cur)
-            new[m] = _affine_act(inp, params[f"{m}{j}_W"], params[f"{m}{j}_b"], config.activation)
-            cache["post"][m, j] = new[m]
-        cur = new
-
-    fu = np.concatenate(
-        [cur[m] for m in config.modalities] + [pooled[m] for m in config.modalities], axis=1
-    )
-    return fu, cache
-
-
 def forward(config: ModelConfig, params: dict, feats_a, feats_b):
-    """Batch forward pass. Returns (logits, cache) where cache feeds backward()."""
-    fa = _check_features(config, feats_a, "a")
-    fb = _check_features(config, feats_b, "b")
-    if next(iter(fa.values())).shape[0] != next(iter(fb.values())).shape[0]:
-        raise ConfigError("drug a and drug b batches differ in size")
+    """Batch forward pass. Returns (logits, cache) where cache feeds backward().
 
-    fu_a, cache_a = _encode_side(config, params, fa)
-    fu_b, cache_b = _encode_side(config, params, fb)
-    x = np.concatenate([fu_a, fu_b], axis=1)
+    feats_a, feats_b map each active modality to a (B, width) array.
+    """
+    plan = _plan(config)
+    x = _pack(config, feats_a, feats_b).reshape(-1, plan.width)
+    n2 = x.shape[0]
+    fu = np.empty((n2, config.fused_width()))
+    fu[:, plan.hidden :] = _pool(x, config.pool_window)
 
+    posts = []
+    inp = x
+    for j, stage in enumerate(plan.stages, start=1):
+        out = fu[:, : plan.hidden] if j == len(plan.stages) else np.empty((n2, plan.hidden))
+        for st in stage:
+            np.matmul(inp[:, st.cols_in], params[st.W].T, out=out[:, st.cols_out])
+        out += np.concatenate([params[st.b] for st in stage])
+        _activate(out, config.activation)
+        posts.append(out)
+        inp = out
+
+    # rows a_i, b_i are adjacent, so this is concat(F_u(a), F_u(b)) per pair
+    h = fu.reshape(n2 // 2, -1)
     inputs = []
     for layer in range(4):
-        inputs.append(x)
+        inputs.append(h)
         kind = config.activation if layer < 3 else None
-        x = _affine_act(x, params[f"cls{layer}_W"], params[f"cls{layer}_b"], kind)
-    return x, {"a": cache_a, "b": cache_b, "cls_inputs": inputs}
-
-
-def _decode_side(config, params, cache, dfu, grads):
-    # split dfu back into stage-k stream grads and pooled-shortcut grads
-    h = config.hidden_dim
-    mods = config.modalities
-    dcur = {}
-    off = 0
-    for m in mods:
-        dcur[m] = dfu[:, off : off + h]
-        off += h
-    dx0 = {}
-    for m in mods:
-        w = config.embed_dim(m) // config.pool_window
-        dx0[m] = _maxpool_back(
-            dfu[:, off : off + w], cache["pool_idx"][m], config.embed_dim(m), config.pool_window
-        )
-        off += w
-
-    for j in range(config.k_stages, 0, -1):
-        prev = cache["x0"] if j == 1 else {m: cache["post"][m, j - 1] for m in mods}
-        dprev = {m: np.zeros_like(prev[m]) for m in mods}
-        for m in mods:
-            dz = dcur[m] * _act_grad(cache["post"][m, j], config.activation)
-            inp = _stage_input(config, m, prev)
-            grads[f"{m}{j}_W"] += dz.T @ inp
-            grads[f"{m}{j}_b"] += dz.sum(axis=0)
-            dinp = dz @ params[f"{m}{j}_W"]
-            partner = _ENHANCED_BY.get(m)
-            if partner is not None and partner in mods:
-                w_own = prev[m].shape[1]
-                dprev[m] += dinp[:, :w_own]
-                dprev[partner] += dinp[:, w_own:]
-            else:
-                dprev[m] += dinp
-        dcur = dprev
-
-    for m in mods:
-        dx0[m] += dcur[m]
-    return dx0
+        h = _affine_act(h, params[f"cls{layer}_W"], params[f"cls{layer}_b"], kind)
+    cache = {
+        "x": x,
+        "posts": posts,
+        "cls_inputs": inputs,
+        "input_grads": not isinstance(feats_a, _Packed),
+    }
+    return h, cache
 
 
 def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dict:
-    """Gradients for every parameter (and the inputs) given d(loss)/d(logits)."""
-    grads = {name: np.zeros(shape) for name, shape in param_shapes(config).items()}
+    """Gradients for every parameter (and the inputs) given d(loss)/d(logits).
+
+    The parameter gradients are views into one flat buffer, in param_shapes
+    order; "inputs" holds each drug's modality gradients.
+    """
+    plan = _plan(config)
+    _, grads = _flat(plan)
     g = np.asarray(grad_logits, dtype=float)
 
     inputs = cache["cls_inputs"]
     for layer in range(3, -1, -1):
         x = inputs[layer]
-        grads[f"cls{layer}_W"] += g.T @ x
-        grads[f"cls{layer}_b"] += g.sum(axis=0)
+        np.matmul(g.T, x, out=grads[f"cls{layer}_W"])
+        np.sum(g, axis=0, out=grads[f"cls{layer}_b"])
         gx = g @ params[f"cls{layer}_W"]
         if layer > 0:
-            g = gx * _act_grad(x, config.activation)
-    fu_w = config.fused_width()
-    dfu_a, dfu_b = gx[:, :fu_w], gx[:, fu_w:]
+            gx *= _act_grad(x, config.activation)
+            g = gx
+    x = cache["x"]
+    dfu = gx.reshape(x.shape[0], -1)
 
-    din_a = _decode_side(config, params, cache["a"], dfu_a, grads)
-    din_b = _decode_side(config, params, cache["b"], dfu_b, grads)
-    return {"params": grads, "inputs": {"a": din_a, "b": din_b}}
+    posts = cache["posts"]
+    dcur = dfu[:, : plan.hidden]
+    for j in range(len(plan.stages), 0, -1):
+        dz = dcur * _act_grad(posts[j - 1], config.activation)
+        db = dz.sum(axis=0)
+        prev = x if j == 1 else posts[j - 2]
+        dprev = np.empty(prev.shape) if j > 1 or cache["input_grads"] else None
+        for st in plan.stages[j - 1]:
+            dzm = dz[:, st.cols_out]
+            np.matmul(dzm.T, prev[:, st.cols_in], out=grads[st.W])
+            grads[st.b][...] = db[st.cols_out]
+            if dprev is None:
+                continue
+            if st.adds:
+                dprev[:, st.cols_in] += dzm @ params[st.W]
+            else:
+                np.matmul(dzm, params[st.W], out=dprev[:, st.cols_in])
+        dcur = dprev
+
+    din = None
+    if cache["input_grads"]:
+        _, idx = _maxpool(x, config.pool_window)
+        dcur += _maxpool_back(dfu[:, plan.hidden :], idx, plan.width, config.pool_window)
+        din = {
+            side: {m: dcur[k::2, cols] for m, cols in plan.cols.items()}
+            for k, side in enumerate("ab")
+        }
+    return {"params": grads, "inputs": din}
 
 
 def predict_proba(config, params, feats_a, feats_b, batch_size: int = 1024) -> np.ndarray:
@@ -398,36 +494,43 @@ def train(
     train_data / val_data: (features_a, features_b, labels) triples.
     `seed` drives the per-epoch batch shuffle and nothing else; the same
     params, data, opt and seed give bit-identical training.
-    Updates `params` in place and returns per-epoch statistics. With
-    val_data and a patience, stops once validation macro-F1 has not
-    improved for `patience` consecutive epochs. Raises TrainingError the
-    moment a batch loss goes non-finite.
+    Writes the trained values into the arrays of `params` and returns
+    per-epoch statistics. With val_data and a patience, stops once
+    validation macro-F1 has not improved for `patience` consecutive epochs
+    and returns the parameters of the best validation epoch. Raises
+    TrainingError the moment logits, a batch loss or the updated parameters
+    go non-finite, leaving `params` as they were.
     """
     feats_a, feats_b, labels = train_data
-    fa = _check_features(config, feats_a, "a")
-    fb = _check_features(config, feats_b, "b")
+    packed = _pack(config, feats_a, feats_b)
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    if next(iter(fa.values())).shape[0] != n:
+    if packed.shape[0] != n:
         raise ConfigError("labels and features disagree on sample count")
 
-    rng = np.random.default_rng(seed)
-    names = sorted(params)
-    m1 = {k: np.zeros_like(params[k]) for k in names}
-    m2 = {k: np.zeros_like(params[k]) for k in names}
+    theta, views = _flat(_plan(config))
+    for name, view in views.items():
+        if np.shape(params[name]) != view.shape:
+            raise ConfigError(
+                f"parameter {name} has shape {np.shape(params[name])}, expected {view.shape}"
+            )
+        view[...] = params[name]
+    m1 = np.zeros_like(theta)
+    m2 = np.zeros_like(theta)
+    t1 = np.empty_like(theta)
+    t2 = np.empty_like(theta)
     step = 0
 
+    rng = np.random.default_rng(seed)
     trace: list[EpochStats] = []
-    best_f1 = -np.inf
+    best, best_f1 = None, -np.inf
     stale = 0
     for epoch in range(opt.epochs):
         perm = rng.permutation(n)
         total = 0.0
         for lo in range(0, n, opt.batch_size):
             idx = perm[lo : lo + opt.batch_size]
-            ba = {m: fa[m][idx] for m in config.modalities}
-            bb = {m: fb[m][idx] for m in config.modalities}
-            logits, cache = forward(config, params, ba, bb)
+            logits, cache = forward(config, views, _Packed(packed[idx]), None)
             if not np.all(np.isfinite(logits)):
                 raise TrainingError(
                     f"non-finite logits at epoch {epoch}, batch starting at sample {lo}"
@@ -438,31 +541,48 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch starting at sample {lo}"
                 )
             total += value * idx.size
-            grads = backward(config, params, cache, grad_logits)["params"]
+            grads = backward(config, views, cache, grad_logits)["params"]
+            grad = next(iter(grads.values())).base  # the flat buffer behind the views
 
+            # m1 = b1*m1 + (1-b1)*g; m2 = b2*m2 + (1-b2)*g*g;
+            # theta -= lr * (m1/bc1) / (sqrt(m2/bc2) + eps), in that order
             step += 1
-            bc1 = 1.0 - opt.beta1**step
-            bc2 = 1.0 - opt.beta2**step
-            for k in names:
-                gk = grads[k]
-                m1[k] = opt.beta1 * m1[k] + (1.0 - opt.beta1) * gk
-                m2[k] = opt.beta2 * m2[k] + (1.0 - opt.beta2) * gk * gk
-                params[k] -= opt.lr * (m1[k] / bc1) / (np.sqrt(m2[k] / bc2) + opt.eps)
+            m1 *= opt.beta1
+            np.multiply(grad, 1.0 - opt.beta1, out=t1)
+            m1 += t1
+            m2 *= opt.beta2
+            np.multiply(grad, 1.0 - opt.beta2, out=t2)
+            t2 *= grad
+            m2 += t2
+            np.divide(m1, 1.0 - opt.beta1**step, out=t1)
+            t1 *= opt.lr
+            np.divide(m2, 1.0 - opt.beta2**step, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += opt.eps
+            t1 /= t2
+            theta -= t1
+            if not np.isfinite(theta).all():
+                raise TrainingError(
+                    f"non-finite parameters after the update at epoch {epoch}, "
+                    f"batch starting at sample {lo}"
+                )
 
         stats = EpochStats(epoch=epoch, train_loss=total / n)
+        trace.append(stats)
         if val_data is not None:
-            stats.val_macro_f1 = _macro_f1(config, params, val_data[0], val_data[1], val_data[2])
+            stats.val_macro_f1 = _macro_f1(config, views, *val_data)
             if opt.patience is not None:
                 if stats.val_macro_f1 > best_f1 + 1e-12:
-                    best_f1 = stats.val_macro_f1
+                    best, best_f1 = theta.copy(), stats.val_macro_f1
                     stale = 0
                 else:
                     stale += 1
-            trace.append(stats)
-            if opt.patience is not None and stale >= opt.patience:
-                break
-        else:
-            trace.append(stats)
+                if stale >= opt.patience:
+                    break
+    if best is not None:
+        theta[...] = best
+    for name, view in views.items():
+        params[name][...] = view
     return trace
 
 

@@ -1,5 +1,6 @@
 """Synthetic dataset generation and file round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -178,6 +179,39 @@ class TestGenerator:
     def test_records_to_arrays_rejects_empty(self):
         with pytest.raises(ConfigError):
             records_to_arrays([])
+
+
+class TestDatasetColumns:
+    def _dataset(self):
+        return generate_dataset(DatasetSpec(seed=12, **TINY))[0]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: {"labels": d.labels[:-1]},
+            lambda d: {"drug_b": d.drug_b[:-1]},
+            lambda d: {"features_a": {**d.features_a, "t": d.features_a["t"][:-1]}},
+            lambda d: {"features_b": {m: v for m, v in d.features_b.items() if m != "e"}},
+            lambda d: {"features_b": {**d.features_b, "g": d.features_b["g"][:, :3]}},
+            lambda d: {"features_a": {**d.features_a, "s": d.features_a["s"][:, 0]}},
+        ],
+        ids=["labels", "drug_b", "rows", "missing", "widths", "1-d"],
+    )
+    def test_rejects_mismatched_columns(self, change):
+        data = self._dataset()
+        with pytest.raises(ConfigError):
+            dataclasses.replace(data, **change(data))
+
+    @pytest.mark.parametrize("column", ["pair_ids", "drug_a", "drug_b"])
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_write_rejects_id_with_a_break(self, tmp_path, column, char):
+        data = self._dataset()
+        ids = getattr(data, column).astype(object)
+        ids[7] = "x" + char + "y"
+        path = tmp_path / "d.tsv"
+        with pytest.raises(ConfigError, match="id"):
+            write_dataset(path, dataclasses.replace(data, **{column: ids.astype(str)}))
+        assert not path.exists()
 
 
 class TestDatasetFiles:

@@ -24,7 +24,9 @@ from tailfocal import (
     save_model,
     train,
 )
+from tailfocal import fusion
 from tailfocal.fusion import _maxpool, _maxpool_back
+from tailfocal.metrics import confusion_metrics
 
 TINY = dict(
     n_classes=3,
@@ -38,6 +40,38 @@ TINY = dict(
 
 def _rand_feats(rng, config, n):
     return {m: rng.normal(size=(n, config.embed_dim(m))) for m in config.modalities}
+
+
+def _longhand_train(config, params, data, spec, opt, seed):
+    """Test-local trainer: the public forward and backward on per-batch dict
+    slices, and a per-parameter Adam loop. Returns the per-epoch losses."""
+    fa, fb, labels = data
+    rng = np.random.default_rng(seed)
+    m1 = {k: np.zeros_like(v) for k, v in params.items()}
+    m2 = {k: np.zeros_like(v) for k, v in params.items()}
+    step = 0
+    losses = []
+    for _ in range(opt.epochs):
+        perm = rng.permutation(labels.size)
+        total = 0.0
+        for lo in range(0, labels.size, opt.batch_size):
+            idx = perm[lo : lo + opt.batch_size]
+            ba = {m: fa[m][idx] for m in config.modalities}
+            bb = {m: fb[m][idx] for m in config.modalities}
+            logits, cache = forward(config, params, ba, bb)
+            value, grad_logits = batch_loss(spec, logits, labels[idx])
+            total += value * idx.size
+            grads = backward(config, params, cache, grad_logits)["params"]
+            step += 1
+            bc1 = 1.0 - opt.beta1**step
+            bc2 = 1.0 - opt.beta2**step
+            for k in sorted(params):
+                gk = grads[k]
+                m1[k] = opt.beta1 * m1[k] + (1.0 - opt.beta1) * gk
+                m2[k] = opt.beta2 * m2[k] + (1.0 - opt.beta2) * gk * gk
+                params[k] -= opt.lr * (m1[k] / bc1) / (np.sqrt(m2[k] / bc2) + opt.eps)
+        losses.append(total / labels.size)
+    return losses
 
 
 def _naive_forward(config, params, fa, fb):
@@ -411,6 +445,62 @@ class TestTraining:
         t2 = train(config, p2, data, LossSpec(kind="ce"), opt, seed=5)
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
         assert [s.train_loss for s in t1] == [s.train_loss for s in t2]
+
+    @pytest.mark.parametrize("activation, k_stages", [("relu", 1), ("tanh", 2)])
+    def test_matches_longhand_trainer(self, activation, k_stages):
+        rng = np.random.default_rng(76)
+        config = ModelConfig(**dict(TINY, activation=activation, k_stages=k_stages))
+        data = self._toy(rng, config, 24)
+        opt = OptimConfig(lr=1e-2, batch_size=8, epochs=2, patience=None)
+        spec = LossSpec(kind="ce")
+        params = init_params(config, seed=14)
+        ids = {k: id(v) for k, v in params.items()}
+        trace = train(config, params, data, spec, opt, seed=6)
+        expected = init_params(config, seed=14)
+        losses = _longhand_train(config, expected, data, spec, opt, seed=6)
+        assert {k: id(v) for k, v in params.items()} == ids
+        for k in expected:
+            assert np.array_equal(params[k], expected[k]), k
+        assert not np.array_equal(expected["cls0_W"], init_params(config, seed=14)["cls0_W"])
+        assert np.array_equal([s.train_loss for s in trace], losses)
+
+    def test_diverging_update_raises_at_its_step(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=15)
+        before = {k: v.copy() for k, v in params.items()}
+        data = self._toy(rng, config, 8)
+        opt = OptimConfig(lr=1e-3, batch_size=8, epochs=1, patience=None)
+
+        def nan_gradient(spec, logits, labels):
+            return 1.0, np.full_like(logits, np.nan)
+
+        monkeypatch.setattr(fusion, "batch_loss", nan_gradient)
+        where = "parameters .* epoch 0, batch starting at sample 0"
+        with pytest.raises(TrainingError, match=where):
+            train(config, params, data, LossSpec(kind="ce"), opt, seed=0)
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+
+    def test_early_stopping_returns_best_epoch(self):
+        rng = np.random.default_rng(79)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=16)
+        fa, fb, labels = self._toy(rng, config, 64)
+
+        def noisy(feats):
+            return {m: v + rng.normal(scale=1.5, size=v.shape) for m, v in feats.items()}
+
+        train_data = (noisy(fa), noisy(fb), labels)
+        val_a, val_b = noisy(fa), noisy(fb)
+        opt = OptimConfig(lr=5e-2, batch_size=16, epochs=40, patience=3)
+        trace = train(
+            config, params, train_data, LossSpec(kind="ce"), opt,
+            val_data=(val_a, val_b, labels), seed=7,
+        )
+        scores = [s.val_macro_f1 for s in trace]
+        assert len(scores) < 40 and scores[-1] < max(scores)  # stopped past the best epoch
+        pred = np.argmax(predict_proba(config, params, val_a, val_b), axis=1)
+        assert confusion_metrics(pred, labels, config.n_classes).macro_f1 == max(scores)
 
     def test_non_finite_forward_raises_training_error(self):
         rng = np.random.default_rng(75)
