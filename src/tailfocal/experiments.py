@@ -46,6 +46,8 @@ from .fusion import (
     EpochStats,
     ModelConfig,
     OptimConfig,
+    _pack,
+    _Packed,
     init_params,
     predict_proba,
     save_model,
@@ -247,10 +249,6 @@ def load_run_data(run: RunConfig):
     return data.features_a, data.features_b, data.labels, n_classes
 
 
-def _take(feats: dict, idx: np.ndarray) -> dict:
-    return {m: v[idx] for m, v in feats.items()}
-
-
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: resolve data, split, train, evaluate, write reports.
 
@@ -290,16 +288,17 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     embed_dims = tuple(feats_a[m].shape[1] for m in ("g", "s", "t", "e"))
     model_config = ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
     params = init_params(model_config, seed=run.seed + 2)
-    train_data = (_take(feats_a, train_idx), _take(feats_b, train_idx), labels[train_idx])
-    val_data = None
-    if val_idx.size:
-        val_data = (_take(feats_a, val_idx), _take(feats_b, val_idx), labels[val_idx])
+
+    def packed(idx):  # one split's rows, packed once from the dataset columns
+        return _Packed(_pack(model_config, feats_a, feats_b, idx)[0]), None, labels[idx]
+
+    val_data = packed(val_idx) if val_idx.size else None
     trace = train(
-        model_config, params, train_data, loss_spec, run.optim, val_data=val_data, seed=run.seed + 3
+        model_config, params, packed(train_idx), loss_spec, run.optim, val_data, seed=run.seed + 3
     )
 
-    probs = predict_proba(model_config, params, _take(feats_a, test_idx), _take(feats_b, test_idx))
-    report = metrics_report(probs, labels[test_idx])
+    test_a, test_b, test_labels = packed(test_idx)
+    report = metrics_report(predict_proba(model_config, params, test_a, test_b), test_labels)
 
     result = RunResult(
         report=report,
@@ -308,7 +307,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
         params=params,
         train_stats=train_stats,
         tail=tail,
-        test_labels=labels[test_idx],
+        test_labels=test_labels,
     )
     if out_dir is not None:
         _write_run_outputs(out_dir, run, result)
@@ -366,12 +365,14 @@ def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
-    """Train the configured loss once per modality variant; tabulate metrics."""
-    data = load_run_data(run)
-    rows = []
+    """Check every variant name, then train the configured loss once per
+    modality variant; tabulate metrics."""
     for variant in variants:
         if variant.upper() not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
+    data = load_run_data(run)
+    rows = []
+    for variant in variants:
         sub = replace(run, model=replace(run.model, variant=variant.upper()))
         result = run_training(sub, _data=data)
         rows.append((variant.upper(), _metric_row(result.report)))

@@ -21,13 +21,17 @@ stage is one matmul per modality over all 2B rows, max-pooling is one pass
 over the whole row (pool_window divides every width), and the fused rows
 reshaped to (B, 2F) are the pair vectors without a copy.
 
+_pack alone checks a feature pair, once on the whole arrays, and copies the
+chosen rows from the caller's columns into an (n, 2, D) block; a block
+handed back as _Packed(block), with None for drug b, passes through.
+run_training packs each split once, predict_proba one batch at a time.
+
 Everything is explicit: forward caches intermediates, backward walks them
 in reverse, and training is mini-batch Adam-style updates with optional
 early stopping on validation macro-F1, which keeps the best epoch's
-parameters. train packs its features once; the parameters, their
-gradients and the Adam moments each live in one flat float64 buffer with a
-named view per parameter, in param_shapes order. Ablation variants drop
-whole streams (and the partner concatenation with them).
+parameters. The parameters, their gradients and the Adam moments each live
+in one flat float64 buffer with a named view per parameter, in
+param_shapes order. Ablation variants drop whole streams.
 """
 
 from __future__ import annotations
@@ -264,52 +268,48 @@ def _flat(plan: _Plan) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 
 class _Packed(NamedTuple):
-    """A batch that train checked and packed once, as a (B, 2, D) block.
+    """Rows that _pack checked and packed, as an (n, 2, D) block.
 
-    forward takes it in place of drug a's features, with None for drug b,
-    and backward gives no input gradients for it, since nothing asks for them.
+    forward, predict_proba and train take it in place of drug a's features,
+    with None for drug b; backward gives no input gradients for it.
     """
 
     block: np.ndarray
 
 
-def _check_features(config: ModelConfig, feats, side: str) -> dict[str, np.ndarray]:
-    out = {}
+def _pack(config: ModelConfig, feats_a, feats_b, rows) -> tuple[np.ndarray, int]:
+    """(block, n): `rows` of a drug pair as a (len(rows), 2, D) block in
+    canonical column order, and n, the row count of the whole pair.
+
+    Checks the whole arrays once (each active modality (n, width) on both
+    sides, n > 0), then copies the rows one modality at a time straight from
+    the caller's columns. A _Packed input passes through as block[rows].
+    """
+    if isinstance(feats_a, _Packed):
+        return feats_a.block[rows], feats_a.block.shape[0]
+    plan = _plan(config)
+    sides = (("a", feats_a), ("b", feats_b))
     n = None
-    for m in config.modalities:
-        if m not in feats:
-            raise ConfigError(f"features for drug {side} lack modality {m!r}")
-        x = np.asarray(feats[m], dtype=float)
-        want = config.embed_dim(m)
-        if x.ndim != 2 or x.shape[1] != want:
-            raise ConfigError(
-                f"drug {side} modality {m} must be (batch, {want}), got {x.shape}"
-            )
-        if n is None:
-            n = x.shape[0]
-        elif x.shape[0] != n:
-            raise ConfigError(f"drug {side} modality {m} batch size differs")
-        out[m] = x
+    for side, feats in sides:
+        for m in config.modalities:
+            if m not in feats:
+                raise ConfigError(f"features for drug {side} lack modality {m!r}")
+            shape = np.shape(feats[m])
+            want = config.embed_dim(m)
+            if len(shape) != 2 or shape[1] != want:
+                raise ConfigError(f"drug {side} modality {m} must be (n, {want}), got {shape}")
+            if n is None:
+                n = shape[0]
+            elif shape[0] != n:
+                raise ConfigError(f"drug {side} modality {m} has {shape[0]} rows, expected {n}")
     if n == 0:
         raise ConfigError("empty batch")
-    return out
-
-
-def _pack(config: ModelConfig, feats_a, feats_b) -> np.ndarray:
-    """(n, 2, D) block of both drugs' checked features in canonical column order."""
-    if isinstance(feats_a, _Packed):
-        return feats_a.block
-    fa = _check_features(config, feats_a, "a")
-    fb = _check_features(config, feats_b, "b")
-    n = fa[config.modalities[0]].shape[0]
-    if fb[config.modalities[0]].shape[0] != n:
-        raise ConfigError("drug a and drug b batches differ in size")
-    plan = _plan(config)
-    out = np.empty((n, 2, plan.width))
-    for side, feats in enumerate((fa, fb)):
+    count = len(range(n)[rows]) if isinstance(rows, slice) else len(rows)
+    out = np.empty((count, 2, plan.width))
+    for k, (_, feats) in enumerate(sides):
         for m, cols in plan.cols.items():
-            out[:, side, cols] = feats[m]
-    return out
+            out[:, k, cols] = np.asarray(feats[m])[rows]
+    return out, n
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +350,14 @@ def _pool(x: np.ndarray, window: int) -> np.ndarray:
     return pooled
 
 
-def _maxpool(x: np.ndarray, window: int):
-    """Pooled values and the index of each window's first maximum."""
+def _maxpool_back(grad: np.ndarray, x: np.ndarray, window: int) -> np.ndarray:
+    """Gradient of _pool(x, window) wrt x: each pooled gradient goes to its
+    window's first maximum."""
     b, d = x.shape
-    return _pool(x, window), np.argmax(x.reshape(b, d // window, window), axis=2)
-
-
-def _maxpool_back(grad: np.ndarray, idx: np.ndarray, width: int, window: int) -> np.ndarray:
-    b = grad.shape[0]
-    out = np.zeros((b, width // window, window))
-    np.put_along_axis(out, idx[:, :, None], grad[:, :, None], axis=2)
-    return out.reshape(b, width)
+    view = x.reshape(b, d // window, window)
+    out = np.zeros(view.shape)
+    np.put_along_axis(out, np.argmax(view, axis=2)[:, :, None], grad[:, :, None], axis=2)
+    return out.reshape(b, d)
 
 
 def forward(config: ModelConfig, params: dict, feats_a, feats_b):
@@ -369,7 +366,7 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     feats_a, feats_b map each active modality to a (B, width) array.
     """
     plan = _plan(config)
-    x = _pack(config, feats_a, feats_b).reshape(-1, plan.width)
+    x = _pack(config, feats_a, feats_b, slice(None))[0].reshape(-1, plan.width)
     n2 = x.shape[0]
     fu = np.empty((n2, config.fused_width()))
     fu[:, plan.hidden :] = _pool(x, config.pool_window)
@@ -444,8 +441,7 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
 
     din = None
     if cache["input_grads"]:
-        _, idx = _maxpool(x, config.pool_window)
-        dcur += _maxpool_back(dfu[:, plan.hidden :], idx, plan.width, config.pool_window)
+        dcur += _maxpool_back(dfu[:, plan.hidden :], x, config.pool_window)
         din = {
             side: {m: dcur[k::2, cols] for m, cols in plan.cols.items()}
             for k, side in enumerate("ab")
@@ -454,19 +450,19 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
 
 
 def predict_proba(config, params, feats_a, feats_b, batch_size: int = 1024) -> np.ndarray:
-    """Class probabilities, computed in batches to bound memory."""
-    fa = _check_features(config, feats_a, "a")
-    fb = _check_features(config, feats_b, "b")
-    n = next(iter(fa.values())).shape[0]
+    """Class probabilities, batch_size rows at a time to bound memory: the
+    pair's shapes are checked, then one batch at a time is packed straight
+    from the caller's columns (a _Packed block is only sliced)."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    _, n = _pack(config, feats_a, feats_b, slice(0))
     out = np.empty((n, config.n_classes))
     for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        za = {m: fa[m][lo:hi] for m in config.modalities}
-        zb = {m: fb[m][lo:hi] for m in config.modalities}
-        e, _ = forward(config, params, za, zb)
+        chunk, _ = _pack(config, feats_a, feats_b, slice(lo, lo + batch_size))
+        e, _ = forward(config, params, _Packed(chunk), None)
         e -= e.max(axis=1, keepdims=True)
         np.exp(e, out=e)
-        np.divide(e, e.sum(axis=1, keepdims=True), out=out[lo:hi])
+        np.divide(e, e.sum(axis=1, keepdims=True), out=out[lo : lo + batch_size])
     return out
 
 
@@ -491,7 +487,9 @@ def train(
 ) -> list[EpochStats]:
     """Mini-batch training with per-parameter adaptive step scaling.
 
-    train_data / val_data: (features_a, features_b, labels) triples.
+    train_data / val_data: (features_a, features_b, labels) triples, or
+    (_Packed(block), None, labels), which is never checked or packed again.
+    train packs its features once; val_data goes to predict_proba as given.
     `seed` drives the per-epoch batch shuffle and nothing else; the same
     params, data, opt and seed give bit-identical training.
     Writes the trained values into the arrays of `params` and returns
@@ -502,10 +500,9 @@ def train(
     go non-finite, leaving `params` as they were.
     """
     feats_a, feats_b, labels = train_data
-    packed = _pack(config, feats_a, feats_b)
+    packed, n = _pack(config, feats_a, feats_b, slice(None))
     labels = np.asarray(labels, dtype=np.int64)
-    n = labels.size
-    if packed.shape[0] != n:
+    if labels.size != n:
         raise ConfigError("labels and features disagree on sample count")
 
     theta, views = _flat(_plan(config))

@@ -30,6 +30,7 @@ from tailfocal import (
     sweep,
     write_generated_dataset,
 )
+from tailfocal import experiments
 from tailfocal.cli import main
 
 TINY_RUN = RunConfig(
@@ -291,6 +292,14 @@ class TestBatchCommands:
         lines = (tmp_path / "ablation.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    def test_ablate_checks_every_variant_before_training(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="bogus"):
+            ablate(TINY_RUN, variants=("GSTE", "bogus"), out_dir=tmp_path / "abl")
+        assert calls == []
+        assert not (tmp_path / "abl").exists()
+
     def test_sweep_aggregates_over_repeats(self, tmp_path):
         cfg = SweepConfig(parameter="beta", grid=(0.0, 2.0), repeats=2)
         rows = sweep(TINY_RUN, cfg, out_dir=tmp_path)
@@ -380,6 +389,17 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("G,")
         assert lines[2].startswith("TE,")
+
+    def test_ablate_unknown_variant_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "abl"
+        code = main(["ablate", "--config", cfg, "--variants", "GSTE,XX", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "XX" in captured.err
+        assert calls == [] and not out.exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

@@ -25,7 +25,7 @@ from tailfocal import (
     train,
 )
 from tailfocal import fusion
-from tailfocal.fusion import _maxpool, _maxpool_back
+from tailfocal.fusion import _maxpool_back, _pack, _Packed, _pool
 from tailfocal.metrics import confusion_metrics
 
 TINY = dict(
@@ -194,20 +194,19 @@ class TestParamShapes:
 class TestMaxPool:
     def test_values_and_indices(self):
         x = np.array([[1.0, 3.0, 2.0, 0.0]])
-        pooled, idx = _maxpool(x, 2)
-        np.testing.assert_array_equal(pooled, [[3.0, 2.0]])
-        np.testing.assert_array_equal(idx, [[1, 0]])
+        np.testing.assert_array_equal(_pool(x, 2), [[3.0, 2.0]])
+        # a unit gradient marks each window's maximum: indices 1 and 0
+        np.testing.assert_array_equal(_maxpool_back(np.ones((1, 2)), x, 2), [[0.0, 1.0, 1.0, 0.0]])
 
     def test_gradient_routes_to_argmax_only(self):
         x = np.array([[1.0, 3.0, 2.0, 0.0]])
-        _, idx = _maxpool(x, 2)
-        back = _maxpool_back(np.array([[5.0, 7.0]]), idx, 4, 2)
+        back = _maxpool_back(np.array([[5.0, 7.0]]), x, 2)
         np.testing.assert_array_equal(back, [[0.0, 5.0, 7.0, 0.0]])
 
     def test_tie_routes_to_first(self):
         x = np.array([[2.0, 2.0]])
-        _, idx = _maxpool(x, 2)
-        assert idx[0, 0] == 0
+        np.testing.assert_array_equal(_pool(x, 2), [[2.0]])
+        np.testing.assert_array_equal(_maxpool_back(np.array([[3.0]]), x, 2), [[3.0, 0.0]])
 
 
 class TestForward:
@@ -285,6 +284,26 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         full = predict_proba(config, params, fa, fb)
         np.testing.assert_allclose(probs, full, rtol=1e-12)
+
+    def test_predict_proba_rejects_mismatched_pair(self):
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=4)
+        rng = np.random.default_rng(55)
+        fa = _rand_feats(rng, config, 10)
+        fb = _rand_feats(rng, config, 20)
+        with pytest.raises(ConfigError, match="rows"):
+            predict_proba(config, params, fa, fb)
+        with pytest.raises(ConfigError, match="rows"):
+            predict_proba(config, params, fb, fa)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_predict_proba_rejects_batch_size_below_one(self, batch_size):
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=4)
+        rng = np.random.default_rng(56)
+        fa = _rand_feats(rng, config, 4)
+        with pytest.raises(ConfigError, match="batch_size"):
+            predict_proba(config, params, fa, fa, batch_size=batch_size)
 
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -501,6 +520,33 @@ class TestTraining:
         assert len(scores) < 40 and scores[-1] < max(scores)  # stopped past the best epoch
         pred = np.argmax(predict_proba(config, params, val_a, val_b), axis=1)
         assert confusion_metrics(pred, labels, config.n_classes).macro_f1 == max(scores)
+
+    def test_packed_split_matches_dict_split(self):
+        rng = np.random.default_rng(80)
+        config = ModelConfig(**TINY)
+        fa = _rand_feats(rng, config, 90)
+        fb = _rand_feats(rng, config, 90)
+        labels = rng.integers(0, config.n_classes, size=90)
+        train_idx, val_idx = rng.permutation(90)[:60], np.sort(rng.permutation(90)[:30])
+        opt = OptimConfig(lr=1e-2, batch_size=16, epochs=2, patience=1)
+        spec = LossSpec(kind="ce")
+
+        def packed(idx):
+            return _Packed(_pack(config, fa, fb, idx)[0]), None, labels[idx]
+
+        def taken(idx):
+            return {m: fa[m][idx] for m in fa}, {m: fb[m][idx] for m in fb}, labels[idx]
+
+        runs = []
+        for split in (packed, taken):
+            params = init_params(config, seed=17)
+            val = split(val_idx)
+            trace = train(config, params, split(train_idx), spec, opt, val_data=val, seed=8)
+            runs.append((params, trace, predict_proba(config, params, *val[:2], batch_size=7)))
+        (p1, t1, probs1), (p2, t2, probs2) = runs
+        assert all(np.array_equal(p1[k], p2[k]) for k in p1)
+        assert t1 == t2 and t1[0].val_macro_f1 is not None
+        assert np.array_equal(probs1, probs2)
 
     def test_non_finite_forward_raises_training_error(self):
         rng = np.random.default_rng(75)
