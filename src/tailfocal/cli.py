@@ -88,26 +88,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# override flag -> (RunConfig section, field); section None is RunConfig itself
+_OVERRIDES = {
+    "seed": (None, "seed"), "preset": ("data", "preset"), "variant": ("model", "variant"),
+    "loss": ("loss", "kind"), "beta": ("loss", "beta"), "gamma": ("loss", "gamma"),
+    "ts": ("loss", "ts"),
+}
+
+
 def _run_config(args) -> RunConfig:
+    """The --config file (or the defaults), then each override flag given."""
     run = RunConfig()
     if getattr(args, "config", None):
         run = parse_config_file(args.config, base=run)
-    if getattr(args, "seed", None) is not None:
-        run = replace(run, seed=args.seed)
-    if getattr(args, "preset", None):
-        run = replace(run, data=replace(run.data, preset=args.preset))
-    loss = run.loss
-    if getattr(args, "loss", None):
-        loss = replace(loss, kind=args.loss)
-    if getattr(args, "beta", None) is not None:
-        loss = replace(loss, beta=args.beta)
-    if getattr(args, "gamma", None) is not None:
-        loss = replace(loss, gamma=args.gamma)
-    if getattr(args, "ts", None) is not None:
-        loss = replace(loss, ts=args.ts)
-    run = replace(run, loss=loss)
-    if getattr(args, "variant", None):
-        run = replace(run, model=replace(run.model, variant=args.variant))
+    for flag, (section, name) in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is None or value == "":  # an empty --preset overrides nothing
+            continue
+        if section is not None:
+            value, name = replace(getattr(run, section), **{name: value}), section
+        run = replace(run, **{name: value})
     return run
 
 
@@ -118,8 +118,12 @@ def _print_metric_rows(label: str, rows) -> None:
 
 
 def _dispatch(args) -> int:
+    if args.command == "analyze":
+        print(analyze(gamma=args.gamma, beta=args.beta, out_dir=args.out))
+        return 0
+
+    run = _run_config(args)
     if args.command == "gen":
-        run = _run_config(args)
         stats = write_generated_dataset(run.data, seed=run.seed, out_path=args.out)
         counts = stats.counts[stats.desc_order]
         print(
@@ -129,7 +133,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "train":
-        run = _run_config(args)
         result = run_training(run, out_dir=args.out)
         r = result.report
         print(
@@ -141,33 +144,26 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "compare-losses":
-        run = _run_config(args)
         rows = compare_losses(run, out_dir=args.out)
         _print_metric_rows("loss", rows)
         return 0
 
     if args.command == "ablate":
-        run = _run_config(args)
         variants = tuple(v.strip().upper() for v in args.variants.split(",") if v.strip())
         rows = ablate(run, variants=variants, out_dir=args.out)
         _print_metric_rows("variant", rows)
         return 0
 
-    if args.command == "sweep":
-        run = _run_config(args)
-        try:
-            grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(f"bad --grid value {args.grid!r}") from None
-        cfg = SweepConfig(parameter=args.param, grid=grid, repeats=args.repeats)
-        rows = sweep(run, cfg, out_dir=args.out)
-        print(f"{args.param},mean_accuracy,mean_macro_f1,std_macro_f1")
-        for value, mean, std in rows:
-            print(f"{value:g},{mean[0]:.4f},{mean[3]:.4f},{std[3]:.4f}")
-        return 0
-
-    # analyze
-    print(analyze(gamma=args.gamma, beta=args.beta, out_dir=args.out))
+    # sweep
+    try:
+        grid = tuple(float(v) for v in args.grid.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"bad --grid value {args.grid!r}") from None
+    cfg = SweepConfig(parameter=args.param, grid=grid, repeats=args.repeats)
+    rows = sweep(run, cfg, out_dir=args.out)
+    print(f"{args.param},mean_accuracy,mean_macro_f1,std_macro_f1")
+    for value, mean, std in rows:
+        print(f"{value:g},{mean[0]:.4f},{mean[3]:.4f},{std[3]:.4f}")
     return 0
 
 

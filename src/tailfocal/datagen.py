@@ -179,8 +179,8 @@ def _cir_ok(counts: np.ndarray, cir: float) -> bool:
 
 def _geometric_middle(budget: int, k: int, hi: int, lo: int) -> np.ndarray:
     """k integer counts in [lo, hi] summing to budget, decaying geometrically
-    down from just under hi. The decay rate is solved by bisection; rounding
-    spreads the shortfall over the largest fractional parts."""
+    down from just under hi. The decay rate is solved by bisection, and the
+    shares are rounded by largest remainder."""
     if budget < k * lo or budget > k * hi:
         raise ConfigError(
             f"cannot fit {budget} samples into {k} classes bounded by [{lo}, {hi}]"
@@ -197,17 +197,8 @@ def _geometric_middle(budget: int, k: int, hi: int, lo: int) -> np.ndarray:
             lo_r = mid
         else:
             hi_r = mid
-    ideal = np.maximum(lo, hi * (0.5 * (lo_r + hi_r)) ** steps)
-    floors = np.floor(ideal).astype(np.int64)
-    short = budget - int(floors.sum())
-    order = np.argsort(-(ideal - floors), kind="stable")
-    for idx in order:
-        if short == 0:
-            break
-        if floors[idx] < hi:
-            floors[idx] += 1
-            short -= 1
-    return floors
+    # no count passes hi: floor(hi * rho**j) < hi, and rho rounded to 1 leaves nothing short
+    return _largest_remainder(np.maximum(lo, hi * (0.5 * (lo_r + hi_r)) ** steps), budget)
 
 
 def sample_class_counts(n_classes: int, n_samples: int, cir: float) -> np.ndarray:
@@ -232,7 +223,7 @@ def sample_class_counts(n_classes: int, n_samples: int, cir: float) -> np.ndarra
 
     if cir == 1:
         shares = np.full(n_classes, n_samples / n_classes)
-        return _largest_remainder(shares, n_samples).astype(np.int64)
+        return _largest_remainder(shares, n_samples)
 
     q = cir ** (-1.0 / (n_classes - 1))
     w = q ** np.arange(n_classes)
@@ -317,7 +308,8 @@ def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
 
     Feature blocks are comma-joined decimals at 9 significant digits, in
     fixed order g,s,t,e for drug a, then g,s,t,e for drug b. An id holding
-    a tab or a line break raises ConfigError before the file is opened.
+    a tab or a line break, or a label outside [0, n_classes), raises
+    ConfigError before the file is opened.
     """
     for column in (data.pair_ids, data.drug_a, data.drug_b):
         ids = np.ascontiguousarray(column, dtype=str)
@@ -327,6 +319,9 @@ def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
             raise ConfigError(f"id {str(ids[first])!r} holds a tab or a line break")
     if n_classes is None:
         n_classes = int(data.labels.max(initial=0)) + 1
+    bad = (data.labels < 0) | (data.labels >= n_classes)
+    if bad.any():
+        raise ConfigError(f"label {data.labels[bad.argmax()]} outside [0, {n_classes})")
     blocks = [data.features_a[m] for m in MODALITIES] + [data.features_b[m] for m in MODALITIES]
     dims = [block.shape[1] for block in blocks[:4]]
     widths = " ".join(f"{m}={d}" for m, d in zip(MODALITIES, dims))
@@ -342,7 +337,7 @@ def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
 
 
 _HEADER_RE = re.compile(
-    rf"^{_MAGIC} {_VERSION} n_classes=(\d+) g=(\d+) s=(\d+) t=(\d+) e=(\d+)$"
+    rf"^{_MAGIC} {_VERSION} n_classes=(\d+) " + " ".join(rf"{m}=(\d+)" for m in MODALITIES) + "$"
 )
 
 

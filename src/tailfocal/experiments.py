@@ -31,6 +31,7 @@ reproduces the run exactly when fed back in.
 
 from __future__ import annotations
 
+import math
 import os
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -39,7 +40,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .analysis import curve_table, fl_vanishing_threshold, tfl_vanishing_threshold, write_curve
-from .datagen import DatasetSpec, generate_dataset, preset_spec, read_dataset, write_dataset
+from .datagen import (
+    MODALITIES,
+    DatasetSpec,
+    _round_half_up,
+    generate_dataset,
+    preset_spec,
+    read_dataset,
+    write_dataset,
+)
 from .errors import ConfigError, DataFormatError
 from .fusion import (
     VARIANTS,
@@ -142,6 +151,11 @@ class SweepConfig:
             raise ConfigError("sweep grid is empty")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        ts = self.parameter == "ts"
+        for v in self.grid:  # every value is checked before any data is built
+            if not (0.0 <= v <= 1.0 if ts else 0.0 <= v < math.inf):
+                want = "in [0, 1]" if ts else "finite and >= 0"
+                raise ConfigError(f"sweep {self.parameter} values must be {want}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -167,10 +181,6 @@ class RunResult:
 
 # ---------------------------------------------------------------------------
 # splitting
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 def split_indices(labels, test_fraction: float, seed: int, stratified: bool = True):
@@ -285,7 +295,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
 
     net = asdict(run.model)
     modalities = VARIANTS[net.pop("variant").upper()]
-    embed_dims = tuple(feats_a[m].shape[1] for m in ("g", "s", "t", "e"))
+    embed_dims = tuple(feats_a[m].shape[1] for m in MODALITIES)
     model_config = ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
     params = init_params(model_config, seed=run.seed + 2)
 

@@ -30,8 +30,9 @@ Everything is explicit: forward caches intermediates, backward walks them
 in reverse, and training is mini-batch Adam-style updates with optional
 early stopping on validation macro-F1, which keeps the best epoch's
 parameters. The parameters, their gradients and the Adam moments each live
-in one flat float64 buffer with a named view per parameter, in
-param_shapes order. Ablation variants drop whole streams.
+in one flat float64 buffer with a named view per parameter. _plan is the
+only place parameter names, shapes, their order and flat offsets come from;
+everything else reads them from it. Ablation variants drop whole streams.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
+from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
 from .losses import LossSpec, batch_loss
 from .metrics import confusion_metrics
@@ -63,8 +66,6 @@ __all__ = [
     "load_model",
 ]
 
-MODALITIES = ("g", "s", "t", "e")
-
 # ablation variants: which streams stay active
 VARIANTS = {
     "G": ("g",),
@@ -73,7 +74,7 @@ VARIANTS = {
     "E": ("e",),
     "GS": ("g", "s"),
     "TE": ("t", "e"),
-    "GSTE": ("g", "s", "t", "e"),
+    "GSTE": MODALITIES,
 }
 
 _ENHANCED_BY = {"g": "s", "t": "e"}
@@ -169,7 +170,7 @@ class EpochStats:
 
 
 # ---------------------------------------------------------------------------
-# parameter bookkeeping
+# parameter layout
 
 
 def _spans(config: ModelConfig, width_of) -> tuple[dict, dict, int]:
@@ -185,39 +186,6 @@ def _spans(config: ModelConfig, width_of) -> tuple[dict, dict, int]:
         partner = _ENHANCED_BY.get(m)
         inp[m] = slice(cols.start, own[partner].stop) if partner in own else cols
     return own, inp, lo
-
-
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter names and shapes; init, IO, and checks all agree on it."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    _, x_in, _ = _spans(config, config.embed_dim)
-    _, h_in, _ = _spans(config, lambda m: config.hidden_dim)
-    for m in config.modalities:
-        for j in range(1, config.k_stages + 1):
-            cols = (x_in if j == 1 else h_in)[m]
-            shapes[f"{m}{j}_W"] = (config.hidden_dim, cols.stop - cols.start)
-            shapes[f"{m}{j}_b"] = (config.hidden_dim,)
-    in_dim = 2 * config.fused_width()
-    for layer, out_dim in enumerate(config.classifier_dims):
-        shapes[f"cls{layer}_W"] = (out_dim, in_dim)
-        shapes[f"cls{layer}_b"] = (out_dim,)
-        in_dim = out_dim
-    return shapes
-
-
-def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    """Uniform fan-in init, one seeded generator, fixed parameter order."""
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(config).items():
-        fan_in = shape[1] if len(shape) == 2 else param_shapes(config)[name[:-1] + "W"][1]
-        bound = 1.0 / np.sqrt(fan_in)
-        params[name] = rng.uniform(-bound, bound, size=shape)
-    return params
-
-
-# ---------------------------------------------------------------------------
-# packed layout
 
 
 class _Stream(NamedTuple):
@@ -237,12 +205,15 @@ class _Plan(NamedTuple):
     cols: dict  # modality -> its columns in a packed row
     stages: tuple  # per stage, one _Stream per active modality
     hidden: int  # width of a stage output, len(modalities) * hidden_dim
+    classifier: tuple  # (W, b) parameter names of each classifier layer
     params: tuple  # (name, lo, hi, shape) of each parameter in the flat buffer
     size: int
 
 
 @lru_cache(maxsize=16)
 def _plan(config: ModelConfig) -> _Plan:
+    """The parameter layout: modality-major stream maps (stage 1 first), then
+    the classifier layers, each W before its b."""
     x_own, x_in, width = _spans(config, config.embed_dim)
     h_own, h_in, hidden = _spans(config, lambda m: config.hidden_dim)
     fed = {_ENHANCED_BY.get(m) for m in config.modalities}
@@ -253,18 +224,55 @@ def _plan(config: ModelConfig) -> _Plan:
         )
         for j in range(1, config.k_stages + 1)
     )
-    layout, lo = [], 0
-    for name, shape in param_shapes(config).items():
-        hi = lo + math.prod(shape)
-        layout.append((name, lo, hi, shape))
-        lo = hi
-    return _Plan(width, x_own, stages, hidden, tuple(layout), lo)
+    shapes = {}
+    for streams in zip(*stages):  # one modality's streams, stage 1 first
+        for st in streams:
+            shapes[st.W] = (config.hidden_dim, st.cols_in.stop - st.cols_in.start)
+            shapes[st.b] = (config.hidden_dim,)
+    classifier, in_dim = [], 2 * config.fused_width()
+    for layer, out_dim in enumerate(config.classifier_dims):
+        W, b = f"cls{layer}_W", f"cls{layer}_b"
+        classifier.append((W, b))
+        shapes[W], shapes[b] = (out_dim, in_dim), (out_dim,)
+        in_dim = out_dim
+    ends = list(accumulate(map(math.prod, shapes.values()), initial=0))
+    layout = tuple(zip(shapes, ends, ends[1:], shapes.values()))
+    return _Plan(width, x_own, stages, hidden, tuple(classifier), layout, ends[-1])
 
 
 def _flat(plan: _Plan) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """One float64 buffer and a named view into it per parameter."""
     buf = np.empty(plan.size)
     return buf, {name: buf[lo:hi].reshape(shape) for name, lo, hi, shape in plan.params}
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical parameter names and shapes, in flat-buffer order."""
+    return {name: shape for name, _, _, shape in _plan(config).params}
+
+
+def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
+    """Uniform fan-in init, one seeded generator, fixed parameter order; a
+    bias takes its fan-in from the weight just before it."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, _, _, shape in _plan(config).params:
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[1])
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    return params
+
+
+def _check_params(config: ModelConfig, params, where: str) -> None:
+    """Every parameter of the layout is in `params`, with its shape."""
+    for name, _, _, shape in _plan(config).params:
+        found = np.shape(params[name]) if name in params else "nothing"
+        if found != shape:
+            raise ConfigError(f"parameter {name} of the {where}: expected {shape}, found {found}")
+
+
+# ---------------------------------------------------------------------------
+# packed layout
 
 
 class _Packed(NamedTuple):
@@ -385,10 +393,10 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     # rows a_i, b_i are adjacent, so this is concat(F_u(a), F_u(b)) per pair
     h = fu.reshape(n2 // 2, -1)
     inputs = []
-    for layer in range(4):
+    for layer, (W, b) in enumerate(plan.classifier):
         inputs.append(h)
         kind = config.activation if layer < 3 else None
-        h = _affine_act(h, params[f"cls{layer}_W"], params[f"cls{layer}_b"], kind)
+        h = _affine_act(h, params[W], params[b], kind)
     cache = {
         "x": x,
         "posts": posts,
@@ -409,11 +417,11 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
     g = np.asarray(grad_logits, dtype=float)
 
     inputs = cache["cls_inputs"]
-    for layer in range(3, -1, -1):
+    for layer, (W, b) in reversed(tuple(enumerate(plan.classifier))):
         x = inputs[layer]
-        np.matmul(g.T, x, out=grads[f"cls{layer}_W"])
-        np.sum(g, axis=0, out=grads[f"cls{layer}_b"])
-        gx = g @ params[f"cls{layer}_W"]
+        np.matmul(g.T, x, out=grads[W])
+        np.sum(g, axis=0, out=grads[b])
+        gx = g @ params[W]
         if layer > 0:
             gx *= _act_grad(x, config.activation)
             g = gx
@@ -505,12 +513,9 @@ def train(
     if labels.size != n:
         raise ConfigError("labels and features disagree on sample count")
 
+    _check_params(config, params, "params dict")
     theta, views = _flat(_plan(config))
     for name, view in views.items():
-        if np.shape(params[name]) != view.shape:
-            raise ConfigError(
-                f"parameter {name} has shape {np.shape(params[name])}, expected {view.shape}"
-            )
         view[...] = params[name]
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
@@ -601,16 +606,6 @@ def load_model(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         if sorted(meta) != sorted(f.name for f in fields(ModelConfig)):
             raise ConfigError(f"checkpoint config keys {sorted(meta)} do not match ModelConfig")
         config = ModelConfig(**meta)
-        expected = param_shapes(config)
-        params = {}
-        for name, shape in expected.items():
-            key = f"param/{name}"
-            if key not in archive:
-                raise ConfigError(f"checkpoint lacks parameter {name}")
-            arr = archive[key]
-            if arr.shape != shape:
-                raise ConfigError(
-                    f"checkpoint parameter {name} has shape {arr.shape}, expected {shape}"
-                )
-            params[name] = arr.astype(float)
-    return config, params
+        stored = {k[len("param/") :]: archive[k] for k in archive.files if k.startswith("param/")}
+    _check_params(config, stored, "checkpoint")
+    return config, {name: stored[name].astype(float) for name in param_shapes(config)}

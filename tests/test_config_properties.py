@@ -1,4 +1,5 @@
-"""Property tests for the config text format over randomly drawn RunConfigs."""
+"""Property tests for the config text format over randomly drawn RunConfigs,
+and for the CLI override flags against the config keys they stand for."""
 
 import string
 from dataclasses import fields
@@ -7,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfocal import (
+    LOSS_KINDS,
+    PRESETS,
+    VARIANTS,
     DataConfig,
     LossConfig,
     NetConfig,
@@ -16,6 +20,7 @@ from tailfocal import (
     config_from_text,
     config_to_text,
 )
+from tailfocal.cli import _build_parser, _run_config
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -91,3 +96,25 @@ def test_config_text_round_trips(run):
     sections = [f.name for f in fields(RunConfig) if f.name != "seed"]
     expected = {"seed"} | {f"{s}.{f.name}" for s in sections for f in fields(getattr(run, s))}
     assert keys == expected
+
+
+# each override flag, the config key it stands for, and values to try
+FLAGS = {
+    "--seed": ("seed", INTS),
+    "--preset": ("data.preset", st.sampled_from(sorted(PRESETS)) | TEXT.filter(bool)),
+    "--loss": ("loss.kind", st.sampled_from(LOSS_KINDS)),
+    "--beta": ("loss.beta", FLOATS),
+    "--gamma": ("loss.gamma", FLOATS),
+    "--ts": ("loss.ts", FLOATS),
+    "--variant": ("model.variant", st.sampled_from(sorted(VARIANTS))),
+}
+
+
+@PROPS
+@given(st.fixed_dictionaries({}, optional={flag: values for flag, (_, values) in FLAGS.items()}))
+def test_override_flags_match_config_keys(chosen):
+    texts = {flag: v if isinstance(v, str) else repr(v) for flag, v in chosen.items()}
+    # --flag=value, so a value starting with "-" is not read as a flag
+    args = _build_parser().parse_args(["train", *(f"{f}={t}" for f, t in texts.items())])
+    config_text = "".join(f"{FLAGS[f][0]} = {t}\n" for f, t in texts.items())
+    assert _run_config(args) == config_from_text(config_text)

@@ -213,6 +213,16 @@ class TestDatasetColumns:
             write_dataset(path, dataclasses.replace(data, **{column: ids.astype(str)}))
         assert not path.exists()
 
+    @pytest.mark.parametrize("label, n_classes", [(4, 2), (3, 3), (-1, None), (-1, 3)])
+    def test_write_rejects_label_outside_the_classes(self, tmp_path, label, n_classes):
+        data = self._dataset()
+        labels = data.labels.copy()
+        labels[5] = label
+        path = tmp_path / "d.tsv"
+        with pytest.raises(ConfigError, match=f"label {label} outside"):
+            write_dataset(path, dataclasses.replace(data, labels=labels), n_classes=n_classes)
+        assert not path.exists()
+
 
 class TestDatasetFiles:
     def _records(self, seed=11):

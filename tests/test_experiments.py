@@ -318,6 +318,23 @@ class TestBatchCommands:
             SweepConfig(parameter="beta", grid=())
         with pytest.raises(ConfigError):
             SweepConfig(parameter="beta", grid=(1.0,), repeats=0)
+        for parameter, value in [
+            ("gamma", -1.0), ("gamma", math.nan), ("gamma", math.inf),
+            ("beta", -0.5), ("beta", math.nan), ("beta", math.inf),
+            ("ts", -0.1), ("ts", 1.5), ("ts", math.nan),
+        ]:
+            with pytest.raises(ConfigError, match=parameter):
+                SweepConfig(parameter=parameter, grid=(0.5, value))
+        SweepConfig(parameter="gamma", grid=(0.0, 1e300))
+        SweepConfig(parameter="ts", grid=(0.0, 1.0))
+
+    def test_sweep_checks_every_grid_value_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match="gamma"):
+            sweep(TINY_RUN, SweepConfig("gamma", (1, 2, -1), 2))
+        assert calls == []
 
     def test_analyze_reports_thresholds(self, tmp_path):
         text = analyze(gamma=2.0, beta=1.0, out_dir=tmp_path)
@@ -456,6 +473,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--loss", "hinge"])
         assert exc.value.code == 2
+
+    def test_out_of_range_sweep_grid_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        flags = ["--param", "gamma", "--grid", "1,-1", "--out", str(out)]
+        assert main(["sweep", "--config", cfg, *flags]) == 3
+        assert "gamma" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_bad_sweep_grid_exits_3(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

@@ -178,6 +178,17 @@ class TestParamShapes:
         )
         assert param_shapes(solo)["g1_W"] == (4, 8)
 
+    def test_name_order_is_modality_major_then_classifier(self):
+        # the order fixes the init draw order and the flat parameter layout
+        classifier = [
+            "cls0_W", "cls0_b", "cls1_W", "cls1_b", "cls2_W", "cls2_b", "cls3_W", "cls3_b",
+        ]
+        tiny = ["g1_W", "g1_b", "s1_W", "s1_b", "t1_W", "t1_b", "e1_W", "e1_b"]
+        assert list(param_shapes(ModelConfig(**TINY))) == tiny + classifier
+        gs = ModelConfig(**{**TINY, "k_stages": 2}, modalities=VARIANTS["GS"])
+        gs_names = ["g1_W", "g1_b", "g2_W", "g2_b", "s1_W", "s1_b", "s2_W", "s2_b"]
+        assert list(param_shapes(gs)) == gs_names + classifier
+
     def test_init_matches_declared_shapes(self):
         config = ModelConfig(**TINY)
         params = init_params(config, seed=0)
@@ -499,6 +510,19 @@ class TestTraining:
         with pytest.raises(TrainingError, match=where):
             train(config, params, data, LossSpec(kind="ce"), opt, seed=0)
         assert all(np.array_equal(params[k], before[k]) for k in params)
+
+    @pytest.mark.parametrize("name, change", [
+        ("s1_b", lambda params: params.pop("s1_b")),
+        ("cls2_W", lambda params: params.update(cls2_W=np.zeros((2, 2)))),
+    ], ids=["missing", "wrong-shape"])
+    def test_params_must_fit_the_layout(self, name, change):
+        rng = np.random.default_rng(78)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=15)
+        change(params)
+        opt = OptimConfig(batch_size=8, epochs=1, patience=None)
+        with pytest.raises(ConfigError, match=name):
+            train(config, params, self._toy(rng, config, 8), LossSpec(kind="ce"), opt, seed=0)
 
     def test_early_stopping_returns_best_epoch(self):
         rng = np.random.default_rng(79)
