@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _BRANCH_POINT = -math.exp(-1.0)
+_TOL, _MAX_ITER = 1e-12, 64  # lambert_w0's relative residual bound and iteration cap
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,15 @@ class VanishingReport:
     in_unit_interval: bool
 
 
-def lambert_w0(x: float, tol: float = 1e-12, max_iter: int = 64) -> float:
+def lambert_w0(x: float) -> float:
     """Principal Lambert W: the w >= -1 solving w * exp(w) = x.
 
     Defined for x >= -1/e. Halley iteration from a branched initial guess:
     a series around the branch point for x near -1/e, log-log asymptotics
     for large x, log(1 + x) otherwise. Converges when the residual
-    |w e^w - x| drops below tol * max(1, |x|). Above 1e300, where w e^w
+    |w e^w - x| drops below _TOL * max(1, |x|). Above 1e300, where w e^w
     overflows on the way to the float maximum, Newton iteration solves
-    w + log(w) = log(x) instead, to a residual below tol * log(x).
+    w + log(w) = log(x) instead, to a residual below _TOL * log(x).
     """
     x = float(x)
     if not math.isfinite(x):
@@ -84,14 +85,14 @@ def lambert_w0(x: float, tol: float = 1e-12, max_iter: int = 64) -> float:
 
     if x > 1e300:
         # Newton step on w + log(w) - lx, lx = log(x) from the initial guess
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             f = w + math.log(w) - lx
-            if abs(f) <= tol * lx:
+            if abs(f) <= _TOL * lx:
                 return w
             w -= f * w / (w + 1.0)
     else:
-        threshold = tol * max(1.0, abs(x))
-        for _ in range(max_iter):
+        threshold = _TOL * max(1.0, abs(x))
+        for _ in range(_MAX_ITER):
             ew = math.exp(w)
             f = w * ew - x
             if abs(f) <= threshold:

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from functools import partial
 
 from .errors import ConfigError, DataFormatError, TrainingError
 from .experiments import (
     RunConfig,
     SweepConfig,
+    _config_keys,
+    _parse_value,
+    _with_values,
     ablate,
     analyze,
     compare_losses,
@@ -29,23 +32,44 @@ from .experiments import (
 )
 from .fusion import VARIANTS
 from .losses import LOSS_KINDS
+from .metrics import _HEADLINE
 
 EXIT_CONFIG = 3
 EXIT_DATA = 4
 EXIT_TRAINING = 5
+# exception type -> exit code
+_EXITS = {
+    DataFormatError: EXIT_DATA, ConfigError: EXIT_CONFIG, OSError: EXIT_DATA,
+    TrainingError: EXIT_TRAINING,
+}
+
+# override flag -> the config key it sets
+_OVERRIDES = {
+    "seed": "seed", "preset": "data.preset", "variant": "model.variant", "loss": "loss.kind",
+    "beta": "loss.beta", "gamma": "loss.gamma", "ts": "loss.ts",
+}
+
+
+def _add_override(parser: argparse.ArgumentParser, flag: str, help: str, **kwargs) -> None:
+    """--flag reads its text with the value parser of the config key it
+    overrides; a flag not given leaves no attribute."""
+    annotation = _config_keys()[_OVERRIDES[flag]]
+    parse = partial(_parse_value, annotation)
+    parse.__name__ = getattr(annotation, "__name__", "config")  # "invalid float value"
+    parser.add_argument(f"--{flag}", type=parse, default=argparse.SUPPRESS, help=help, **kwargs)
 
 
 def _add_common(parser: argparse.ArgumentParser, with_loss_flags: bool = True) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="run seed (overrides config)")
+    _add_override(parser, "seed", "run seed (overrides config)")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--preset", help="named dataset preset (overrides config)")
+    _add_override(parser, "preset", "named dataset preset (overrides config)")
     if with_loss_flags:
-        parser.add_argument("--loss", choices=LOSS_KINDS, help="loss kind")
-        parser.add_argument("--beta", type=float, help="tail boost weight")
-        parser.add_argument("--gamma", type=float, help="focusing exponent")
-        parser.add_argument("--ts", type=float, help="tail split threshold")
-    parser.add_argument("--variant", choices=sorted(VARIANTS), help="modality subset")
+        _add_override(parser, "loss", "loss kind", choices=LOSS_KINDS)
+        _add_override(parser, "beta", "tail boost weight")
+        _add_override(parser, "gamma", "focusing exponent")
+        _add_override(parser, "ts", "tail split threshold")
+    _add_override(parser, "variant", "modality subset", choices=sorted(VARIANTS))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset file")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, help="generation seed")
-    p.add_argument("--preset", help="named dataset preset")
+    _add_override(p, "seed", "generation seed")
+    _add_override(p, "preset", "named dataset preset")
     p.add_argument("--out", required=True, help="output dataset file path")
 
     p = sub.add_parser("train", help="train one model and write reports")
@@ -88,31 +112,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# override flag -> (RunConfig section, field); section None is RunConfig itself
-_OVERRIDES = {
-    "seed": (None, "seed"), "preset": ("data", "preset"), "variant": ("model", "variant"),
-    "loss": ("loss", "kind"), "beta": ("loss", "beta"), "gamma": ("loss", "gamma"),
-    "ts": ("loss", "ts"),
-}
-
-
 def _run_config(args) -> RunConfig:
     """The --config file (or the defaults), then each override flag given."""
     run = RunConfig()
     if getattr(args, "config", None):
         run = parse_config_file(args.config, base=run)
-    for flag, (section, name) in _OVERRIDES.items():
-        value = getattr(args, flag, None)
-        if value is None or value == "":  # an empty --preset overrides nothing
-            continue
-        if section is not None:
-            value, name = replace(getattr(run, section), **{name: value}), section
-        run = replace(run, **{name: value})
-    return run
+    given = {key: getattr(args, flag) for flag, key in _OVERRIDES.items() if hasattr(args, flag)}
+    return _with_values(run, given)
 
 
 def _print_metric_rows(label: str, rows) -> None:
-    print(f"{label},accuracy,macro_precision,macro_recall,macro_f1,macro_auc,macro_aupr")
+    print(",".join((label, *_HEADLINE)))
     for name, vals in rows:
         print(name + "," + ",".join(f"{v:.4f}" for v in vals))
 
@@ -161,9 +171,10 @@ def _dispatch(args) -> int:
         raise ConfigError(f"bad --grid value {args.grid!r}") from None
     cfg = SweepConfig(parameter=args.param, grid=grid, repeats=args.repeats)
     rows = sweep(run, cfg, out_dir=args.out)
+    acc, f1 = _HEADLINE.index("accuracy"), _HEADLINE.index("macro_f1")
     print(f"{args.param},mean_accuracy,mean_macro_f1,std_macro_f1")
     for value, mean, std in rows:
-        print(f"{value:g},{mean[0]:.4f},{mean[3]:.4f},{std[3]:.4f}")
+        print(f"{value:g},{mean[acc]:.4f},{mean[f1]:.4f},{std[f1]:.4f}")
     return 0
 
 
@@ -171,18 +182,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except DataFormatError as exc:
+    except tuple(_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
+        return next(code for kind, code in _EXITS.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -63,8 +63,10 @@ from .fusion import (
     train,
 )
 from .imbalance import ClassStats, TailPartition, class_stats_from_counts, tail_partition
-from .losses import LOSS_KINDS, LossSpec
-from .metrics import MetricsReport, format_per_class, format_summary, metrics_report
+from .losses import LOSS_KINDS, LossSpec, _loss_kind
+from .metrics import (
+    _HEADLINE, MetricsReport, _csv, _fmt, format_per_class, format_summary, metrics_report,
+)
 
 __all__ = [
     "DataConfig",
@@ -259,6 +261,13 @@ def load_run_data(run: RunConfig):
     return data.features_a, data.features_b, data.labels, n_classes
 
 
+def _variant(name: str) -> str:
+    """The upper-case variant `name`; a ConfigError if there is no such variant."""
+    if name.upper() not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}; expected one of {', '.join(VARIANTS)}")
+    return name.upper()
+
+
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: resolve data, split, train, evaluate, write reports.
 
@@ -266,10 +275,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     arrays; it must come from load_run_data on an identical data config
     and seed.
     """
-    if run.model.variant.upper() not in VARIANTS:
-        raise ConfigError(
-            f"unknown variant {run.model.variant!r}; expected one of {', '.join(VARIANTS)}"
-        )
+    _variant(run.model.variant)
     feats_a, feats_b, labels, n_classes = _data if _data is not None else load_run_data(run)
 
     train_idx, test_idx = split_indices(
@@ -294,7 +300,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     tail = loss_spec.tail if loss_spec.tail is not None else tail_partition(train_stats, run.loss.ts)
 
     net = asdict(run.model)
-    modalities = VARIANTS[net.pop("variant").upper()]
+    modalities = VARIANTS[_variant(net.pop("variant"))]
     embed_dims = tuple(feats_a[m].shape[1] for m in MODALITIES)
     model_config = ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
     params = init_params(model_config, seed=run.seed + 2)
@@ -329,23 +335,18 @@ def _timestamp_line() -> str:
 
 
 def _write_table(out_dir, name: str, header, rows, run: RunConfig) -> None:
-    """Write a CSV table of (label, values) rows, and `run`'s effective.cfg beside it.
-
-    Values print as %.12g; a None value is an empty cell.
-    """
+    """Write a CSV table the way metrics writes per_class.csv, and `run`'s
+    effective.cfg beside it."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for label, values in rows:
-            cells = ["" if v is None else f"{v:.12g}" for v in values]
-            fh.write(",".join([label, *cells]) + "\n")
+        fh.write(_csv([header, *rows]))
     with open(os.path.join(out_dir, "effective.cfg"), "w") as fh:
         fh.write(config_to_text(run))
 
 
 def _write_run_outputs(out_dir, run: RunConfig, result: RunResult) -> None:
-    trace = [(str(s.epoch), (s.train_loss, s.val_macro_f1)) for s in result.trace]
-    _write_table(out_dir, "trace.csv", ("epoch", "train_loss", "val_macro_f1"), trace, run)
+    header = [f.name for f in fields(EpochStats)]
+    _write_table(out_dir, "trace.csv", header, map(astuple, result.trace), run)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(_timestamp_line())
         fh.write(format_summary(result.report))
@@ -354,45 +355,43 @@ def _write_run_outputs(out_dir, run: RunConfig, result: RunResult) -> None:
     save_model(os.path.join(out_dir, "checkpoint.npz"), result.model_config, result.params)
 
 
-_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "macro_auc", "macro_aupr")
-
-
 def _metric_row(report: MetricsReport) -> list[float]:
-    return [getattr(report, name) for name in _METRICS]
+    return [getattr(report, name) for name in _HEADLINE]
+
+
+def _train_each(run: RunConfig, subs, out_dir, name: str, label: str):
+    """Train each (label, run) of `subs` on `run`'s data, which is built once;
+    tabulate the headline metrics."""
+    data = load_run_data(run)
+    rows = [(key, _metric_row(run_training(sub, _data=data).report)) for key, sub in subs]
+    if out_dir is not None:
+        _write_table(out_dir, name, (label, *_HEADLINE), [(k, *v) for k, v in rows], run)
+    return rows
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
-    """Train once per loss on the same data, split, and init; tabulate metrics."""
-    data = load_run_data(run)
-    rows = []
+    """Check every loss kind and the variant, then train once per loss on the
+    same data, split, and init; tabulate metrics."""
     for kind in kinds:
-        sub = replace(run, loss=replace(run.loss, kind=kind))
-        result = run_training(sub, _data=data)
-        rows.append((kind, _metric_row(result.report)))
-    if out_dir is not None:
-        _write_table(out_dir, "losses.csv", ("loss", *_METRICS), rows, run)
-    return rows
+        _loss_kind(kind)
+    _variant(run.model.variant)
+    subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
+    return _train_each(run, subs, out_dir, "losses.csv", "loss")
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
     """Check every variant name, then train the configured loss once per
     modality variant; tabulate metrics."""
-    for variant in variants:
-        if variant.upper() not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
-    data = load_run_data(run)
-    rows = []
-    for variant in variants:
-        sub = replace(run, model=replace(run.model, variant=variant.upper()))
-        result = run_training(sub, _data=data)
-        rows.append((variant.upper(), _metric_row(result.report)))
-    if out_dir is not None:
-        _write_table(out_dir, "ablation.csv", ("variant", *_METRICS), rows, run)
-    return rows
+    variants = [_variant(v) for v in variants]
+    subs = [(v, replace(run, model=replace(run.model, variant=v))) for v in variants]
+    return _train_each(run, subs, out_dir, "ablation.csv", "variant")
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
-    """Grid over one TFL hyperparameter with repeated seeds; mean and spread per point."""
+    """Check the loss kind and the variant, then grid over one TFL
+    hyperparameter with repeated seeds; mean and spread per point."""
+    _loss_kind(run.loss.kind)
+    _variant(run.model.variant)
     rows = []
     per_value = {v: [] for v in cfg.grid}
     for r in range(cfg.repeats):
@@ -407,9 +406,9 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
         arr = np.array(per_value[value])
         rows.append((float(value), arr.mean(axis=0), arr.std(axis=0)))
     if out_dir is not None:
-        header = [cfg.parameter] + [f"{s}_{name}" for name in _METRICS for s in ("mean", "std")]
+        header = [cfg.parameter] + [f"{s}_{name}" for name in _HEADLINE for s in ("mean", "std")]
         # mean and std of each metric side by side
-        table = [(f"{v:.12g}", np.column_stack([m, sd]).ravel()) for v, m, sd in rows]
+        table = [(v, *np.column_stack([m, sd]).ravel()) for v, m, sd in rows]
         _write_table(out_dir, "sweep.csv", header, table, run)
     return rows
 
@@ -419,8 +418,8 @@ def analyze(gamma: float = 2.0, beta: float = 2.0, out_dir=None) -> str:
     fl = fl_vanishing_threshold(gamma)
     tfl = tfl_vanishing_threshold(gamma, beta)
     lines = [
-        f"fl gamma={gamma:g}: gradient crossover at P_y = {fl.crossover_p:.12g}",
-        f"tfl gamma={gamma:g} beta={beta:g}: gradient crossover at P_y = {tfl.crossover_p:.12g}",
+        f"fl gamma={gamma:g}: gradient crossover at P_y = {_fmt(fl.crossover_p)}",
+        f"tfl gamma={gamma:g} beta={beta:g}: gradient crossover at P_y = {_fmt(tfl.crossover_p)}",
         f"tfl crossover inside unit interval: {tfl.in_unit_interval}",
     ]
     if out_dir is not None:
@@ -500,9 +499,8 @@ def _parse_value(annotation, text: str):
 
 def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse config text into a RunConfig, overriding `base` (defaults if None)."""
-    run = base if base is not None else RunConfig()
     keys = _config_keys()
-    updates: dict[str, dict] = {section: {} for section in ("", *_SECTIONS)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -515,13 +513,18 @@ def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if key not in keys:
             raise DataFormatError(f"line {lineno}: unknown config key {key!r}")
         try:
-            parsed = _parse_value(keys[key], value)
+            values[key] = _parse_value(keys[key], value)
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad value for {key}: {exc}") from None
-        section, _, name = key.rpartition(".")
-        updates[section][name] = parsed
+    return _with_values(base if base is not None else RunConfig(), values)
 
-    # "" holds the top-level keys (seed)
+
+def _with_values(run: RunConfig, values: dict) -> RunConfig:
+    """`run` with each config key in `values` set to its parsed value."""
+    updates: dict[str, dict] = {section: {} for section in ("", *_SECTIONS)}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        updates[section][name] = value  # "" holds the top-level keys (seed)
     sections = {s: replace(getattr(run, s), **updates[s]) for s in _SECTIONS}
     return replace(run, **sections, **updates[""])
 

@@ -73,6 +73,13 @@ class LossEval:
     grad_z: np.ndarray
 
 
+def _loss_kind(kind: str) -> str:
+    """The lower-case loss `kind`; a ConfigError if it names no loss."""
+    if kind.lower() not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    return kind.lower()
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to run and with what hyperparameters.
@@ -91,9 +98,7 @@ class LossSpec:
     tail: TailPartition | None = None
 
     def __post_init__(self):
-        kind = self.kind.lower()
-        if kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
+        kind = _loss_kind(self.kind)
         object.__setattr__(self, "kind", kind)
         for name in ("gamma", "beta", "lam", "margin_c"):
             if not math.isfinite(getattr(self, name)):

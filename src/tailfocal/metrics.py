@@ -51,23 +51,22 @@ class ConfusionMetrics:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    """Full evaluation of probability scores against integer labels."""
+class MetricsReport(ConfusionMetrics):
+    """Full evaluation of probability scores against integer labels: the
+    confusion metrics of the row argmax plus the ranking metrics."""
 
     n_samples: int
     n_classes: int
-    accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
     macro_auc: float
     macro_aupr: float
-    support: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-    f1: np.ndarray
     auc: np.ndarray
     aupr: np.ndarray
+
+
+# the headline metrics, in the order of the summary and of every metrics table
+_HEADLINE = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "macro_auc", "macro_aupr")
+# the per-class table's columns after the class id
+_PER_CLASS = ("support", "precision", "recall", "f1", "auc", "aupr")
 
 
 def _check_labels(labels, n_classes: int, name: str) -> np.ndarray:
@@ -209,49 +208,35 @@ def metrics_report(scores, true) -> MetricsReport:
     conf = confusion_metrics(np.argmax(s, axis=1), true, s.shape[1])
     auc, aupr = _ovr_auc_ap(s, true)
     return MetricsReport(
+        **vars(conf),
         n_samples=int(true.size),
         n_classes=int(s.shape[1]),
-        accuracy=conf.accuracy,
-        macro_precision=conf.macro_precision,
-        macro_recall=conf.macro_recall,
-        macro_f1=conf.macro_f1,
         macro_auc=_macro(auc),
         macro_aupr=_macro(aupr),
-        support=conf.support,
-        precision=conf.precision,
-        recall=conf.recall,
-        f1=conf.f1,
         auc=auc,
         aupr=aupr,
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+def _fmt(v) -> str:
+    """One report cell: floats as %.12g, None empty, text and integers as they are."""
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.12g}"
+    return "" if v is None else str(v)
+
+
+def _csv(rows) -> str:
+    """Comma-separated lines, one per row, each cell printed by _fmt."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def format_summary(report: MetricsReport) -> str:
     """Flat key-value text block; deterministic, no timestamps here."""
-    lines = [
-        f"n_samples = {report.n_samples}",
-        f"n_classes = {report.n_classes}",
-        f"accuracy = {_fmt(report.accuracy)}",
-        f"macro_precision = {_fmt(report.macro_precision)}",
-        f"macro_recall = {_fmt(report.macro_recall)}",
-        f"macro_f1 = {_fmt(report.macro_f1)}",
-        f"macro_auc = {_fmt(report.macro_auc)}",
-        f"macro_aupr = {_fmt(report.macro_aupr)}",
-    ]
-    return "\n".join(lines) + "\n"
+    names = ("n_samples", "n_classes", *_HEADLINE)
+    return "".join(f"{name} = {_fmt(getattr(report, name))}\n" for name in names)
 
 
 def format_per_class(report: MetricsReport) -> str:
     """Delimited per-class table, one row per class id."""
-    lines = ["class,support,precision,recall,f1,auc,aupr"]
-    for c in range(report.n_classes):
-        lines.append(
-            f"{c},{int(report.support[c])},{_fmt(report.precision[c])},"
-            f"{_fmt(report.recall[c])},{_fmt(report.f1[c])},"
-            f"{_fmt(report.auc[c])},{_fmt(report.aupr[c])}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = [getattr(report, name) for name in _PER_CLASS]
+    return _csv([("class", *_PER_CLASS), *zip(range(report.n_classes), *columns)])

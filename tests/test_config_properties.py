@@ -4,7 +4,7 @@ and for the CLI override flags against the config keys they stand for."""
 import string
 from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailfocal import (
@@ -101,7 +101,7 @@ def test_config_text_round_trips(run):
 # each override flag, the config key it stands for, and values to try
 FLAGS = {
     "--seed": ("seed", INTS),
-    "--preset": ("data.preset", st.sampled_from(sorted(PRESETS)) | TEXT.filter(bool)),
+    "--preset": ("data.preset", st.sampled_from(sorted(PRESETS) + ["", "none", "None"]) | TEXT),
     "--loss": ("loss.kind", st.sampled_from(LOSS_KINDS)),
     "--beta": ("loss.beta", FLOATS),
     "--gamma": ("loss.gamma", FLOATS),
@@ -112,6 +112,9 @@ FLAGS = {
 
 @PROPS
 @given(st.fixed_dictionaries({}, optional={flag: values for flag, (_, values) in FLAGS.items()}))
+@example({"--preset": ""})
+@example({"--preset": "none"})
+@example({"--preset": "None", "--seed": 3})
 def test_override_flags_match_config_keys(chosen):
     texts = {flag: v if isinstance(v, str) else repr(v) for flag, v in chosen.items()}
     # --flag=value, so a value starting with "-" is not read as a flag

@@ -1,6 +1,7 @@
 """Experiment orchestration: splits, config files, run outputs, CLI."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tailfocal import (
     ConfigError,
     DataConfig,
     DataFormatError,
+    EpochStats,
     LossConfig,
     NetConfig,
     OptimConfig,
@@ -44,6 +46,9 @@ TINY_RUN = RunConfig(
     split=SplitConfig(test_fraction=0.25, val_fraction=0.0),
     seed=3,
 )
+
+BAD_VARIANT = replace(TINY_RUN, model=replace(TINY_RUN.model, variant="XX"))
+BAD_KIND = replace(TINY_RUN, loss=replace(TINY_RUN.loss, kind="nope"))
 
 TINY_CFG_TEXT = """\
 seed = 3
@@ -219,6 +224,11 @@ class TestRunTraining:
             assert (out / name).exists(), name
         assert result.report.n_classes == 3
         assert len(result.trace) == 2
+        # one column per EpochStats field; no validation split leaves val_macro_f1 empty
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == ",".join(f.name for f in fields(EpochStats))
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+        assert all(line.endswith(",") for line in lines[1:])
 
     def test_deterministic_reports(self, tmp_path):
         out1 = tmp_path / "r1"
@@ -271,8 +281,6 @@ class TestRunTraining:
         assert result.report.n_classes == 3
 
     def test_unknown_variant_rejected(self):
-        from dataclasses import replace
-
         bad = replace(TINY_RUN, model=replace(TINY_RUN.model, variant="GT"))
         with pytest.raises(ConfigError):
             run_training(bad)
@@ -327,6 +335,23 @@ class TestBatchCommands:
                 SweepConfig(parameter=parameter, grid=(0.5, value))
         SweepConfig(parameter="gamma", grid=(0.0, 1e300))
         SweepConfig(parameter="ts", grid=(0.0, 1.0))
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda out: compare_losses(TINY_RUN, kinds=("tfl", "fl", "nope"), out_dir=out), "nope"),
+        (lambda out: compare_losses(BAD_VARIANT, out_dir=out), "XX"),
+        (lambda out: sweep(BAD_VARIANT, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "XX"),
+        (lambda out: sweep(BAD_KIND, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "nope"),
+    ], ids=["compare-kind", "compare-variant", "sweep-variant", "sweep-kind"])
+    def test_batch_commands_check_names_before_building_data(
+        self, monkeypatch, tmp_path, call, name
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=name):
+            call(tmp_path / "out")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_checks_every_grid_value_before_training(self, monkeypatch):
         calls = []
@@ -483,6 +508,30 @@ class TestCli:
         assert main(["sweep", "--config", cfg, *flags]) == 3
         assert "gamma" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence itself
+    def test_diverging_train_exits_5_without_writing(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CFG_TEXT + "optim.lr = 1e300\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 5
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["none", "None"])
+    def test_gen_preset_none_clears_the_config_preset(self, tmp_path, capsys, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(TINY_CFG_TEXT + "data.preset = DDIMDL\n")
+        out = tmp_path / "data.tsv"
+        assert main(["gen", "--config", str(path), "--preset", text, "--out", str(out)]) == 0
+        assert "120 records" in capsys.readouterr().out
+
+    def test_gen_empty_preset_exits_3_like_its_key(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        out = tmp_path / "data.tsv"
+        assert main(["gen", "--config", cfg, "--preset=", "--out", str(out)]) == 3
+        assert "unknown preset ''" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_sweep_grid_exits_3(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

@@ -1,12 +1,15 @@
 """Evaluation metrics against brute-force reimplementations."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from tailfocal import (
     ConfigError,
+    ConfusionMetrics,
+    MetricsReport,
     confusion_metrics,
     format_per_class,
     format_summary,
@@ -189,6 +192,17 @@ class TestReport:
         assert report.macro_f1 == conf.macro_f1
         assert report.n_samples == true.size
         assert report.n_classes == scores.shape[1]
+
+    def test_report_extends_the_confusion_metrics(self):
+        own = set(MetricsReport.__annotations__)
+        assert issubclass(MetricsReport, ConfusionMetrics)
+        assert own.isdisjoint(f.name for f in fields(ConfusionMetrics))
+        rng = np.random.default_rng(32)
+        scores, true = _random_instance(rng, max_n=12, max_c=5)
+        report = metrics_report(scores, true)
+        conf = confusion_metrics(np.argmax(scores, axis=1), true, scores.shape[1])
+        for f in fields(ConfusionMetrics):
+            assert np.array_equal(getattr(report, f.name), getattr(conf, f.name)), f.name
 
     def test_rejects_negative_scores(self):
         with pytest.raises(ConfigError):
