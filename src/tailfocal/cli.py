@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 
 from .errors import ConfigError, DataFormatError, TrainingError
 from .experiments import (
@@ -51,10 +50,14 @@ _OVERRIDES = {
 
 
 def _add_override(parser: argparse.ArgumentParser, flag: str, help: str, **kwargs) -> None:
-    """--flag reads its text with the value parser of the config key it
-    overrides; a flag not given leaves no attribute."""
+    """--flag reads its text, stripped like a config file value, with the
+    value parser of the config key it overrides; a flag not given leaves no
+    attribute."""
     annotation = _config_keys()[_OVERRIDES[flag]]
-    parse = partial(_parse_value, annotation)
+
+    def parse(text: str):
+        return _parse_value(annotation, text.strip())
+
     parse.__name__ = getattr(annotation, "__name__", "config")  # "invalid float value"
     parser.add_argument(f"--{flag}", type=parse, default=argparse.SUPPRESS, help=help, **kwargs)
 

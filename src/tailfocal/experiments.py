@@ -63,7 +63,7 @@ from .fusion import (
     train,
 )
 from .imbalance import ClassStats, TailPartition, class_stats_from_counts, tail_partition
-from .losses import LOSS_KINDS, LossSpec, _loss_kind
+from .losses import LOSS_KINDS, LossSpec, _check_loss
 from .metrics import (
     _HEADLINE, MetricsReport, _csv, _fmt, format_per_class, format_summary, metrics_report,
 )
@@ -261,6 +261,12 @@ def load_run_data(run: RunConfig):
     return data.features_a, data.features_b, data.labels, n_classes
 
 
+def _check_loss_config(loss: LossConfig) -> None:
+    """`loss`'s kind and hyperparameters, by LossSpec's rules, checked before
+    any data is built."""
+    _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
+
+
 def _variant(name: str) -> str:
     """The upper-case variant `name`; a ConfigError if there is no such variant."""
     if name.upper() not in VARIANTS:
@@ -275,6 +281,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     arrays; it must come from load_run_data on an identical data config
     and seed.
     """
+    _check_loss_config(run.loss)
     _variant(run.model.variant)
     feats_a, feats_b, labels, n_classes = _data if _data is not None else load_run_data(run)
 
@@ -370,12 +377,12 @@ def _train_each(run: RunConfig, subs, out_dir, name: str, label: str):
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
-    """Check every loss kind and the variant, then train once per loss on the
-    same data, split, and init; tabulate metrics."""
-    for kind in kinds:
-        _loss_kind(kind)
-    _variant(run.model.variant)
+    """Check every loss kind with its hyperparameters and the variant, then
+    train once per loss on the same data, split, and init; tabulate metrics."""
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
+    for _, sub in subs:
+        _check_loss_config(sub.loss)
+    _variant(run.model.variant)
     return _train_each(run, subs, out_dir, "losses.csv", "loss")
 
 
@@ -388,9 +395,10 @@ def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
-    """Check the loss kind and the variant, then grid over one TFL
-    hyperparameter with repeated seeds; mean and spread per point."""
-    _loss_kind(run.loss.kind)
+    """Check the loss at every grid point and the variant, then grid over one
+    TFL hyperparameter with repeated seeds; mean and spread per point."""
+    for value in cfg.grid:
+        _check_loss_config(replace(run.loss, **{cfg.parameter: float(value)}))
     _variant(run.model.variant)
     rows = []
     per_value = {v: [] for v in cfg.grid}

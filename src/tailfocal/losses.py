@@ -19,7 +19,9 @@ reaching the logits through the softmax chain rule; bs and ldam act on the
 logits directly, as cross entropy over count-shifted logits. `batch_loss`
 is the mean of the core's rows. `loss_on_logits` and the seven scalar
 functions are one-row views of the same core; the scalar functions build a
-`LossSpec`, so hyperparameters are checked in `LossSpec` alone.
+`LossSpec`. `_check_loss` alone holds the rules for a loss kind and its
+hyperparameters; `LossSpec` applies them, and experiment runs apply them
+before building any data.
 
 All logs are natural. The true-class probability is clamped to
 [1e-12, 1 - 1e-12] in both the value and the derivative, so finite
@@ -73,11 +75,25 @@ class LossEval:
     grad_z: np.ndarray
 
 
-def _loss_kind(kind: str) -> str:
-    """The lower-case loss `kind`; a ConfigError if it names no loss."""
+def _check_loss(kind: str, gamma: float, beta: float, lam: float, margin_c: float) -> str:
+    """The lower-case loss `kind`, once it names a loss, every hyperparameter
+    is finite and each one `kind` uses is in its range; a ConfigError
+    otherwise."""
     if kind.lower() not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    return kind.lower()
+    kind = kind.lower()
+    for name, value in (("gamma", gamma), ("beta", beta), ("lam", lam), ("margin_c", margin_c)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if kind in ("fl", "tfl") and gamma < 0:
+        raise ConfigError(f"gamma must be >= 0, got {gamma}")
+    if kind == "tfl" and beta < 0:
+        raise ConfigError(f"beta must be >= 0, got {beta}")
+    if kind == "cb" and not 0.0 < lam < 1.0:
+        raise ConfigError(f"lam must be in (0, 1), got {lam}")
+    if kind == "ldam" and not 0.0 < margin_c <= 1.0:
+        raise ConfigError(f"margin_c must be in (0, 1], got {margin_c}")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -98,19 +114,8 @@ class LossSpec:
     tail: TailPartition | None = None
 
     def __post_init__(self):
-        kind = _loss_kind(self.kind)
+        kind = _check_loss(self.kind, self.gamma, self.beta, self.lam, self.margin_c)
         object.__setattr__(self, "kind", kind)
-        for name in ("gamma", "beta", "lam", "margin_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if kind in ("fl", "tfl") and self.gamma < 0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if kind == "tfl" and self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if kind == "cb" and not 0.0 < self.lam < 1.0:
-            raise ConfigError(f"lam must be in (0, 1), got {self.lam}")
-        if kind == "ldam" and not 0.0 < self.margin_c <= 1.0:
-            raise ConfigError(f"margin_c must be in (0, 1], got {self.margin_c}")
         if kind in ("wce", "cb", "bs", "ldam") and self.stats is None:
             raise ConfigError(f"loss {kind!r} needs class statistics")
         if kind == "tfl" and self.tail is None:

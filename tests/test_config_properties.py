@@ -115,6 +115,10 @@ FLAGS = {
 @example({"--preset": ""})
 @example({"--preset": "none"})
 @example({"--preset": "None", "--seed": 3})
+# flag text is stripped like a config value
+@example({"--preset": " none"})
+@example({"--preset": "DDIMDL "})
+@example({"--loss": " tfl ", "--variant": "GS "})
 def test_override_flags_match_config_keys(chosen):
     texts = {flag: v if isinstance(v, str) else repr(v) for flag, v in chosen.items()}
     # --flag=value, so a value starting with "-" is not read as a flag

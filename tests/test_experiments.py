@@ -49,6 +49,7 @@ TINY_RUN = RunConfig(
 
 BAD_VARIANT = replace(TINY_RUN, model=replace(TINY_RUN.model, variant="XX"))
 BAD_KIND = replace(TINY_RUN, loss=replace(TINY_RUN.loss, kind="nope"))
+BAD_GAMMA = replace(TINY_RUN, loss=replace(TINY_RUN.loss, gamma=-1.0))
 
 TINY_CFG_TEXT = """\
 seed = 3
@@ -341,7 +342,12 @@ class TestBatchCommands:
         (lambda out: compare_losses(BAD_VARIANT, out_dir=out), "XX"),
         (lambda out: sweep(BAD_VARIANT, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "XX"),
         (lambda out: sweep(BAD_KIND, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "nope"),
-    ], ids=["compare-kind", "compare-variant", "sweep-variant", "sweep-kind"])
+        # ce and wce ignore gamma, so only fl's rules reject it
+        (lambda out: compare_losses(BAD_GAMMA, out_dir=out), "gamma must be >= 0"),
+        (lambda out: sweep(BAD_GAMMA, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "gamma"),
+        (lambda out: run_training(BAD_GAMMA, out_dir=out), "gamma"),
+    ], ids=["compare-kind", "compare-variant", "sweep-variant", "sweep-kind", "compare-gamma",
+            "sweep-gamma", "train-gamma"])
     def test_batch_commands_check_names_before_building_data(
         self, monkeypatch, tmp_path, call, name
     ):
@@ -423,6 +429,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("loss,accuracy")
         assert (tmp_path / "cmp" / "losses.csv").exists()
+
+    def test_compare_losses_bad_gamma_exits_3_before_building_data(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG_TEXT + "loss.gamma = -1\n")
+        out = tmp_path / "cmp"
+        assert main(["compare-losses", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "gamma must be >= 0" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_ablate_command(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

@@ -205,7 +205,7 @@ class TestParamShapes:
 class TestMaxPool:
     def test_values_and_indices(self):
         x = np.array([[1.0, 3.0, 2.0, 0.0]])
-        np.testing.assert_array_equal(_pool(x, 2), [[3.0, 2.0]])
+        np.testing.assert_array_equal(_pool(x, 2, np.empty((1, 2))), [[3.0, 2.0]])
         # a unit gradient marks each window's maximum: indices 1 and 0
         np.testing.assert_array_equal(_maxpool_back(np.ones((1, 2)), x, 2), [[0.0, 1.0, 1.0, 0.0]])
 
@@ -216,7 +216,7 @@ class TestMaxPool:
 
     def test_tie_routes_to_first(self):
         x = np.array([[2.0, 2.0]])
-        np.testing.assert_array_equal(_pool(x, 2), [[2.0]])
+        np.testing.assert_array_equal(_pool(x, 2, np.empty((1, 1))), [[2.0]])
         np.testing.assert_array_equal(_maxpool_back(np.array([[3.0]]), x, 2), [[3.0, 0.0]])
 
 
@@ -493,6 +493,64 @@ class TestTraining:
             assert np.array_equal(params[k], expected[k]), k
         assert not np.array_equal(expected["cls0_W"], init_params(config, seed=14)["cls0_W"])
         assert np.array_equal([s.train_loss for s in trace], losses)
+
+    def test_matches_longhand_trainer_over_adam_slices_and_a_short_batch(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        config = ModelConfig(**dict(TINY, k_stages=2))
+        size = sum(math.prod(shape) for shape in param_shapes(config).values())
+        monkeypatch.setattr(fusion, "_ADAM_SLICE", 64)
+        assert size // 64 >= 3 and size % 64  # several slices, the last one short
+        data = self._toy(rng, config, 29)
+        opt = OptimConfig(lr=1e-2, batch_size=8, epochs=3, patience=None)  # batches 8, 8, 8, 5
+        spec = LossSpec(kind="ce")
+        params = init_params(config, seed=18)
+        trace = train(config, params, data, spec, opt, seed=9)
+        expected = init_params(config, seed=18)
+        losses = _longhand_train(config, expected, data, spec, opt, seed=9)
+        for k in expected:
+            assert np.array_equal(params[k], expected[k]), k
+        assert np.array_equal([s.train_loss for s in trace], losses)
+
+    def test_non_finite_gradient_in_the_last_slice_raises_at_its_step(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=19)
+        before = {k: v.copy() for k, v in params.items()}
+        data = self._toy(rng, config, 24)
+        opt = OptimConfig(lr=1e-3, batch_size=8, epochs=2, patience=None)
+        monkeypatch.setattr(fusion, "_ADAM_SLICE", 64)
+        assert list(param_shapes(config))[-1] == "cls3_b"
+        real_backward = fusion.backward
+        steps = []
+
+        def nan_in_cls3_b(*args):
+            out = real_backward(*args)
+            steps.append(None)
+            if len(steps) == 5:  # epoch 1, the batch starting at sample 8
+                out["params"]["cls3_b"][-1] = np.nan
+            return out
+
+        monkeypatch.setattr(fusion, "backward", nan_in_cls3_b)
+        with pytest.raises(TrainingError, match="parameters .* epoch 1, batch starting at sample 8"):
+            train(config, params, data, LossSpec(kind="ce"), opt, seed=0)
+        assert len(steps) == 5
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+
+    def test_public_calls_return_arrays_later_calls_leave_alone(self):
+        rng = np.random.default_rng(83)
+        config = ModelConfig(**dict(TINY, k_stages=2))
+        params = init_params(config, seed=20)
+        spec = LossSpec(kind="ce")
+        runs = []
+        for n in (5, 5, 3):  # a second batch of the same size, then a smaller one
+            fa, fb = _rand_feats(rng, config, n), _rand_feats(rng, config, n)
+            logits, cache = forward(config, params, fa, fb)
+            _, grad_logits = batch_loss(spec, logits, rng.integers(0, 3, size=n))
+            out = backward(config, params, cache, grad_logits)
+            runs.append((logits, logits.copy(), out, {k: v.copy() for k, v in out["params"].items()}))
+        for logits, kept, out, grads in runs:
+            assert np.array_equal(logits, kept)
+            assert all(np.array_equal(out["params"][k], grads[k]) for k in grads)
 
     def test_diverging_update_raises_at_its_step(self, monkeypatch):
         rng = np.random.default_rng(77)
