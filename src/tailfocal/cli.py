@@ -44,35 +44,40 @@ _EXITS = {
 
 # override flag -> the config key it sets
 _OVERRIDES = {
-    "seed": "seed", "preset": "data.preset", "variant": "model.variant", "loss": "loss.kind",
-    "beta": "loss.beta", "gamma": "loss.gamma", "ts": "loss.ts",
+    "seed": "seed", "preset": "data.preset", "loss": "loss.kind", "beta": "loss.beta",
+    "gamma": "loss.gamma", "ts": "loss.ts", "variant": "model.variant",
 }
+# the override flags whose values argparse itself restricts (exit 2 on any other)
+_CHOICES = {"loss": LOSS_KINDS, "variant": sorted(VARIANTS)}
 
 
-def _add_override(parser: argparse.ArgumentParser, flag: str, help: str, **kwargs) -> None:
+def _add_override(parser: argparse.ArgumentParser, flag: str) -> None:
     """--flag reads its text, stripped like a config file value, with the
     value parser of the config key it overrides; a flag not given leaves no
     attribute."""
-    annotation = _config_keys()[_OVERRIDES[flag]]
+    key = _OVERRIDES[flag]
+    annotation = _config_keys()[key]
 
     def parse(text: str):
         return _parse_value(annotation, text.strip())
 
     parse.__name__ = getattr(annotation, "__name__", "config")  # "invalid float value"
-    parser.add_argument(f"--{flag}", type=parse, default=argparse.SUPPRESS, help=help, **kwargs)
+    kwargs = dict(choices=_CHOICES.get(flag), help=f"overrides {key}")
+    parser.add_argument(f"--{flag}", type=parse, default=argparse.SUPPRESS, **kwargs)
 
 
-def _add_common(parser: argparse.ArgumentParser, with_loss_flags: bool = True) -> None:
+def _add_run_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A run command: --config, --out, and every override flag but the one
+    its own loop replaces. Flags are spelled in full, so ablate reads
+    `--variant G` as a usage error, not as --variants."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
     parser.add_argument("--config", help="flat key = value config file")
-    _add_override(parser, "seed", "run seed (overrides config)")
     parser.add_argument("--out", help="output directory")
-    _add_override(parser, "preset", "named dataset preset (overrides config)")
-    if with_loss_flags:
-        _add_override(parser, "loss", "loss kind", choices=LOSS_KINDS)
-        _add_override(parser, "beta", "tail boost weight")
-        _add_override(parser, "gamma", "focusing exponent")
-        _add_override(parser, "ts", "tail split threshold")
-    _add_override(parser, "variant", "modality subset", choices=sorted(VARIANTS))
+    looped = {"compare-losses": "loss", "ablate": "variant"}.get(name)
+    for flag in _OVERRIDES:
+        if flag != looped:
+            _add_override(parser, flag)
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,26 +89,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset file")
     p.add_argument("--config", help="flat key = value config file")
-    _add_override(p, "seed", "generation seed")
-    _add_override(p, "preset", "named dataset preset")
+    _add_override(p, "seed")
+    _add_override(p, "preset")
     p.add_argument("--out", required=True, help="output dataset file path")
 
-    p = sub.add_parser("train", help="train one model and write reports")
-    _add_common(p)
+    _add_run_command(sub, "train", "train one model and write reports")
+    _add_run_command(sub, "compare-losses", "train every loss on a shared split")
 
-    p = sub.add_parser("compare-losses", help="train every loss on a shared split")
-    _add_common(p, with_loss_flags=False)
-
-    p = sub.add_parser("ablate", help="train modality-subset variants")
-    _add_common(p)
+    p = _add_run_command(sub, "ablate", "train modality-subset variants")
     p.add_argument(
         "--variants",
         default=",".join(VARIANTS),
         help="comma-separated variant list (default: all)",
     )
 
-    p = sub.add_parser("sweep", help="grid over one loss hyperparameter with repeats")
-    _add_common(p)
+    p = _add_run_command(sub, "sweep", "grid over one loss hyperparameter with repeats")
     p.add_argument("--param", default="beta", choices=("beta", "gamma", "ts"))
     p.add_argument("--grid", default="0,1,2,3", help="comma-separated grid values")
     p.add_argument("--repeats", type=int, default=3)

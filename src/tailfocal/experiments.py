@@ -21,9 +21,9 @@ The keys are the fields of RunConfig's sections (DataConfig, LossConfig,
 NetConfig, OptimConfig, SplitConfig) plus `seed`, and each value is parsed
 by its field's type: `none` for an optional field, comma-separated items
 for a tuple. A field added to a section is a config key with no other
-edit. The section dataclasses check their values, so an out-of-range or
-non-finite value (`optim.lr = nan`, `split.val_fraction = -0.5`) is a
-ConfigError (CLI exit 3) before any data is built.
+edit. Section dataclasses check their own fields and `_check_run` checks
+the rest, so a bad value is a ConfigError (CLI exit 3) before any data is
+built, bar the rules that need a data file's class count or widths.
 
 Every run writes its effective config next to its outputs, and that file
 reproduces the run exactly when fed back in.
@@ -31,7 +31,6 @@ reproduces the run exactly when fed back in.
 
 from __future__ import annotations
 
-import math
 import os
 import typing
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -55,6 +54,7 @@ from .fusion import (
     EpochStats,
     ModelConfig,
     OptimConfig,
+    _check_net,
     _pack,
     _Packed,
     init_params,
@@ -62,7 +62,9 @@ from .fusion import (
     save_model,
     train,
 )
-from .imbalance import ClassStats, TailPartition, class_stats_from_counts, tail_partition
+from .imbalance import (
+    ClassStats, TailPartition, _check_ts, class_stats_from_counts, tail_partition,
+)
 from .losses import LOSS_KINDS, LossSpec, _check_loss
 from .metrics import (
     _HEADLINE, MetricsReport, _csv, _fmt, format_per_class, format_summary, metrics_report,
@@ -153,11 +155,8 @@ class SweepConfig:
             raise ConfigError("sweep grid is empty")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        ts = self.parameter == "ts"
-        for v in self.grid:  # every value is checked before any data is built
-            if not (0.0 <= v <= 1.0 if ts else 0.0 <= v < math.inf):
-                want = "in [0, 1]" if ts else "finite and >= 0"
-                raise ConfigError(f"sweep {self.parameter} values must be {want}, got {v}")
+        for v in self.grid:  # each value must make a valid tfl run, checked before any data
+            _check_run(RunConfig(loss=LossConfig(kind="tfl", **{self.parameter: v})))
 
 
 @dataclass(frozen=True)
@@ -224,17 +223,10 @@ def split_indices(labels, test_fraction: float, seed: int, stratified: bool = Tr
 
 
 def build_loss_spec(cfg: LossConfig, stats: ClassStats) -> LossSpec:
-    """Materialize a LossSpec against concrete class statistics."""
-    tail = tail_partition(stats, cfg.ts) if cfg.kind.lower() == "tfl" else None
-    return LossSpec(
-        kind=cfg.kind,
-        gamma=cfg.gamma,
-        beta=cfg.beta,
-        lam=cfg.lam,
-        margin_c=cfg.margin_c,
-        stats=stats,
-        tail=tail,
-    )
+    """Materialize a LossSpec against class statistics and their tail at cfg.ts."""
+    spec = asdict(cfg)
+    ts = spec.pop("ts")
+    return LossSpec(**spec, stats=stats, tail=tail_partition(stats, ts))
 
 
 def _dataset_spec(data: DataConfig, seed: int) -> DatasetSpec:
@@ -261,28 +253,38 @@ def load_run_data(run: RunConfig):
     return data.features_a, data.features_b, data.labels, n_classes
 
 
-def _check_loss_config(loss: LossConfig) -> None:
-    """`loss`'s kind and hyperparameters, by LossSpec's rules, checked before
-    any data is built."""
+def _model_config(net: NetConfig, n_classes: int, embed_dims) -> ModelConfig:
+    """`net` for data with `n_classes` classes and these modality widths."""
+    net = asdict(net)
+    modalities = VARIANTS[net.pop("variant").upper()]
+    return ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
+
+
+def _check_run(run: RunConfig) -> None:
+    """A ConfigError unless `run` holds every rule that needs no data; with
+    generated data, that includes its whole ModelConfig."""
+    loss, net = run.loss, run.model
     _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
-
-
-def _variant(name: str) -> str:
-    """The upper-case variant `name`; a ConfigError if there is no such variant."""
-    if name.upper() not in VARIANTS:
-        raise ConfigError(f"unknown variant {name!r}; expected one of {', '.join(VARIANTS)}")
-    return name.upper()
+    _check_ts(loss.ts)
+    if net.variant.upper() not in VARIANTS:
+        raise ConfigError(f"unknown variant {net.variant!r}; expected one of {tuple(VARIANTS)}")
+    if run.data.path is None:  # the DatasetSpec gives the class count and widths
+        spec = _dataset_spec(run.data, seed=run.seed)
+        _model_config(net, spec.n_classes, spec.embed_dims)
+    elif run.data.preset is not None:
+        raise ConfigError("data.path and data.preset are both set; give one of them")
+    else:
+        _check_net(net)
 
 
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
-    """One full experiment: resolve data, split, train, evaluate, write reports.
+    """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
     _data lets sibling runs (loss comparisons, sweeps) reuse already-built
     arrays; it must come from load_run_data on an identical data config
     and seed.
     """
-    _check_loss_config(run.loss)
-    _variant(run.model.variant)
+    _check_run(run)
     feats_a, feats_b, labels, n_classes = _data if _data is not None else load_run_data(run)
 
     train_idx, test_idx = split_indices(
@@ -304,12 +306,9 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     tally = np.bincount(labels[train_idx], minlength=n_classes)
     train_stats = class_stats_from_counts(tally)
     loss_spec = build_loss_spec(run.loss, train_stats)
-    tail = loss_spec.tail if loss_spec.tail is not None else tail_partition(train_stats, run.loss.ts)
 
-    net = asdict(run.model)
-    modalities = VARIANTS[_variant(net.pop("variant"))]
     embed_dims = tuple(feats_a[m].shape[1] for m in MODALITIES)
-    model_config = ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
+    model_config = _model_config(run.model, n_classes, embed_dims)
     params = init_params(model_config, seed=run.seed + 2)
 
     def packed(idx):  # one split's rows, packed once from the dataset columns
@@ -329,7 +328,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
         model_config=model_config,
         params=params,
         train_stats=train_stats,
-        tail=tail,
+        tail=loss_spec.tail,
         test_labels=test_labels,
     )
     if out_dir is not None:
@@ -362,57 +361,48 @@ def _write_run_outputs(out_dir, run: RunConfig, result: RunResult) -> None:
     save_model(os.path.join(out_dir, "checkpoint.npz"), result.model_config, result.params)
 
 
-def _metric_row(report: MetricsReport) -> list[float]:
-    return [getattr(report, name) for name in _HEADLINE]
-
-
-def _train_each(run: RunConfig, subs, out_dir, name: str, label: str):
-    """Train each (label, run) of `subs` on `run`'s data, which is built once;
-    tabulate the headline metrics."""
-    data = load_run_data(run)
-    rows = [(key, _metric_row(run_training(sub, _data=data).report)) for key, sub in subs]
+def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
+    """Check every (key, run) of `subs`, then train each, building data once
+    per stretch of runs sharing a data config and seed; tabulate the headline
+    metrics, and write them and `run`'s config to out_dir/name if given."""
+    for _, sub in subs:
+        _check_run(sub)
+    rows, source = [], None
+    for key, sub in subs:
+        if source != (sub.data, sub.seed):
+            source, data = (sub.data, sub.seed), load_run_data(sub)
+        report = run_training(sub, _data=data).report
+        rows.append((key, [getattr(report, metric) for metric in _HEADLINE]))
     if out_dir is not None:
         _write_table(out_dir, name, (label, *_HEADLINE), [(k, *v) for k, v in rows], run)
     return rows
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
-    """Check every loss kind with its hyperparameters and the variant, then
-    train once per loss on the same data, split, and init; tabulate metrics."""
+    """Train once per loss on the same data, split, and init, every run
+    checked before any data is built; tabulate metrics."""
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
-    for _, sub in subs:
-        _check_loss_config(sub.loss)
-    _variant(run.model.variant)
     return _train_each(run, subs, out_dir, "losses.csv", "loss")
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
-    """Check every variant name, then train the configured loss once per
-    modality variant; tabulate metrics."""
-    variants = [_variant(v) for v in variants]
-    subs = [(v, replace(run, model=replace(run.model, variant=v))) for v in variants]
+    """Train the configured loss once per modality variant, every run
+    checked before any data is built; tabulate metrics."""
+    subs = [(v.upper(), replace(run, model=replace(run.model, variant=v))) for v in variants]
     return _train_each(run, subs, out_dir, "ablation.csv", "variant")
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
-    """Check the loss at every grid point and the variant, then grid over one
-    TFL hyperparameter with repeated seeds; mean and spread per point."""
-    for value in cfg.grid:
-        _check_loss_config(replace(run.loss, **{cfg.parameter: float(value)}))
-    _variant(run.model.variant)
-    rows = []
-    per_value = {v: [] for v in cfg.grid}
-    for r in range(cfg.repeats):
-        seed = run.seed + r
-        rep_run = replace(run, seed=seed)
-        data = load_run_data(rep_run)
-        for value in cfg.grid:
-            loss = replace(rep_run.loss, **{cfg.parameter: float(value)})
-            result = run_training(replace(rep_run, loss=loss), _data=data)
-            per_value[value].append(_metric_row(result.report))
-    for value in cfg.grid:
-        arr = np.array(per_value[value])
-        rows.append((float(value), arr.mean(axis=0), arr.std(axis=0)))
+    """Grid over one TFL hyperparameter with repeated seeds, every run
+    checked before any data is built; mean and spread per point."""
+    subs = [
+        (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
+        for r in range(cfg.repeats) for v in cfg.grid
+    ]
+    trained = _train_each(run, subs)
+    metrics = np.array([m for _, m in trained]).reshape(cfg.repeats, len(cfg.grid), -1)
+    mean, std = metrics.mean(axis=0), metrics.std(axis=0)
+    rows = [(float(v), mean[i], std[i]) for i, v in enumerate(cfg.grid)]
     if out_dir is not None:
         header = [cfg.parameter] + [f"{s}_{name}" for name in _HEADLINE for s in ("mean", "std")]
         # mean and std of each metric side by side

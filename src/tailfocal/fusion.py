@@ -21,9 +21,10 @@ stage is one matmul per modality over all 2B rows, max-pooling is one pass
 over the whole row (pool_window divides every width), and the fused rows
 reshaped to (B, 2F) are the pair vectors without a copy.
 
-_pack alone checks a feature pair, once on the whole arrays, and copies the
-chosen rows from the caller's columns into an (n, 2, D) block; a block
-handed back as _Packed(block), with None for drug b, passes through.
+_check_net alone holds the network's rules that need no data. _pack alone
+checks a feature pair, once on the whole arrays, and copies the chosen
+rows from the caller's columns into an (n, 2, D) block; a block handed
+back as _Packed(block), with None for drug b, passes through.
 run_training packs each split once, predict_proba one batch at a time.
 
 Everything is explicit: forward caches intermediates, backward walks them
@@ -87,6 +88,21 @@ VARIANTS = {
 _ENHANCED_BY = {"g": "s", "t": "e"}
 
 
+def _check_net(net) -> None:
+    """A ConfigError unless `net` (a ModelConfig or NetConfig) obeys the rules needing no data."""
+    if net.hidden_dim < 1:
+        raise ConfigError(f"hidden_dim must be >= 1, got {net.hidden_dim}")
+    if net.k_stages < 1:
+        raise ConfigError(f"k_stages must be >= 1, got {net.k_stages}")
+    if net.activation not in ("relu", "tanh"):
+        raise ConfigError(f"activation must be 'relu' or 'tanh', got {net.activation!r}")
+    if net.pool_window < 1:
+        raise ConfigError(f"pool_window must be >= 1, got {net.pool_window}")
+    dims = net.classifier_dims
+    if dims is not None and (len(dims) != 4 or any(int(d) < 1 for d in dims)):
+        raise ConfigError("classifier_dims must be four positive widths")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_classes: int
@@ -99,19 +115,12 @@ class ModelConfig:
     modalities: tuple[str, ...] = MODALITIES
 
     def __post_init__(self):
+        _check_net(self)
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if len(self.embed_dims) != 4 or any(int(d) < 1 for d in self.embed_dims):
             raise ConfigError("embed_dims must be four positive widths (g, s, t, e)")
         object.__setattr__(self, "embed_dims", tuple(int(d) for d in self.embed_dims))
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.k_stages < 1:
-            raise ConfigError(f"k_stages must be >= 1, got {self.k_stages}")
-        if self.activation not in ("relu", "tanh"):
-            raise ConfigError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
-        if self.pool_window < 1:
-            raise ConfigError(f"pool_window must be >= 1, got {self.pool_window}")
         mods = tuple(m.lower() for m in self.modalities)
         if not mods or len(set(mods)) != len(mods) or any(m not in MODALITIES for m in mods):
             raise ConfigError(f"modalities must be a non-empty subset of {MODALITIES}")
@@ -123,17 +132,12 @@ class ModelConfig:
                 raise ConfigError(
                     f"pool_window {self.pool_window} must divide the {m} width {dim}"
                 )
-        if self.classifier_dims is None:
-            object.__setattr__(self, "classifier_dims", (256, 256, 128, self.n_classes))
-        else:
-            dims = tuple(int(d) for d in self.classifier_dims)
-            if len(dims) != 4 or any(d < 1 for d in dims):
-                raise ConfigError("classifier_dims must be four positive widths")
-            if dims[-1] != self.n_classes:
-                raise ConfigError(
-                    f"classifier ends at {dims[-1]} units but n_classes is {self.n_classes}"
-                )
-            object.__setattr__(self, "classifier_dims", dims)
+        dims = tuple(int(d) for d in self.classifier_dims or (256, 256, 128, self.n_classes))
+        if dims[-1] != self.n_classes:
+            raise ConfigError(
+                f"classifier ends at {dims[-1]} units but n_classes is {self.n_classes}"
+            )
+        object.__setattr__(self, "classifier_dims", dims)
 
     def embed_dim(self, m: str) -> int:
         return self.embed_dims[MODALITIES.index(m)]

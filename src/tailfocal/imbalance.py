@@ -22,6 +22,12 @@ from .errors import ConfigError
 __all__ = ["ClassStats", "TailPartition", "class_stats_from_counts", "tail_partition"]
 
 
+def _check_ts(t_s: float) -> None:
+    """A ConfigError unless the split threshold `t_s` (config key loss.ts) is in [0, 1]."""
+    if not 0.0 <= t_s <= 1.0:
+        raise ConfigError(f"ts must be in [0, 1], got {t_s}")
+
+
 @dataclass(frozen=True)
 class ClassStats:
     """Per-class sample counts plus derived aggregates.
@@ -95,8 +101,7 @@ def tail_partition(stats: ClassStats, t_s: float) -> TailPartition:
     position is exactly 1, and the comparison is strict); t_s = 0 marks
     every class as tail.
     """
-    if not 0.0 <= t_s <= 1.0:
-        raise ConfigError(f"t_s must be in [0, 1], got {t_s}")
+    _check_ts(t_s)
 
     # integer cumsum first, one float division after: the final entry is
     # total/total = 1.0 exactly, and scaling all counts by a constant

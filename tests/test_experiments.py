@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from tailfocal import (
     write_generated_dataset,
 )
 from tailfocal import experiments
-from tailfocal.cli import main
+from tailfocal.cli import _build_parser, _run_config, main
 
 TINY_RUN = RunConfig(
     data=DataConfig(
@@ -50,6 +51,36 @@ TINY_RUN = RunConfig(
 BAD_VARIANT = replace(TINY_RUN, model=replace(TINY_RUN.model, variant="XX"))
 BAD_KIND = replace(TINY_RUN, loss=replace(TINY_RUN.loss, kind="nope"))
 BAD_GAMMA = replace(TINY_RUN, loss=replace(TINY_RUN.loss, gamma=-1.0))
+
+
+def _tiny(**sections):
+    """TINY_RUN with the given fields of each named section replaced."""
+    return replace(TINY_RUN, **{s: replace(getattr(TINY_RUN, s), **v) for s, v in sections.items()})
+
+
+# runs that every command rejects before any data is built, with the error text
+REJECTED = {
+    "hidden-dim": (_tiny(model=dict(hidden_dim=0)), "hidden_dim must be >= 1"),
+    "k-stages": (_tiny(model=dict(k_stages=0)), "k_stages must be >= 1"),
+    "activation": (_tiny(model=dict(activation="gelu")), "activation must be"),
+    "pool-window": (
+        _tiny(data=dict(embed_dims=(16, 16, 16, 16)), model=dict(pool_window=3)),
+        "pool_window 3 must divide",
+    ),
+    "classifier": (
+        _tiny(model=dict(classifier_dims=(8, 8, 8, 4))),
+        "classifier ends at 4 units but n_classes is 3",
+    ),
+    "ts": (_tiny(loss=dict(ts=1.5)), "ts must be in"),
+    "path-and-preset": (_tiny(data=dict(path="pairs.tsv", preset="DDIMDL")), "both set"),
+}
+# each command that trains, called on a run and an output directory
+COMMANDS = {
+    "train": lambda run, out: run_training(run, out_dir=out),
+    "compare": lambda run, out: compare_losses(run, out_dir=out),
+    "ablate": lambda run, out: ablate(run, out_dir=out),
+    "sweep": lambda run, out: sweep(run, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out),
+}
 
 TINY_CFG_TEXT = """\
 seed = 3
@@ -346,8 +377,10 @@ class TestBatchCommands:
         (lambda out: compare_losses(BAD_GAMMA, out_dir=out), "gamma must be >= 0"),
         (lambda out: sweep(BAD_GAMMA, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "gamma"),
         (lambda out: run_training(BAD_GAMMA, out_dir=out), "gamma"),
+        *[(partial(command, run), name)
+          for command in COMMANDS.values() for run, name in REJECTED.values()],
     ], ids=["compare-kind", "compare-variant", "sweep-variant", "sweep-kind", "compare-gamma",
-            "sweep-gamma", "train-gamma"])
+            "sweep-gamma", "train-gamma", *[f"{c}-{r}" for c in COMMANDS for r in REJECTED]])
     def test_batch_commands_check_names_before_building_data(
         self, monkeypatch, tmp_path, call, name
     ):
@@ -356,6 +389,17 @@ class TestBatchCommands:
         monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match=name):
             call(tmp_path / "out")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["path-and-preset", "hidden-dim"])
+    def test_file_source_checked_before_reading(self, monkeypatch, tmp_path, case):
+        calls = []
+        monkeypatch.setattr(experiments, "read_dataset", lambda *a, **k: calls.append(a))
+        run, name = REJECTED[case]
+        run = replace(run, data=replace(run.data, path=str(tmp_path / "pairs.tsv")))
+        with pytest.raises(ConfigError, match=name):
+            run_training(run, out_dir=tmp_path / "out")
         assert calls == []
         assert not (tmp_path / "out").exists()
 
@@ -436,13 +480,31 @@ class TestCli:
         calls = []
         monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(TINY_CFG_TEXT + "loss.gamma = -1\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CFG_TEXT + "loss.gamma = -1\n")
+        cfg = self._write_cfg(tmp_path)
         out = tmp_path / "cmp"
-        assert main(["compare-losses", "--config", str(cfg), "--out", str(out)]) == 3
-        assert "gamma must be >= 0" in capsys.readouterr().err
+        for flags in (["--config", str(bad)], ["--config", cfg, "--gamma", "-1"]):
+            assert main(["compare-losses", *flags, "--out", str(out)]) == 3
+            assert "gamma must be >= 0" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_compare_losses_loss_flags_match_config_keys(self):
+        flags = ["--gamma", "0.5", "--beta", "1", "--ts", "0.8"]
+        args = _build_parser().parse_args(["compare-losses", *flags])
+        text = "loss.gamma = 0.5\nloss.beta = 1\nloss.ts = 0.8\n"
+        assert _run_config(args) == config_from_text(text)
+
+    @pytest.mark.parametrize("flags", [
+        ["ablate", "--variant", "G"],
+        ["compare-losses", "--loss", "ce"],
+    ], ids=["ablate-variant", "compare-losses-loss"])
+    def test_flag_the_command_loops_over_exits_2(self, tmp_path, flags):
+        cfg = self._write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, "--config", cfg])
+        assert exc.value.code == 2
 
     def test_ablate_command(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)
