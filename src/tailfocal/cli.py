@@ -29,8 +29,8 @@ from .experiments import (
     sweep,
     write_generated_dataset,
 )
-from .fusion import VARIANTS
-from .losses import LOSS_KINDS
+from .fusion import VARIANTS, _variant_modalities
+from .losses import _loss_kind
 from .metrics import _HEADLINE
 
 EXIT_CONFIG = 3
@@ -47,8 +47,9 @@ _OVERRIDES = {
     "seed": "seed", "preset": "data.preset", "loss": "loss.kind", "beta": "loss.beta",
     "gamma": "loss.gamma", "ts": "loss.ts", "variant": "model.variant",
 }
-# the override flags whose values argparse itself restricts (exit 2 on any other)
-_CHOICES = {"loss": LOSS_KINDS, "variant": sorted(VARIANTS)}
+# the override flags that must name one of a set, by the rule their config key
+# is checked with, so they take the same spellings (a usage error, exit 2, on any other)
+_NAMES = {"loss": _loss_kind, "variant": _variant_modalities}
 
 
 def _add_override(parser: argparse.ArgumentParser, flag: str) -> None:
@@ -59,11 +60,16 @@ def _add_override(parser: argparse.ArgumentParser, flag: str) -> None:
     annotation = _config_keys()[key]
 
     def parse(text: str):
-        return _parse_value(annotation, text.strip())
+        value = _parse_value(annotation, text.strip())
+        if flag in _NAMES:
+            try:
+                _NAMES[flag](value)
+            except ConfigError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
     parse.__name__ = getattr(annotation, "__name__", "config")  # "invalid float value"
-    kwargs = dict(choices=_CHOICES.get(flag), help=f"overrides {key}")
-    parser.add_argument(f"--{flag}", type=parse, default=argparse.SUPPRESS, **kwargs)
+    parser.add_argument(f"--{flag}", type=parse, default=argparse.SUPPRESS, help=f"overrides {key}")
 
 
 def _add_run_command(sub, name: str, help: str) -> argparse.ArgumentParser:

@@ -32,6 +32,7 @@ reproduces the run exactly when fed back in.
 from __future__ import annotations
 
 import os
+import sys
 import typing
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -48,7 +49,7 @@ from .datagen import (
     read_dataset,
     write_dataset,
 )
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, TrainingError
 from .fusion import (
     VARIANTS,
     EpochStats,
@@ -57,6 +58,7 @@ from .fusion import (
     _check_net,
     _pack,
     _Packed,
+    _variant_modalities,
     init_params,
     predict_proba,
     save_model,
@@ -256,7 +258,7 @@ def load_run_data(run: RunConfig):
 def _model_config(net: NetConfig, n_classes: int, embed_dims) -> ModelConfig:
     """`net` for data with `n_classes` classes and these modality widths."""
     net = asdict(net)
-    modalities = VARIANTS[net.pop("variant").upper()]
+    modalities = _variant_modalities(net.pop("variant"))
     return ModelConfig(n_classes, embed_dims, modalities=modalities, **net)
 
 
@@ -266,8 +268,7 @@ def _check_run(run: RunConfig) -> None:
     loss, net = run.loss, run.model
     _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
     _check_ts(loss.ts)
-    if net.variant.upper() not in VARIANTS:
-        raise ConfigError(f"unknown variant {net.variant!r}; expected one of {tuple(VARIANTS)}")
+    _variant_modalities(net.variant)
     if run.data.path is None:  # the DatasetSpec gives the class count and widths
         spec = _dataset_spec(run.data, seed=run.seed)
         _model_config(net, spec.n_classes, spec.embed_dims)
@@ -361,18 +362,105 @@ def _write_run_outputs(out_dir, run: RunConfig, result: RunResult) -> None:
     save_model(os.path.join(out_dir, "checkpoint.npz"), result.model_config, result.params)
 
 
-def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
-    """Check every (key, run) of `subs`, then train each, building data once
-    per stretch of runs sharing a data config and seed; tabulate the headline
-    metrics, and write them and `run`'s config to out_dir/name if given."""
-    for _, sub in subs:
-        _check_run(sub)
+# the variables that size a BLAS or OpenMP thread pool, each set to 1 in a worker
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
+def _train_chunk(subs):
+    """Train each (key, run) of `subs` in order, building data once per
+    stretch of runs sharing a data config and seed; a (key, headline metrics)
+    row per run."""
     rows, source = [], None
     for key, sub in subs:
         if source != (sub.data, sub.seed):
             source, data = (sub.data, sub.seed), load_run_data(sub)
         report = run_training(sub, _data=data).report
         rows.append((key, [getattr(report, metric) for metric in _HEADLINE]))
+    return rows
+
+
+def _chunk_worker() -> None:
+    """Main of a worker interpreter: read a pickled list of (key, run) on
+    stdin, and write back on stdout, pickled, (True, its `_train_chunk`
+    rows) or (False, the exception that stopped it)."""
+    import pickle
+
+    reply_to, sys.stdout = sys.stdout.buffer, sys.stderr  # stray prints stay off the pipe
+    subs = pickle.load(sys.stdin.buffer)
+    try:
+        reply = (True, _train_chunk(subs))
+    except Exception as exc:
+        reply = (False, exc)
+    reply_to.write(pickle.dumps(reply))
+
+
+def _train_pooled(subs, n: int):
+    """`_train_chunk` over `n` contiguous chunks of `subs`, each in a fresh
+    worker interpreter with one BLAS thread. Rows come in submission order;
+    on failure, the error of the earliest failing run is raised once every
+    worker has exited."""
+    import pickle
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from tailfocal.experiments import _chunk_worker; _chunk_worker()"
+    )
+    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
+    chunks = [subs[len(subs) * i // n : len(subs) * (i + 1) // n] for i in range(n)]
+    workers = []
+    try:
+        for _ in chunks:
+            workers.append(subprocess.Popen(
+                [sys.executable, "-c", code],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+            ))
+        # every chunk goes out before any reply is read, so the workers train at once
+        for worker, chunk in zip(workers, chunks):
+            try:
+                worker.stdin.write(pickle.dumps(chunk))
+                worker.stdin.close()
+            except BrokenPipeError:  # it died at start; its status is reported below
+                pass
+        rows = []
+        for worker, chunk in zip(workers, chunks):
+            reply = worker.stdout.read()
+            if worker.wait() != 0 or not reply:
+                raise TrainingError(
+                    f"the worker training {[key for key, _ in chunk]} exited with "
+                    f"status {worker.returncode} and no result"
+                )
+            ok, value = pickle.loads(reply)
+            if not ok:  # the chunks before this one succeeded, so no run failed earlier
+                raise value
+            rows += value
+        return rows
+    finally:  # on any error or interrupt, no worker outlives the call
+        for worker in workers:
+            if worker.poll() is None:
+                worker.kill()
+            worker.wait()
+            for pipe in (worker.stdin, worker.stdout):
+                pipe.close()
+
+
+def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
+    """Check every (key, run) of `subs`, then train them on up to
+    `os.cpu_count()` worker interpreters (in this one on a single core);
+    tabulate the headline metrics, and write them and `run`'s config to
+    out_dir/name if given."""
+    for _, sub in subs:
+        _check_run(sub)
+    n = min(os.cpu_count() or 1, len(subs))
+    rows = _train_chunk(subs) if n == 1 else _train_pooled(subs, n)
     if out_dir is not None:
         _write_table(out_dir, name, (label, *_HEADLINE), [(k, *v) for k, v in rows], run)
     return rows
@@ -380,21 +468,36 @@ def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
     """Train once per loss on the same data, split, and init, every run
-    checked before any data is built; tabulate metrics."""
+    checked before any data is built; tabulate metrics.
+
+    Runs go to up to `os.cpu_count()` worker interpreters with one BLAS
+    thread each, every worker building its own copy of the data; results are
+    identical to training them one after another in this process.
+    """
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
     return _train_each(run, subs, out_dir, "losses.csv", "loss")
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
     """Train the configured loss once per modality variant, every run
-    checked before any data is built; tabulate metrics."""
+    checked before any data is built; tabulate metrics.
+
+    Runs go to up to `os.cpu_count()` worker interpreters with one BLAS
+    thread each, every worker building its own copy of the data; results are
+    identical to training them one after another in this process.
+    """
     subs = [(v.upper(), replace(run, model=replace(run.model, variant=v))) for v in variants]
     return _train_each(run, subs, out_dir, "ablation.csv", "variant")
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
     """Grid over one TFL hyperparameter with repeated seeds, every run
-    checked before any data is built; mean and spread per point."""
+    checked before any data is built; mean and spread per point.
+
+    Runs go to up to `os.cpu_count()` worker interpreters with one BLAS
+    thread each, every worker building its own copy of the data; results are
+    identical to training them one after another in this process.
+    """
     subs = [
         (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
         for r in range(cfg.repeats) for v in cfg.grid

@@ -88,6 +88,14 @@ VARIANTS = {
 _ENHANCED_BY = {"g": "s", "t": "e"}
 
 
+def _variant_modalities(variant: str) -> tuple:
+    """The modalities of `variant`, spelled in any case; a ConfigError if it
+    names no variant."""
+    if variant.upper() not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
+    return VARIANTS[variant.upper()]
+
+
 def _check_net(net) -> None:
     """A ConfigError unless `net` (a ModelConfig or NetConfig) obeys the rules needing no data."""
     if net.hidden_dim < 1:

@@ -75,13 +75,19 @@ class LossEval:
     grad_z: np.ndarray
 
 
+def _loss_kind(kind: str) -> str:
+    """The lower-case name of loss `kind`, spelled in any case; a ConfigError
+    if it names no loss."""
+    if kind.lower() not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    return kind.lower()
+
+
 def _check_loss(kind: str, gamma: float, beta: float, lam: float, margin_c: float) -> str:
     """The lower-case loss `kind`, once it names a loss, every hyperparameter
     is finite and each one `kind` uses is in its range; a ConfigError
     otherwise."""
-    if kind.lower() not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    kind = kind.lower()
+    kind = _loss_kind(kind)
     for name, value in (("gamma", gamma), ("beta", beta), ("lam", lam), ("margin_c", margin_c)):
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")

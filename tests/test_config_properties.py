@@ -98,15 +98,24 @@ def test_config_text_round_trips(run):
     assert keys == expected
 
 
+def _any_case(names):
+    """One of `names` with each letter in either case, as config keys take them."""
+    return st.sampled_from(names).flatmap(
+        lambda name: st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in name)).map(
+            "".join
+        )
+    )
+
+
 # each override flag, the config key it stands for, and values to try
 FLAGS = {
     "--seed": ("seed", INTS),
     "--preset": ("data.preset", st.sampled_from(sorted(PRESETS) + ["", "none", "None"]) | TEXT),
-    "--loss": ("loss.kind", st.sampled_from(LOSS_KINDS)),
+    "--loss": ("loss.kind", _any_case(LOSS_KINDS)),
     "--beta": ("loss.beta", FLOATS),
     "--gamma": ("loss.gamma", FLOATS),
     "--ts": ("loss.ts", FLOATS),
-    "--variant": ("model.variant", st.sampled_from(sorted(VARIANTS))),
+    "--variant": ("model.variant", _any_case(sorted(VARIANTS))),
 }
 
 
@@ -119,6 +128,7 @@ FLAGS = {
 @example({"--preset": " none"})
 @example({"--preset": "DDIMDL "})
 @example({"--loss": " tfl ", "--variant": "GS "})
+@example({"--loss": "TFL", "--variant": "gs"})
 def test_override_flags_match_config_keys(chosen):
     texts = {flag: v if isinstance(v, str) else repr(v) for flag, v in chosen.items()}
     # --flag=value, so a value starting with "-" is not read as a flag

@@ -1,8 +1,14 @@
 """Experiment orchestration: splits, config files, run outputs, CLI."""
 
 import math
+import os
+import pickle
+import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from tailfocal import (
     RunConfig,
     SplitConfig,
     SweepConfig,
+    TrainingError,
     ablate,
     analyze,
     build_loss_spec,
@@ -33,6 +40,7 @@ from tailfocal import (
     sweep,
     write_generated_dataset,
 )
+import tailfocal
 from tailfocal import experiments
 from tailfocal.cli import _build_parser, _run_config, main
 
@@ -417,6 +425,114 @@ class TestBatchCommands:
         assert "P_y = 1" in text
         for name in ("curve_ce.csv", "curve_fl.csv", "curve_tfl.csv"):
             assert (tmp_path / name).exists()
+
+
+# TINY_RUN at widths where a matmul is large enough for BLAS to use more than one thread
+WIDE_RUN = _tiny(
+    data=dict(n_samples=400, embed_dims=(16, 16, 16, 16)),
+    model=dict(hidden_dim=32, classifier_dims=(64, 64, 64, 3), pool_window=4),
+    optim=dict(batch_size=128),
+)
+# an environment whose interpreters import this tailfocal
+SRC_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(tailfocal.__file__)), os.environ.get("PYTHONPATH", "")]
+    ),
+}
+
+
+def _batch_outputs(out: Path) -> dict:
+    """Pickled rows and table text of each batch command on WIDE_RUN, by table name."""
+    rows = {
+        "losses.csv": compare_losses(WIDE_RUN, out_dir=out),
+        "ablation.csv": ablate(WIDE_RUN, out_dir=out),
+        "sweep.csv": sweep(WIDE_RUN, SweepConfig("beta", (0.0, 2.0), 2), out_dir=out),
+    }
+    return {name: (pickle.dumps(r), (out / name).read_text()) for name, r in rows.items()}
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """(process, environment) of each worker started during the test."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append((real_popen(*args, **kwargs), kwargs["env"]))
+        return started[-1][0]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+class TestWorkerPool:
+    def test_rows_and_tables_match_the_in_process_loop(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        alone = _batch_outputs(tmp_path / "alone")
+        assert workers == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a pool on any machine
+        assert _batch_outputs(tmp_path / "pooled") == alone
+        assert len(workers) == 9  # three per command
+        assert all(env[v] == "1" for _, env in workers for v in experiments._THREAD_VARS)
+
+    def test_one_blas_thread_matches_default_threads(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        alone = _batch_outputs(tmp_path / "default")
+        code = (
+            f"import os, pickle, sys; from pathlib import Path; "
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r}); import test_experiments; "
+            f"os.cpu_count = lambda: 1; out = Path({str(tmp_path / 'one')!r}); "
+            f"sys.stdout.buffer.write(pickle.dumps(test_experiments._batch_outputs(out)))"
+        )
+        env = {**SRC_ENV, **dict.fromkeys(experiments._THREAD_VARS, "1")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=300
+        )
+        assert pickle.loads(done.stdout) == alone
+
+    def test_diverging_run_exits_5_and_writes_nothing(self, monkeypatch, tmp_path, capsys, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads = {v: os.environ.get(v) for v in experiments._THREAD_VARS}
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CFG_TEXT + "optim.lr = 1e300\n")
+        out = tmp_path / "cmp"
+        assert main(["compare-losses", "--config", str(path), "--out", str(out)]) == 5
+        assert "error: non-finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert len(workers) == 2
+        assert all(proc.returncode is not None for proc, _ in workers)
+        assert {v: os.environ.get(v) for v in experiments._THREAD_VARS} == threads
+
+    def test_earliest_failing_run_is_raised(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        subs = [("ok", TINY_RUN)] + [
+            (i, _tiny(data=dict(path=str(tmp_path / f"missing-{i}.tsv")))) for i in (1, 2)
+        ]
+        with pytest.raises(FileNotFoundError, match="missing-1"):
+            experiments._train_each(TINY_RUN, subs)
+        assert len(workers) == 3
+        assert all(proc.returncode is not None for proc, _ in workers)
+
+    def test_worker_without_a_result_is_a_training_error(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+        with pytest.raises(TrainingError, match=r"\['ce'\] exited with status 1"):
+            compare_losses(TINY_RUN, kinds=("ce", "tfl"))
+
+    def test_script_without_main_guard_finishes(self, tmp_path):
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import os\n"
+            "from tailfocal import compare_losses, config_from_text\n"
+            "os.cpu_count = lambda: 2  # two workers on any machine\n"
+            f"rows = compare_losses(config_from_text({TINY_CFG_TEXT!r}), kinds=('ce', 'tfl'))\n"
+            "print(*(kind for kind, _ in rows))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)], env=SRC_ENV, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stdout) == (0, "ce tfl\n")
 
 
 class TestCli:
