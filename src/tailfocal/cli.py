@@ -123,9 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_config(args) -> RunConfig:
     """The --config file (or the defaults), then each override flag given."""
-    run = RunConfig()
-    if getattr(args, "config", None):
-        run = parse_config_file(args.config, base=run)
+    run = parse_config_file(args.config) if getattr(args, "config", None) else RunConfig()
     given = {key: getattr(args, flag) for flag, key in _OVERRIDES.items() if hasattr(args, flag)}
     return _with_values(run, given)
 

@@ -303,7 +303,7 @@ _WRITE_ROWS = 1024  # rows turned into Python floats at a time
 _BREAKS = [ord(c) for c in "\t\n\r"]  # split a field or, read as text, a line
 
 
-def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
+def write_dataset(path, data: Dataset, n_classes: int) -> None:
     """One header line (schema and widths), then one tab-separated record per line.
 
     Feature blocks are comma-joined decimals at 9 significant digits, in
@@ -317,8 +317,6 @@ def write_dataset(path, data: Dataset, n_classes: int | None = None) -> None:
         if bad.any():
             first = np.argmax(bad) // (ids.itemsize // 4)
             raise ConfigError(f"id {str(ids[first])!r} holds a tab or a line break")
-    if n_classes is None:
-        n_classes = int(data.labels.max(initial=0)) + 1
     bad = (data.labels < 0) | (data.labels >= n_classes)
     if bad.any():
         raise ConfigError(f"label {data.labels[bad.argmax()]} outside [0, {n_classes})")

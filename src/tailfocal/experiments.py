@@ -27,6 +27,11 @@ built, bar the rules that need a data file's class count or widths.
 
 Every run writes its effective config next to its outputs, and that file
 reproduces the run exactly when fed back in.
+
+compare_losses, ablate and sweep check every run before any data is built,
+then train them on up to os.cpu_count() worker interpreters with one BLAS
+thread each (see _train_each); the rows are those of training the runs one
+after another in this process.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ from .fusion import (
 from .imbalance import (
     ClassStats, TailPartition, _check_ts, class_stats_from_counts, tail_partition,
 )
-from .losses import LOSS_KINDS, LossSpec, _check_loss
+from .losses import LOSS_KINDS, LossSpec, _check_loss, _loss_kind
 from .metrics import (
     _HEADLINE, MetricsReport, _csv, _fmt, format_per_class, format_summary, metrics_report,
 )
@@ -246,13 +251,13 @@ def load_run_data(run: RunConfig):
     """Resolve a run's data source into (feats_a, feats_b, labels, n_classes)."""
     if run.data.path is not None:
         data, stats = read_dataset(run.data.path)
-        if not len(data):
-            raise ConfigError(f"dataset file {run.data.path} holds no records")
-        n_classes = stats.n_classes if stats is not None else int(data.labels.max()) + 1
+        if stats is None:
+            raise ConfigError(
+                f"dataset file {run.data.path} needs at least one record of each class it declares"
+            )
     else:
         data, stats = generate_dataset(_dataset_spec(run.data, seed=run.seed))
-        n_classes = stats.n_classes
-    return data.features_a, data.features_b, data.labels, n_classes
+    return data.features_a, data.features_b, data.labels, stats.n_classes
 
 
 def _model_config(net: NetConfig, n_classes: int, embed_dims) -> ModelConfig:
@@ -268,6 +273,8 @@ def _check_run(run: RunConfig) -> None:
     loss, net = run.loss, run.model
     _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
     _check_ts(loss.ts)
+    if run.split.test_fraction == 0.0:
+        raise ConfigError("split.test_fraction must be above 0 for a run")
     _variant_modalities(net.variant)
     if run.data.path is None:  # the DatasetSpec gives the class count and widths
         spec = _dataset_spec(run.data, seed=run.seed)
@@ -454,9 +461,13 @@ def _train_pooled(subs, n: int):
 
 def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
     """Check every (key, run) of `subs`, then train them on up to
-    `os.cpu_count()` worker interpreters (in this one on a single core);
+    `os.cpu_count()` worker interpreters with one BLAS thread each (in this
+    one on a single core), every worker building its own copy of the data;
     tabulate the headline metrics, and write them and `run`'s config to
-    out_dir/name if given."""
+    out_dir/name if given. The rows are identical to training the runs one
+    after another in this process."""
+    if not subs:
+        raise ConfigError("no runs to train")
     for _, sub in subs:
         _check_run(sub)
     n = min(os.cpu_count() or 1, len(subs))
@@ -467,37 +478,21 @@ def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
-    """Train once per loss on the same data, split, and init, every run
-    checked before any data is built; tabulate metrics.
-
-    Runs go to up to `os.cpu_count()` worker interpreters with one BLAS
-    thread each, every worker building its own copy of the data; results are
-    identical to training them one after another in this process.
-    """
+    """Train once per loss on the same data, split, and init; tabulate metrics."""
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
     return _train_each(run, subs, out_dir, "losses.csv", "loss")
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
-    """Train the configured loss once per modality variant, every run
-    checked before any data is built; tabulate metrics.
-
-    Runs go to up to `os.cpu_count()` worker interpreters with one BLAS
-    thread each, every worker building its own copy of the data; results are
-    identical to training them one after another in this process.
-    """
+    """Train the configured loss once per modality variant; tabulate metrics."""
     subs = [(v.upper(), replace(run, model=replace(run.model, variant=v))) for v in variants]
     return _train_each(run, subs, out_dir, "ablation.csv", "variant")
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
-    """Grid over one TFL hyperparameter with repeated seeds, every run
-    checked before any data is built; mean and spread per point.
-
-    Runs go to up to `os.cpu_count()` worker interpreters with one BLAS
-    thread each, every worker building its own copy of the data; results are
-    identical to training them one after another in this process.
-    """
+    """Grid over one hyperparameter of a tfl run with repeated seeds; mean and spread per point."""
+    if _loss_kind(run.loss.kind) != "tfl":
+        raise ConfigError(f"sweep trains tfl only, got loss kind {run.loss.kind!r}")
     subs = [
         (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
         for r in range(cfg.repeats) for v in cfg.grid
@@ -598,8 +593,8 @@ def _parse_value(annotation, text: str):
     return annotation(text)
 
 
-def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse config text into a RunConfig, overriding `base` (defaults if None)."""
+def config_from_text(text: str) -> RunConfig:
+    """Parse config text into a RunConfig; a key the text leaves out keeps its default."""
     keys = _config_keys()
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -617,7 +612,7 @@ def config_from_text(text: str, base: RunConfig | None = None) -> RunConfig:
             values[key] = _parse_value(keys[key], value)
         except ValueError as exc:
             raise DataFormatError(f"line {lineno}: bad value for {key}: {exc}") from None
-    return _with_values(base if base is not None else RunConfig(), values)
+    return _with_values(RunConfig(), values)
 
 
 def _with_values(run: RunConfig, values: dict) -> RunConfig:
@@ -630,9 +625,9 @@ def _with_values(run: RunConfig, values: dict) -> RunConfig:
     return replace(run, **sections, **updates[""])
 
 
-def parse_config_file(path, base: RunConfig | None = None) -> RunConfig:
+def parse_config_file(path) -> RunConfig:
     with open(path) as fh:
-        return config_from_text(fh.read(), base=base)
+        return config_from_text(fh.read())
 
 
 def write_generated_dataset(data: DataConfig, seed: int, out_path) -> ClassStats:

@@ -56,7 +56,7 @@ import numpy as np
 
 from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
-from .losses import LossSpec, batch_loss
+from .losses import LossSpec, _softmax_rows, batch_loss
 from .metrics import confusion_metrics
 
 __all__ = [
@@ -514,22 +514,22 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
     return {"params": grads, "inputs": din}
 
 
-def predict_proba(config, params, feats_a, feats_b, batch_size: int = 1024) -> np.ndarray:
-    """Class probabilities, batch_size rows at a time to bound memory: the
-    pair's shapes are checked, then one batch at a time is packed straight
-    from the caller's columns (a _Packed block is only sliced) and run
-    through one forward workspace."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+# pairs per predict_proba batch, which bounds its memory
+_PREDICT_ROWS = 1024
+
+
+def predict_proba(config, params, feats_a, feats_b) -> np.ndarray:
+    """Class probabilities, _PREDICT_ROWS pairs at a time: the pair's shapes
+    are checked, then one batch at a time is packed straight from the
+    caller's columns (a _Packed block is only sliced) and run through one
+    forward workspace."""
     _, n = _pack(config, feats_a, feats_b, slice(0))
     out = np.empty((n, config.n_classes))
-    work = _Work(config, min(batch_size, n), backward=False)
-    for lo in range(0, n, batch_size):
-        chunk, _ = _pack(config, feats_a, feats_b, slice(lo, lo + batch_size))
-        e, _ = forward(config, params, _Packed(chunk, work), None)
-        e -= e.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-        np.divide(e, e.sum(axis=1, keepdims=True), out=out[lo : lo + batch_size])
+    work = _Work(config, min(_PREDICT_ROWS, n), backward=False)
+    for lo in range(0, n, _PREDICT_ROWS):
+        chunk, _ = _pack(config, feats_a, feats_b, slice(lo, lo + _PREDICT_ROWS))
+        logits, _ = forward(config, params, _Packed(chunk, work), None)
+        out[lo : lo + _PREDICT_ROWS] = _softmax_rows(logits)
     return out
 
 

@@ -73,12 +73,9 @@ def class_stats_from_counts(counts) -> ClassStats:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError("counts must be a non-empty 1-D sequence")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ConfigError("class counts must be integers")
-        arr = arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
+    if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
+        raise ConfigError("class counts must be integers")
+    arr = arr.astype(np.int64)
     if np.any(arr <= 0):
         bad = int(np.argmax(arr <= 0))
         raise ConfigError(f"class {bad} has count {arr[bad]}; every class needs >= 1 sample")

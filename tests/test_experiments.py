@@ -17,6 +17,8 @@ from tailfocal import (
     ConfigError,
     DataConfig,
     DataFormatError,
+    Dataset,
+    DatasetSpec,
     EpochStats,
     LossConfig,
     NetConfig,
@@ -32,12 +34,14 @@ from tailfocal import (
     compare_losses,
     config_from_text,
     config_to_text,
+    generate_dataset,
     loss_on_logits,
     parse_config_file,
     run_training,
     softmax,
     split_indices,
     sweep,
+    write_dataset,
     write_generated_dataset,
 )
 import tailfocal
@@ -81,6 +85,7 @@ REJECTED = {
     ),
     "ts": (_tiny(loss=dict(ts=1.5)), "ts must be in"),
     "path-and-preset": (_tiny(data=dict(path="pairs.tsv", preset="DDIMDL")), "both set"),
+    "test-fraction": (_tiny(split=dict(test_fraction=0.0)), "test_fraction must be above 0"),
 }
 # each command that trains, called on a run and an output directory
 COMMANDS = {
@@ -109,6 +114,20 @@ optim.patience = none
 split.test_fraction = 0.25
 split.val_fraction = 0.0
 """
+
+
+def _file_without_class(tmp_path, missing: int) -> Path:
+    """A dataset file that declares 5 classes and holds no record of class `missing`."""
+    spec = DatasetSpec(n_classes=5, n_samples=200, cir=4.0, n_drugs=10, embed_dims=(4, 4, 4, 4))
+    data, _ = generate_dataset(spec)
+    keep = data.labels != missing
+    data = Dataset(
+        data.pair_ids[keep], data.drug_a[keep], data.drug_b[keep], data.labels[keep],
+        *({m: v[keep] for m, v in f.items()} for f in (data.features_a, data.features_b)),
+    )
+    path = tmp_path / f"no-class-{missing}.tsv"
+    write_dataset(path, data, n_classes=5)
+    return path
 
 
 def _strip_timestamp(text: str) -> str:
@@ -229,10 +248,10 @@ class TestConfigRoundTrip:
         run = config_from_text(TINY_CFG_TEXT)
         assert run == TINY_RUN
 
-    def test_partial_text_overrides_base(self):
-        run = config_from_text("loss.beta = 3.5\n", base=TINY_RUN)
-        assert run.loss.beta == 3.5
-        assert run.data == TINY_RUN.data
+    def test_keys_left_out_keep_their_defaults(self):
+        run = config_from_text("loss.beta = 3.5\n")
+        assert run.loss == LossConfig(beta=3.5)
+        assert replace(run, loss=LossConfig()) == RunConfig()
 
     def test_comments_and_blank_lines_ignored(self):
         run = config_from_text("# comment\n\nseed = 5\n")
@@ -320,6 +339,14 @@ class TestRunTraining:
         result = run_training(run)
         assert result.report.n_classes == 3
 
+    @pytest.mark.parametrize("missing", [2, 4])
+    def test_file_missing_a_declared_class_is_rejected(self, tmp_path, missing):
+        path = _file_without_class(tmp_path, missing)
+        run = _tiny(data=dict(path=str(path)), model=dict(classifier_dims=None))
+        with pytest.raises(ConfigError, match="each class it declares"):
+            run_training(run, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_variant_rejected(self):
         bad = replace(TINY_RUN, model=replace(TINY_RUN.model, variant="GT"))
         with pytest.raises(ConfigError):
@@ -385,10 +412,15 @@ class TestBatchCommands:
         (lambda out: compare_losses(BAD_GAMMA, out_dir=out), "gamma must be >= 0"),
         (lambda out: sweep(BAD_GAMMA, SweepConfig("beta", (0.0, 1.0), 2), out_dir=out), "gamma"),
         (lambda out: run_training(BAD_GAMMA, out_dir=out), "gamma"),
+        # ce never uses beta, so each grid point would train the same run
+        (lambda out: sweep(_tiny(loss=dict(kind="ce")), SweepConfig(), out_dir=out), "tfl only"),
+        (lambda out: compare_losses(TINY_RUN, kinds=(), out_dir=out), "no runs"),
+        (lambda out: ablate(TINY_RUN, variants=(), out_dir=out), "no runs"),
         *[(partial(command, run), name)
           for command in COMMANDS.values() for run, name in REJECTED.values()],
     ], ids=["compare-kind", "compare-variant", "sweep-variant", "sweep-kind", "compare-gamma",
-            "sweep-gamma", "train-gamma", *[f"{c}-{r}" for c in COMMANDS for r in REJECTED]])
+            "sweep-gamma", "train-gamma", "sweep-ce", "compare-empty", "ablate-empty",
+            *[f"{c}-{r}" for c in COMMANDS for r in REJECTED]])
     def test_batch_commands_check_names_before_building_data(
         self, monkeypatch, tmp_path, call, name
     ):
@@ -683,6 +715,7 @@ class TestCli:
         ("train", "optim.eps = -1", "eps"),
         ("train", "split.val_fraction = -0.5", "val_fraction"),
         ("train", "split.val_fraction = nan", "val_fraction"),
+        ("train", "split.test_fraction = 0", "test_fraction"),
     ])
     def test_out_of_range_config_value_exits_3(self, tmp_path, capsys, command, line, name):
         path = tmp_path / "bad.cfg"
@@ -691,6 +724,31 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(out)]) == 3
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("missing", [2, 4])
+    def test_train_on_file_missing_a_declared_class_exits_3(self, tmp_path, capsys, missing):
+        path = tmp_path / "run.cfg"
+        data = _file_without_class(tmp_path, missing)
+        path.write_text(TINY_CFG_TEXT + f"data.path = {data}\nmodel.classifier_dims = none\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 3
+        assert "each class it declares" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, name", [
+        (["sweep", "--loss", "ce", "--param", "beta", "--grid", "0,5", "--repeats", "1"],
+         "tfl only"),
+        (["ablate", "--variants", ","], "no runs"),
+    ], ids=["sweep-ce", "ablate-empty"])
+    def test_batch_command_without_distinct_runs_exits_3(
+        self, tmp_path, capsys, monkeypatch, flags, name
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        assert main([*flags, "--config", self._write_cfg(tmp_path), "--out", str(out)]) == 3
+        assert name in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_unknown_loss_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -284,17 +284,18 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward(config, params, _rand_feats(rng, config, 2), _rand_feats(rng, config, 3))
 
-    def test_predict_proba_rows_are_distributions(self):
+    def test_predict_proba_rows_are_distributions(self, monkeypatch):
         rng = np.random.default_rng(54)
         config = ModelConfig(**TINY)
         params = init_params(config, seed=4)
         fa = _rand_feats(rng, config, 10)
         fb = _rand_feats(rng, config, 10)
-        probs = predict_proba(config, params, fa, fb, batch_size=3)
-        assert probs.shape == (10, 3)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         full = predict_proba(config, params, fa, fb)
-        np.testing.assert_allclose(probs, full, rtol=1e-12)
+        assert full.shape == (10, 3)
+        np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-12)
+        for rows in (1, 3, 7, 1024):  # the batch size changes no row
+            monkeypatch.setattr(fusion, "_PREDICT_ROWS", rows)
+            assert np.array_equal(predict_proba(config, params, fa, fb), full)
 
     def test_predict_proba_rejects_mismatched_pair(self):
         config = ModelConfig(**TINY)
@@ -307,18 +308,9 @@ class TestForward:
         with pytest.raises(ConfigError, match="rows"):
             predict_proba(config, params, fb, fa)
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_predict_proba_rejects_batch_size_below_one(self, batch_size):
-        config = ModelConfig(**TINY)
-        params = init_params(config, seed=4)
-        rng = np.random.default_rng(56)
-        fa = _rand_feats(rng, config, 4)
-        with pytest.raises(ConfigError, match="batch_size"):
-            predict_proba(config, params, fa, fa, batch_size=batch_size)
-
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_inputs_left_untouched_and_calls_repeat(self, activation):
+    def test_inputs_left_untouched_and_calls_repeat(self, monkeypatch, activation):
         # the forward pass works in place on its own buffers, never on the caller's
         rng = np.random.default_rng(55)
         config = ModelConfig(**{**TINY, "k_stages": 2, "activation": activation})
@@ -334,7 +326,8 @@ class TestForward:
         second, _ = forward(config, params, fa, fb)
         assert np.array_equal(first, kept)
         assert np.array_equal(first, second)
-        predict_proba(config, params, fa, fb, batch_size=4)
+        monkeypatch.setattr(fusion, "_PREDICT_ROWS", 4)
+        predict_proba(config, params, fa, fb)
         assert all(np.array_equal(params[k], param_snapshot[k]) for k in params)
         opt = OptimConfig(lr=1e-2, batch_size=4, epochs=1, patience=None)
         train(config, params, (fa, fb, labels), LossSpec(kind="ce"), opt,
@@ -603,7 +596,7 @@ class TestTraining:
         pred = np.argmax(predict_proba(config, params, val_a, val_b), axis=1)
         assert confusion_metrics(pred, labels, config.n_classes).macro_f1 == max(scores)
 
-    def test_packed_split_matches_dict_split(self):
+    def test_packed_split_matches_dict_split(self, monkeypatch):
         rng = np.random.default_rng(80)
         config = ModelConfig(**TINY)
         fa = _rand_feats(rng, config, 90)
@@ -619,12 +612,13 @@ class TestTraining:
         def taken(idx):
             return {m: fa[m][idx] for m in fa}, {m: fb[m][idx] for m in fb}, labels[idx]
 
+        monkeypatch.setattr(fusion, "_PREDICT_ROWS", 7)
         runs = []
         for split in (packed, taken):
             params = init_params(config, seed=17)
             val = split(val_idx)
             trace = train(config, params, split(train_idx), spec, opt, val_data=val, seed=8)
-            runs.append((params, trace, predict_proba(config, params, *val[:2], batch_size=7)))
+            runs.append((params, trace, predict_proba(config, params, *val[:2])))
         (p1, t1, probs1), (p2, t2, probs2) = runs
         assert all(np.array_equal(p1[k], p2[k]) for k in p1)
         assert t1 == t2 and t1[0].val_macro_f1 is not None
