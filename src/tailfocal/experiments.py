@@ -141,7 +141,6 @@ class NetConfig:
 class SplitConfig:
     test_fraction: float = 0.2
     val_fraction: float = 0.1
-    stratified: bool = True
 
     def __post_init__(self):
         for name in ("test_fraction", "val_fraction"):
@@ -191,12 +190,13 @@ class RunResult:
 # splitting
 
 
-def split_indices(labels, test_fraction: float, seed: int, stratified: bool = True):
-    """Deterministic train/test index split.
+def split_indices(labels, test_fraction: float, seed: int):
+    """Deterministic stratified train/test index split.
 
-    Stratified mode samples per class, keeps at least one test sample for
-    any class with two or more, and routes singleton classes entirely to
-    train (their metrics would be meaningless and training needs them more).
+    Samples per class, keeps at least one test sample for any class with two
+    or more and at least one train sample for every class, and routes
+    singleton classes entirely to train (their metrics would be meaningless
+    and training needs them more).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
@@ -204,11 +204,6 @@ def split_indices(labels, test_fraction: float, seed: int, stratified: bool = Tr
     if not 0.0 <= test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    if not stratified:
-        perm = rng.permutation(labels.size)
-        n_test = _round_half_up(labels.size * test_fraction)
-        return np.sort(perm[n_test:]), np.sort(perm[:n_test])
-
     train_parts = []
     test_parts = []
     for c in np.unique(labels):
@@ -295,18 +290,13 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     _check_run(run)
     feats_a, feats_b, labels, n_classes = _data if _data is not None else load_run_data(run)
 
-    train_idx, test_idx = split_indices(
-        labels, run.split.test_fraction, seed=run.seed + 1, stratified=run.split.stratified
-    )
+    train_idx, test_idx = split_indices(labels, run.split.test_fraction, seed=run.seed + 1)
     if test_idx.size == 0:
         raise ConfigError("split produced an empty test set")
     val_idx = np.array([], dtype=np.int64)
     if run.split.val_fraction > 0.0:
         sub_train, sub_val = split_indices(
-            labels[train_idx],
-            run.split.val_fraction,
-            seed=run.seed + 4,
-            stratified=run.split.stratified,
+            labels[train_idx], run.split.val_fraction, seed=run.seed + 4
         )
         val_idx = train_idx[sub_val]
         train_idx = train_idx[sub_train]

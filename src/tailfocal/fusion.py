@@ -35,12 +35,13 @@ in one flat float64 buffer with a named view per parameter. _plan is the
 only place parameter names, shapes, their order and flat offsets come from;
 everything else reads them from it. Ablation variants drop whole streams.
 
+backward computes the parameter gradients alone, all that training reads.
 forward and backward write every array into a _Work, sized once for a
 batch. train makes one per call and reuses it on every step, so a step
 allocates no large array; the Adam update runs over cache-sized slices of
-the flat buffers. Called on their own, forward and backward make a fresh
-_Work per call, so what they return is the caller's; predict_proba makes
-one forward _Work per call and reuses it across its batches.
+the flat buffers. forward on its own makes a full _Work per call, which
+backward writes into, so what they return is the caller's; predict_proba
+makes one forward-only _Work per call and reuses it across its batches.
 """
 
 from __future__ import annotations
@@ -298,8 +299,8 @@ class _Packed(NamedTuple):
     """Rows that _pack checked and packed, as an (n, 2, D) block.
 
     forward, predict_proba and train take it in place of drug a's features,
-    with None for drug b; backward gives no input gradients for it. `work`,
-    if given, is the _Work that forward (and backward after it) writes into.
+    with None for drug b. `work`, if given, is the _Work that forward (and
+    backward after it) writes into.
     """
 
     block: np.ndarray
@@ -347,23 +348,22 @@ class _Work:
 
     train makes one per call, passes it to forward inside _Packed on every
     step, and forward hands it on to backward in its cache. forward called
-    without one makes its forward half for that call alone, and backward a
-    backward half, so the arrays they return stay the caller's.
+    without one makes a full one for that call alone, so the arrays forward
+    and backward return stay the caller's; predict_proba, which never runs
+    backward, makes one with backward=False.
     """
 
-    def __init__(self, config: ModelConfig, rows: int, forward=True, backward=True):
+    def __init__(self, config: ModelConfig, rows: int, backward=True):
         plan = _plan(config)
         n2 = 2 * rows
         # each classifier layer's input (the pair vectors first), then the logits
         widths = (2 * config.fused_width(), *config.classifier_dims)
         mask = bool if config.activation == "relu" else float  # what _act_grad writes
-        if forward:
-            self.pooled = np.empty((n2, widths[0] // 2 - plan.hidden))
-            # every stage's output but the last, which goes straight into acts[0]
-            self.posts = [np.empty((n2, plan.hidden)) for _ in plan.stages[1:]]
-            self.bias = np.empty(plan.hidden)
-            self.acts = [np.empty((rows, w)) for w in widths]
-        self.grad = None
+        self.pooled = np.empty((n2, widths[0] // 2 - plan.hidden))
+        # every stage's output but the last, which goes straight into acts[0]
+        self.posts = [np.empty((n2, plan.hidden)) for _ in plan.stages[1:]]
+        self.bias = np.empty(plan.hidden)
+        self.acts = [np.empty((rows, w)) for w in widths]
         if backward:
             self.grad, self.grads = _flat(plan)
             self.gx = [np.empty((rows, w)) for w in widths[:-1]]
@@ -372,9 +372,8 @@ class _Work:
             self.dz_mask = np.empty((n2, plan.hidden), mask)
             self.db = np.empty(plan.hidden)
             self.dprev = np.empty((n2, plan.hidden))
-            # an s or e stream's input gradient on its way into dprev: as wide
-            # as its embedding at stage 1, hidden_dim after
-            self.partner = np.empty(n2 * max(config.hidden_dim, *config.embed_dims))
+            # an s or e stream's input gradient on its way into dprev
+            self.partner = np.empty((n2, config.hidden_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -409,27 +408,19 @@ def _pool(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _maxpool_back(grad: np.ndarray, x: np.ndarray, window: int) -> np.ndarray:
-    """Gradient of _pool(x, window) wrt x: each pooled gradient goes to its
-    window's first maximum."""
-    b, d = x.shape
-    view = x.reshape(b, d // window, window)
-    out = np.zeros(view.shape)
-    np.put_along_axis(out, np.argmax(view, axis=2)[:, :, None], grad[:, :, None], axis=2)
-    return out.reshape(b, d)
-
-
 def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     """Batch forward pass. Returns (logits, cache) where cache feeds backward().
 
-    feats_a, feats_b map each active modality to a (B, width) array.
+    feats_a, feats_b map each active modality to a (B, width) array. Every
+    array is written into the _Work a _Packed input carries; without one,
+    forward makes a full _Work for this call, which backward writes into.
     """
     plan = _plan(config)
     x = _pack(config, feats_a, feats_b, slice(None))[0].reshape(-1, plan.width)
     n2 = x.shape[0]
     work = feats_a.work if isinstance(feats_a, _Packed) else None
     if work is None:
-        work = _Work(config, n2 // 2, backward=False)
+        work = _Work(config, n2 // 2)
     acts = [a[: n2 // 2] for a in work.acts]
     # rows a_i, b_i are adjacent, so the pair vectors acts[0] are F_u rows side by side
     fu = acts[0].reshape(n2, -1)
@@ -448,26 +439,17 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
         z = np.matmul(acts[layer], params[W].T, out=acts[layer + 1])
         z += params[b]
         _activate(z, config.activation if layer < 3 else None)
-    cache = {
-        "x": x,
-        "posts": posts,
-        "acts": acts,
-        "work": work if work.grad is not None else None,
-        "input_grads": not isinstance(feats_a, _Packed),
-    }
-    return acts[-1], cache
+    return acts[-1], {"x": x, "posts": posts, "acts": acts, "work": work}
 
 
 def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dict:
-    """Gradients for every parameter (and the inputs) given d(loss)/d(logits).
-
-    The parameter gradients are views into one flat buffer, in param_shapes
-    order; "inputs" holds each drug's modality gradients.
+    """The gradient of every parameter given d(loss)/d(logits), as a dict of
+    views into the flat buffer work.grad of the _Work in `cache`, in
+    param_shapes order. No gradient for the input features is computed.
     """
     plan = _plan(config)
-    x, posts, acts = cache["x"], cache["posts"], cache["acts"]
+    x, posts, acts, work = cache["x"], cache["posts"], cache["acts"], cache["work"]
     n2 = x.shape[0]
-    work = cache["work"] or _Work(config, n2 // 2, forward=False)
     grads = work.grads
     g = np.asarray(grad_logits, dtype=float)
 
@@ -478,40 +460,26 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
         if layer > 0:
             gx *= _act_grad(acts[layer], config.activation, work.masks[layer - 1][: n2 // 2])
             g = gx
-    dfu = gx.reshape(n2, -1)
-
-    dcur = dfu[:, : plan.hidden]
+    # the stage outputs' gradient: the fused rows' leading columns
+    dcur = gx.reshape(n2, -1)[:, : plan.hidden]
     for j in range(len(plan.stages), 0, -1):
         mask = _act_grad(posts[j - 1], config.activation, work.dz_mask[:n2])
         dz = np.multiply(dcur, mask, out=work.dz[:n2])
         db = np.sum(dz, axis=0, out=work.db)
         prev = x if j == 1 else posts[j - 2]
         # once dz is computed dcur is spent, so work.dprev can take its place
-        if j > 1:
-            dprev = work.dprev[:n2]
-        else:  # the input gradients, if asked for, are the caller's
-            dprev = np.empty(x.shape) if cache["input_grads"] else None
+        dcur = work.dprev[:n2]
         for st in plan.stages[j - 1]:
             dzm = dz[:, st.cols_out]
             np.matmul(dzm.T, prev[:, st.cols_in], out=grads[st.W])
             grads[st.b][...] = db[st.cols_out]
-            if dprev is None:
+            if j == 1:  # the input features' gradient, which nothing reads
                 continue
             if st.adds:
-                part = work.partner[: dprev[:, st.cols_in].size].reshape(n2, -1)
-                dprev[:, st.cols_in] += np.matmul(dzm, params[st.W], out=part)
+                dcur[:, st.cols_in] += np.matmul(dzm, params[st.W], out=work.partner[:n2])
             else:
-                np.matmul(dzm, params[st.W], out=dprev[:, st.cols_in])
-        dcur = dprev
-
-    din = None
-    if cache["input_grads"]:
-        dcur += _maxpool_back(dfu[:, plan.hidden :], x, config.pool_window)
-        din = {
-            side: {m: dcur[k::2, cols] for m, cols in plan.cols.items()}
-            for k, side in enumerate("ab")
-        }
-    return {"params": grads, "inputs": din}
+                np.matmul(dzm, params[st.W], out=dcur[:, st.cols_in])
+    return grads
 
 
 # pairs per predict_proba batch, which bounds its memory

@@ -133,7 +133,7 @@ def test_criterion_03_gradients_match_finite_differences():
 
         logits, cache = forward(config, params, fa, fb)
         _, grad_logits = batch_loss(ce, logits, labels)
-        grads = backward(config, params, cache, grad_logits)["params"]
+        grads = backward(config, params, cache, grad_logits)
 
         h = 1e-6
         for name in params:

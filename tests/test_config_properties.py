@@ -80,7 +80,7 @@ RUNS = st.builds(
         eps=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         patience=st.none() | st.integers(1, 10**6),
     ),
-    split=st.builds(SplitConfig, test_fraction=UNIT, val_fraction=UNIT, stratified=st.booleans()),
+    split=st.builds(SplitConfig, test_fraction=UNIT, val_fraction=UNIT),
     seed=INTS,
 )
 

@@ -167,12 +167,6 @@ class TestSplitIndices:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
 
-    def test_unstratified_size(self):
-        labels = np.repeat([0, 1], 50)
-        train, test = split_indices(labels, 0.2, seed=0, stratified=False)
-        assert test.size == 20
-        assert train.size == 80
-
     def test_zero_fraction_gives_empty_test(self):
         labels = np.repeat([0, 1], 5)
         train, test = split_indices(labels, 0.0, seed=0)
@@ -239,7 +233,7 @@ class TestConfigRoundTrip:
             loss=LossConfig(kind="cb", lam=0.99),
             model=NetConfig(classifier_dims=(32, 32, 16, 171), variant="GS"),
             optim=OptimConfig(patience=None, lr=5e-4),
-            split=SplitConfig(stratified=False),
+            split=SplitConfig(test_fraction=0.25, val_fraction=0.0),
             seed=17,
         )
         assert config_from_text(config_to_text(run)) == run
@@ -257,9 +251,10 @@ class TestConfigRoundTrip:
         run = config_from_text("# comment\n\nseed = 5\n")
         assert run.seed == 5
 
-    def test_unknown_key_names_line(self):
+    @pytest.mark.parametrize("line", ["loss.alpha = 2", "split.stratified = false"])
+    def test_unknown_key_names_line(self, line):
         with pytest.raises(DataFormatError, match="line 2"):
-            config_from_text("seed = 1\nloss.alpha = 2\n")
+            config_from_text(f"seed = 1\n{line}\n")
 
     def test_bad_value_names_line(self):
         with pytest.raises(DataFormatError, match="line 1"):
@@ -686,6 +681,18 @@ class TestCli:
         path.write_text("loss.alpha = 1\n")
         assert main(["train", "--config", str(path)]) == 4
         assert "error:" in capsys.readouterr().err
+
+    def test_stale_stratified_key_exits_4_before_any_output(self, tmp_path, capsys):
+        # every split is stratified; a config that still sets the old key is
+        # refused where it is read, naming its line, before data is built
+        path = tmp_path / "old.cfg"
+        path.write_text(TINY_CFG_TEXT + "split.stratified = false\n")
+        line = TINY_CFG_TEXT.count("\n") + 1
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "split.stratified" in err and f"line {line}" in err
+        assert not out.exists()
 
     def test_missing_config_file_exits_4(self, capsys):
         assert main(["train", "--config", "/nonexistent/run.cfg"]) == 4

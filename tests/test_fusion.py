@@ -25,7 +25,7 @@ from tailfocal import (
     train,
 )
 from tailfocal import fusion
-from tailfocal.fusion import _maxpool_back, _pack, _Packed, _pool
+from tailfocal.fusion import _pack, _Packed, _plan, _pool, _Work
 from tailfocal.metrics import confusion_metrics
 
 TINY = dict(
@@ -61,7 +61,7 @@ def _longhand_train(config, params, data, spec, opt, seed):
             logits, cache = forward(config, params, ba, bb)
             value, grad_logits = batch_loss(spec, logits, labels[idx])
             total += value * idx.size
-            grads = backward(config, params, cache, grad_logits)["params"]
+            grads = backward(config, params, cache, grad_logits)
             step += 1
             bc1 = 1.0 - opt.beta1**step
             bc2 = 1.0 - opt.beta2**step
@@ -206,18 +206,10 @@ class TestMaxPool:
     def test_values_and_indices(self):
         x = np.array([[1.0, 3.0, 2.0, 0.0]])
         np.testing.assert_array_equal(_pool(x, 2, np.empty((1, 2))), [[3.0, 2.0]])
-        # a unit gradient marks each window's maximum: indices 1 and 0
-        np.testing.assert_array_equal(_maxpool_back(np.ones((1, 2)), x, 2), [[0.0, 1.0, 1.0, 0.0]])
-
-    def test_gradient_routes_to_argmax_only(self):
-        x = np.array([[1.0, 3.0, 2.0, 0.0]])
-        back = _maxpool_back(np.array([[5.0, 7.0]]), x, 2)
-        np.testing.assert_array_equal(back, [[0.0, 5.0, 7.0, 0.0]])
 
     def test_tie_routes_to_first(self):
         x = np.array([[2.0, 2.0]])
         np.testing.assert_array_equal(_pool(x, 2, np.empty((1, 1))), [[2.0]])
-        np.testing.assert_array_equal(_maxpool_back(np.array([[3.0]]), x, 2), [[3.0, 0.0]])
 
 
 class TestForward:
@@ -352,7 +344,7 @@ class TestBackward:
 
         logits, cache = forward(config, params, fa, fb)
         _, grad_logits = batch_loss(spec, logits, labels)
-        grads = backward(config, params, cache, grad_logits)["params"]
+        grads = backward(config, params, cache, grad_logits)
 
         h = 1e-6
         for name in sorted(params):
@@ -378,35 +370,25 @@ class TestBackward:
         for seed in (2, 3):
             self._fd_param_check("relu", seed)
 
-    def test_input_gradients_match_fd(self):
+    # forward on dicts makes its own workspace; a _Packed input carries train's
+    @pytest.mark.parametrize("packed", [False, True], ids=["own_work", "packed_work"])
+    def test_gradients_are_views_of_the_workspace_in_layout_order(self, packed):
         rng = np.random.default_rng(60)
-        config = ModelConfig(activation="tanh", **TINY)
+        config = ModelConfig(**dict(TINY, k_stages=2))
         params = init_params(config, seed=6)
-        fa = _rand_feats(rng, config, 2)
-        fb = _rand_feats(rng, config, 2)
-        labels = rng.integers(0, 3, size=2)
-        spec = LossSpec(kind="ce")
-
+        fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
+        work = _Work(config, 4)
+        if packed:
+            fa, fb = _Packed(_pack(config, fa, fb, slice(None))[0], work), None
         logits, cache = forward(config, params, fa, fb)
-        _, grad_logits = batch_loss(spec, logits, labels)
-        din = backward(config, params, cache, grad_logits)["inputs"]
-
-        h = 1e-6
-        for side, feats in (("a", fa), ("b", fb)):
-            for m in config.modalities:
-                flat = feats[m].reshape(-1)
-                fd = np.zeros_like(flat)
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    up = batch_loss(spec, forward(config, params, fa, fb)[0], labels)[0]
-                    flat[i] = orig - h
-                    dn = batch_loss(spec, forward(config, params, fa, fb)[0], labels)[0]
-                    flat[i] = orig
-                    fd[i] = (up - dn) / (2.0 * h)
-                an = din[side][m].reshape(-1)
-                scale = np.maximum(np.abs(an), np.abs(fd))
-                assert np.all(np.abs(an - fd) <= np.maximum(1e-7, 1e-4 * scale))
+        _, grad_logits = batch_loss(LossSpec(kind="ce"), logits, rng.integers(0, 3, size=4))
+        grads = backward(config, params, cache, grad_logits)
+        assert (cache["work"] is work) == packed
+        assert list(grads) == list(param_shapes(config))
+        flat = cache["work"].grad
+        for name, lo, _, shape in _plan(config).params:
+            assert grads[name].shape == shape
+            assert grads[name].ctypes.data == flat[lo:].ctypes.data, name
 
 
 class TestTraining:
@@ -520,7 +502,7 @@ class TestTraining:
             out = real_backward(*args)
             steps.append(None)
             if len(steps) == 5:  # epoch 1, the batch starting at sample 8
-                out["params"]["cls3_b"][-1] = np.nan
+                out["cls3_b"][-1] = np.nan
             return out
 
         monkeypatch.setattr(fusion, "backward", nan_in_cls3_b)
@@ -540,10 +522,10 @@ class TestTraining:
             logits, cache = forward(config, params, fa, fb)
             _, grad_logits = batch_loss(spec, logits, rng.integers(0, 3, size=n))
             out = backward(config, params, cache, grad_logits)
-            runs.append((logits, logits.copy(), out, {k: v.copy() for k, v in out["params"].items()}))
+            runs.append((logits, logits.copy(), out, {k: v.copy() for k, v in out.items()}))
         for logits, kept, out, grads in runs:
             assert np.array_equal(logits, kept)
-            assert all(np.array_equal(out["params"][k], grads[k]) for k in grads)
+            assert all(np.array_equal(out[k], grads[k]) for k in grads)
 
     def test_diverging_update_raises_at_its_step(self, monkeypatch):
         rng = np.random.default_rng(77)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailfocal import split_indices
+from tailfocal import class_stats_from_counts, split_indices
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -36,9 +36,14 @@ def test_stratified_split_invariants(labels, test_fraction, seed):
 
 
 @PROPS
-@given(LABELS, FRACTIONS, st.integers(0, 2**32 - 1))
-def test_unstratified_split_invariants(labels, test_fraction, seed):
+@given(LABELS, FRACTIONS, FRACTIONS, st.integers(0, 2**32 - 1))
+def test_every_class_keeps_a_training_row_after_test_and_validation(
+    labels, test_fraction, val_fraction, seed
+):
+    # run_training's two splits: the test rows, then validation out of the rest
     labels = np.array(labels)
-    train, test = split_indices(labels, test_fraction, seed=seed, stratified=False)
-    _partition(labels, train, test)
-    assert test.size == int(np.floor(labels.size * test_fraction + 0.5))
+    train, _ = split_indices(labels, test_fraction, seed=seed)
+    sub_train, _ = split_indices(labels[train], val_fraction, seed=seed + 3)
+    present = np.unique(labels)
+    tally = np.bincount(labels[train[sub_train]], minlength=present.max() + 1)[present]
+    class_stats_from_counts(tally)  # a ConfigError if a class has no training row
