@@ -61,8 +61,7 @@ from .fusion import (
     ModelConfig,
     OptimConfig,
     _check_net,
-    _pack,
-    _Packed,
+    _Rows,
     _variant_modalities,
     init_params,
     predict_proba,
@@ -283,6 +282,11 @@ def _check_run(run: RunConfig) -> None:
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
+    train and predict_proba get each split as _Rows, the dataset's columns
+    and the split's row indices, so no split's features are copied. On a
+    data file, effective.cfg records the class count and modality widths
+    read from the file, not the data.n_classes and data.embed_dims ignored.
+
     _data lets sibling runs (loss comparisons, sweeps) reuse already-built
     arrays; it must come from load_run_data on an identical data config
     and seed.
@@ -309,15 +313,15 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     model_config = _model_config(run.model, n_classes, embed_dims)
     params = init_params(model_config, seed=run.seed + 2)
 
-    def packed(idx):  # one split's rows, packed once from the dataset columns
-        return _Packed(_pack(model_config, feats_a, feats_b, idx)[0]), None, labels[idx]
+    def split(idx):  # one split: the dataset's columns and its row indices
+        return _Rows(feats_a, feats_b, idx), None, labels[idx]
 
-    val_data = packed(val_idx) if val_idx.size else None
+    val_data = split(val_idx) if val_idx.size else None
     trace = train(
-        model_config, params, packed(train_idx), loss_spec, run.optim, val_data, seed=run.seed + 3
+        model_config, params, split(train_idx), loss_spec, run.optim, val_data, seed=run.seed + 3
     )
 
-    test_a, test_b, test_labels = packed(test_idx)
+    test_a, test_b, test_labels = split(test_idx)
     report = metrics_report(predict_proba(model_config, params, test_a, test_b), test_labels)
 
     result = RunResult(
@@ -330,6 +334,8 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
         test_labels=test_labels,
     )
     if out_dir is not None:
+        if run.data.path is not None:
+            run = replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
         _write_run_outputs(out_dir, run, result)
     return result
 

@@ -21,11 +21,14 @@ stage is one matmul per modality over all 2B rows, max-pooling is one pass
 over the whole row (pool_window divides every width), and the fused rows
 reshaped to (B, 2F) are the pair vectors without a copy.
 
-_check_net alone holds the network's rules that need no data. _pack alone
-checks a feature pair, once on the whole arrays, and copies the chosen
-rows from the caller's columns into an (n, 2, D) block; a block handed
-back as _Packed(block), with None for drug b, passes through.
-run_training packs each split once, predict_proba one batch at a time.
+_check_net alone holds the network's rules that need no data. The
+caller's columns are the only copy of the features: _rows checks a feature
+pair once per call, on the whole arrays, and _pack gathers one batch of its
+rows at a time from those columns, unchecked, into the batch buffer of a
+_Work. A split is _Rows(feats_a, feats_b, rows), the dataset's columns and
+the split's row indices, which _pack composes with each batch's; nothing
+copies a whole split, and train and predict_proba on dicts gather from the
+dicts' columns the same way.
 
 Everything is explicit: forward caches intermediates, backward walks them
 in reverse, and training is mini-batch Adam-style updates with optional
@@ -36,12 +39,13 @@ only place parameter names, shapes, their order and flat offsets come from;
 everything else reads them from it. Ablation variants drop whole streams.
 
 backward computes the parameter gradients alone, all that training reads.
-forward and backward write every array into a _Work, sized once for a
-batch. train makes one per call and reuses it on every step, so a step
-allocates no large array; the Adam update runs over cache-sized slices of
-the flat buffers. forward on its own makes a full _Work per call, which
-backward writes into, so what they return is the caller's; predict_proba
-makes one forward-only _Work per call and reuses it across its batches.
+_pack, forward and backward write every array into a _Work, sized once
+for a batch. train makes one per call and reuses it on every step, so a
+step allocates no large array; the Adam update runs over cache-sized
+slices of the flat buffers. forward on dicts makes a full _Work per call,
+which backward writes into, so what they return is the caller's;
+predict_proba makes one forward-only _Work per call and reuses it across
+its batches.
 """
 
 from __future__ import annotations
@@ -295,29 +299,34 @@ def _check_params(config: ModelConfig, params, where: str) -> None:
 # packed layout
 
 
-class _Packed(NamedTuple):
-    """Rows that _pack checked and packed, as an (n, 2, D) block.
+class _Rows(NamedTuple):
+    """Rows `rows` of the drug pair (feats_a, feats_b): a split that stays
+    in the caller's columns. train and predict_proba take it in place of
+    drug a's features, with None for drug b, and gather it a batch at a
+    time; run_training hands them each split this way."""
 
-    forward, predict_proba and train take it in place of drug a's features,
-    with None for drug b. `work`, if given, is the _Work that forward (and
-    backward after it) writes into.
-    """
+    feats_a: dict
+    feats_b: dict
+    rows: np.ndarray
+
+
+class _Packed(NamedTuple):
+    """A batch that _pack gathered, as a (B, 2, D) block, and the _Work it
+    sits in, which forward (and backward after it) writes into. forward
+    takes it in place of drug a's features, with None for drug b."""
 
     block: np.ndarray
-    work: _Work | None = None
+    work: _Work
 
 
-def _pack(config: ModelConfig, feats_a, feats_b, rows) -> tuple[np.ndarray, int]:
-    """(block, n): `rows` of a drug pair as a (len(rows), 2, D) block in
-    canonical column order, and n, the row count of the whole pair.
-
-    Checks the whole arrays once (each active modality (n, width) on both
-    sides, n > 0), then copies the rows one modality at a time straight from
-    the caller's columns. A _Packed input passes through as block[rows].
-    """
-    if isinstance(feats_a, _Packed):
-        return feats_a.block[rows], feats_a.block.shape[0]
-    plan = _plan(config)
+def _rows(config: ModelConfig, feats_a, feats_b) -> _Rows:
+    """The pair as _Rows over the caller's columns, each an array, with
+    rows 0..n-1 for a pair of dicts. Checks the whole arrays once: each
+    active modality (n, width) on both sides, and the rows a non-empty 1-D
+    list of indices within 0..n-1."""
+    rows = None
+    if isinstance(feats_a, _Rows):
+        feats_a, feats_b, rows = feats_a
     sides = (("a", feats_a), ("b", feats_b))
     n = None
     for side, feats in sides:
@@ -332,30 +341,46 @@ def _pack(config: ModelConfig, feats_a, feats_b, rows) -> tuple[np.ndarray, int]
                 n = shape[0]
             elif shape[0] != n:
                 raise ConfigError(f"drug {side} modality {m} has {shape[0]} rows, expected {n}")
-    if n == 0:
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    if rows.size == 0:
         raise ConfigError("empty batch")
-    count = len(range(n)[rows]) if isinstance(rows, slice) else len(rows)
-    out = np.empty((count, 2, plan.width))
-    for k, (_, feats) in enumerate(sides):
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
+        raise ConfigError(f"rows must be a 1-D list of indices into the pair's {n} rows")
+    cols = [{m: np.asarray(feats[m]) for m in config.modalities} for _, feats in sides]
+    return _Rows(*cols, rows)
+
+
+def _pack(config: ModelConfig, pair: _Rows, idx, out: np.ndarray) -> np.ndarray:
+    """Rows pair.rows[idx] (idx an index array or a slice) gathered into the
+    leading rows of `out`, a (B, 2, D) block in canonical column order, with
+    one np.take per modality and side straight from the columns. Nothing is
+    checked: `pair` comes from _rows."""
+    rows = pair.rows[idx]
+    block = out[: rows.size]
+    plan = _plan(config)
+    for k, feats in enumerate(pair[:2]):
         for m, cols in plan.cols.items():
-            out[:, k, cols] = np.asarray(feats[m])[rows]
-    return out, n
+            # mode="clip" skips take's bounds check; _rows made one
+            block[:, k, cols] = np.take(feats[m], rows, axis=0, mode="clip")
+    return block
 
 
 class _Work:
-    """The arrays forward and backward write, allocated once for batches of
-    up to `rows` pairs; a shorter batch uses leading-row views of them.
+    """The arrays _pack, forward and backward write, allocated once for
+    batches of up to `rows` pairs; a shorter batch uses leading-row views of
+    them.
 
-    train makes one per call, passes it to forward inside _Packed on every
-    step, and forward hands it on to backward in its cache. forward called
-    without one makes a full one for that call alone, so the arrays forward
-    and backward return stay the caller's; predict_proba, which never runs
-    backward, makes one with backward=False.
+    train makes one per call, gathers each batch into its `x` and passes it
+    to forward inside _Packed on every step, and forward hands it on to
+    backward in its cache. forward called on dicts makes a full one for that
+    call alone, so the arrays forward and backward return stay the caller's;
+    predict_proba, which never runs backward, makes one with backward=False.
     """
 
     def __init__(self, config: ModelConfig, rows: int, backward=True):
         plan = _plan(config)
         n2 = 2 * rows
+        self.x = np.empty((rows, 2, plan.width))  # the batch, as _pack gathers it
         # each classifier layer's input (the pair vectors first), then the logits
         widths = (2 * config.fused_width(), *config.classifier_dims)
         mask = bool if config.activation == "relu" else float  # what _act_grad writes
@@ -411,16 +436,20 @@ def _pool(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
 def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     """Batch forward pass. Returns (logits, cache) where cache feeds backward().
 
-    feats_a, feats_b map each active modality to a (B, width) array. Every
-    array is written into the _Work a _Packed input carries; without one,
-    forward makes a full _Work for this call, which backward writes into.
+    feats_a, feats_b map each active modality to a (B, width) array, which
+    forward checks and gathers into a full _Work it makes for this call;
+    backward writes into the same one. A _Packed input, with None for
+    drug b, is a batch already gathered into the _Work it carries.
     """
     plan = _plan(config)
-    x = _pack(config, feats_a, feats_b, slice(None))[0].reshape(-1, plan.width)
+    if isinstance(feats_a, _Packed):
+        x, work = feats_a
+    else:
+        pair = _rows(config, feats_a, feats_b)
+        work = _Work(config, pair.rows.size)
+        x = _pack(config, pair, slice(None), work.x)
+    x = x.reshape(-1, plan.width)
     n2 = x.shape[0]
-    work = feats_a.work if isinstance(feats_a, _Packed) else None
-    if work is None:
-        work = _Work(config, n2 // 2)
     acts = [a[: n2 // 2] for a in work.acts]
     # rows a_i, b_i are adjacent, so the pair vectors acts[0] are F_u rows side by side
     fu = acts[0].reshape(n2, -1)
@@ -487,16 +516,18 @@ _PREDICT_ROWS = 1024
 
 
 def predict_proba(config, params, feats_a, feats_b) -> np.ndarray:
-    """Class probabilities, _PREDICT_ROWS pairs at a time: the pair's shapes
-    are checked, then one batch at a time is packed straight from the
-    caller's columns (a _Packed block is only sliced) and run through one
-    forward workspace."""
-    _, n = _pack(config, feats_a, feats_b, slice(0))
+    """Class probabilities, _PREDICT_ROWS pairs at a time, for a pair of
+    dicts or for _Rows (with None for drug b), row i being the pair's i-th
+    row. The pair is checked once, then each batch is gathered straight
+    from the caller's columns into one forward workspace and run through
+    it; no larger copy of the features is made."""
+    pair = _rows(config, feats_a, feats_b)
+    n = pair.rows.size
     out = np.empty((n, config.n_classes))
     work = _Work(config, min(_PREDICT_ROWS, n), backward=False)
     for lo in range(0, n, _PREDICT_ROWS):
-        chunk, _ = _pack(config, feats_a, feats_b, slice(lo, lo + _PREDICT_ROWS))
-        logits, _ = forward(config, params, _Packed(chunk, work), None)
+        x = _pack(config, pair, slice(lo, lo + _PREDICT_ROWS), work.x)
+        logits, _ = forward(config, params, _Packed(x, work), None)
         out[lo : lo + _PREDICT_ROWS] = _softmax_rows(logits)
     return out
 
@@ -529,17 +560,19 @@ def train(
     """Mini-batch training with per-parameter adaptive step scaling.
 
     train_data / val_data: (features_a, features_b, labels) triples, or
-    (_Packed(block), None, labels), which is never checked or packed again.
-    train packs its features once; val_data goes to predict_proba as given.
-    `seed` drives the per-epoch batch shuffle and nothing else; the same
-    params, data, opt and seed give bit-identical training.
+    (_Rows(features_a, features_b, rows), None, labels), a split of those
+    columns with labels[i] for its i-th row. train checks its pair once and
+    copies no more of it than one batch; val_data goes to predict_proba as
+    given, once per epoch. `seed` drives the per-epoch batch shuffle and
+    nothing else; the same params, data, opt and seed give bit-identical
+    training.
 
-    A step allocates nothing of its own: the call makes one _Work and one
-    batch buffer for batch_size rows (a short last batch uses their leading
-    rows), gathers each batch into it with one take, and forward and
-    backward write into it. The Adam update runs its thirteen in-place
-    passes one _ADAM_SLICE slice of the flat buffers at a time, checking
-    each slice for finiteness as it goes.
+    A step allocates nothing of its own: the call makes one _Work for
+    batch_size rows (a short last batch uses its leading rows), _pack
+    gathers each batch straight from the columns into its batch buffer, and
+    forward and backward write into it. The Adam update runs its thirteen
+    in-place passes one _ADAM_SLICE slice of the flat buffers at a time,
+    checking each slice for finiteness as it goes.
 
     Writes the trained values into the arrays of `params` and returns
     per-epoch statistics. With val_data and a patience, stops once
@@ -549,7 +582,8 @@ def train(
     go non-finite, leaving `params` as they were.
     """
     feats_a, feats_b, labels = train_data
-    packed, n = _pack(config, feats_a, feats_b, slice(None))
+    pair = _rows(config, feats_a, feats_b)
+    n = pair.rows.size
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size != n:
         raise ConfigError("labels and features disagree on sample count")
@@ -563,7 +597,6 @@ def train(
     m2 = np.zeros_like(theta)
     rows = min(opt.batch_size, n)
     work = _Work(config, rows)
-    batch = np.empty((rows, 2, plan.width))
     # backward writes its gradients into work.grad; an Adam slice is views
     # (th, m, v, g) of theta, m1, m2 and work.grad, with u, w of t1, t2 its scratch
     slices = [
@@ -583,8 +616,7 @@ def train(
         total = 0.0
         for lo in range(0, n, opt.batch_size):
             idx = perm[lo : lo + opt.batch_size]
-            # mode="clip" keeps take from buffering its output; idx is in range
-            x = np.take(packed, idx, axis=0, out=batch[: idx.size], mode="clip")
+            x = _pack(config, pair, idx, work.x)
             logits, cache = forward(config, views, _Packed(x, work), None)
             if not np.all(np.isfinite(logits)):
                 raise TrainingError(

@@ -6,6 +6,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from tailfocal import (
+    MODALITIES,
     ConfigError,
     DataConfig,
     DataFormatError,
@@ -333,6 +335,46 @@ class TestRunTraining:
         )
         result = run_training(run)
         assert result.report.n_classes == 3
+
+    def test_file_run_records_the_file_class_count_and_widths(self, tmp_path):
+        path = tmp_path / "five.tsv"
+        write_generated_dataset(_tiny(data=dict(n_classes=5)).data, seed=3, out_path=path)
+        run = _tiny(
+            data=dict(path=str(path), n_classes=3, embed_dims=(8, 8, 8, 8)),
+            model=dict(classifier_dims=(8, 8, 8, 5)),
+        )
+        out1 = tmp_path / "r1"
+        run_training(run, out_dir=out1)
+        text = (out1 / "effective.cfg").read_text().splitlines()
+        assert "data.n_classes = 5" in text and "data.embed_dims = 4,4,4,4" in text
+        reread = parse_config_file(out1 / "effective.cfg")
+        assert reread == _tiny(
+            data=dict(path=str(path), n_classes=5, embed_dims=(4, 4, 4, 4)),
+            model=dict(classifier_dims=(8, 8, 8, 5)),
+        )
+        out2 = tmp_path / "r2"
+        run_training(reread, out_dir=out2)
+        assert (out1 / "per_class.csv").read_bytes() == (out2 / "per_class.csv").read_bytes()
+
+    def test_splits_are_not_copied(self):
+        # 61 MB of features, against a prediction workspace of about 2 MB
+        n = 60000
+        rng = np.random.default_rng(6)
+        feats = [{m: rng.normal(size=(n, 16)) for m in MODALITIES} for _ in range(2)]
+        total = sum(v.nbytes for f in feats for v in f.values())
+        run = _tiny(
+            data=dict(embed_dims=(16, 16, 16, 16)),
+            model=dict(hidden_dim=4, pool_window=4),
+            optim=dict(batch_size=64, epochs=1),
+            split=dict(test_fraction=0.2, val_fraction=0.1),
+        )
+        tracemalloc.start()
+        try:
+            run_training(run, _data=(*feats, rng.integers(0, 3, size=n), 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total / 4
 
     @pytest.mark.parametrize("missing", [2, 4])
     def test_file_missing_a_declared_class_is_rejected(self, tmp_path, missing):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from tailfocal import (
     train,
 )
 from tailfocal import fusion
-from tailfocal.fusion import _pack, _Packed, _plan, _pool, _Work
+from tailfocal.fusion import _pack, _Packed, _plan, _pool, _rows, _Work
 from tailfocal.metrics import confusion_metrics
 
 TINY = dict(
@@ -370,7 +371,7 @@ class TestBackward:
         for seed in (2, 3):
             self._fd_param_check("relu", seed)
 
-    # forward on dicts makes its own workspace; a _Packed input carries train's
+    # forward on dicts makes its own workspace; a _Packed batch carries train's
     @pytest.mark.parametrize("packed", [False, True], ids=["own_work", "packed_work"])
     def test_gradients_are_views_of_the_workspace_in_layout_order(self, packed):
         rng = np.random.default_rng(60)
@@ -379,7 +380,8 @@ class TestBackward:
         fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
         work = _Work(config, 4)
         if packed:
-            fa, fb = _Packed(_pack(config, fa, fb, slice(None))[0], work), None
+            pair = _rows(config, fa, fb)
+            fa, fb = _Packed(_pack(config, pair, slice(None), work.x), work), None
         logits, cache = forward(config, params, fa, fb)
         _, grad_logits = batch_loss(LossSpec(kind="ce"), logits, rng.integers(0, 3, size=4))
         grads = backward(config, params, cache, grad_logits)
@@ -578,33 +580,25 @@ class TestTraining:
         pred = np.argmax(predict_proba(config, params, val_a, val_b), axis=1)
         assert confusion_metrics(pred, labels, config.n_classes).macro_f1 == max(scores)
 
-    def test_packed_split_matches_dict_split(self, monkeypatch):
-        rng = np.random.default_rng(80)
-        config = ModelConfig(**TINY)
-        fa = _rand_feats(rng, config, 90)
-        fb = _rand_feats(rng, config, 90)
-        labels = rng.integers(0, config.n_classes, size=90)
-        train_idx, val_idx = rng.permutation(90)[:60], np.sort(rng.permutation(90)[:30])
-        opt = OptimConfig(lr=1e-2, batch_size=16, epochs=2, patience=1)
-        spec = LossSpec(kind="ce")
-
-        def packed(idx):
-            return _Packed(_pack(config, fa, fb, idx)[0]), None, labels[idx]
-
-        def taken(idx):
-            return {m: fa[m][idx] for m in fa}, {m: fb[m][idx] for m in fb}, labels[idx]
-
-        monkeypatch.setattr(fusion, "_PREDICT_ROWS", 7)
-        runs = []
-        for split in (packed, taken):
-            params = init_params(config, seed=17)
-            val = split(val_idx)
-            trace = train(config, params, split(train_idx), spec, opt, val_data=val, seed=8)
-            runs.append((params, trace, predict_proba(config, params, *val[:2])))
-        (p1, t1, probs1), (p2, t2, probs2) = runs
-        assert all(np.array_equal(p1[k], p2[k]) for k in p1)
-        assert t1 == t2 and t1[0].val_macro_f1 is not None
-        assert np.array_equal(probs1, probs2)
+    def test_training_on_dicts_copies_no_whole_split(self):
+        # 20.5 MB of features, against a workspace of 64 rows at width 64
+        rng = np.random.default_rng(84)
+        config = ModelConfig(
+            n_classes=3, embed_dims=(16, 16, 16, 16), hidden_dim=4, k_stages=1,
+            classifier_dims=(8, 8, 8, 3),
+        )
+        fa, fb = _rand_feats(rng, config, 20000), _rand_feats(rng, config, 20000)
+        total = sum(v.nbytes for f in (fa, fb) for v in f.values())
+        data = (fa, fb, rng.integers(0, 3, size=20000))
+        params = init_params(config, seed=21)
+        opt = OptimConfig(batch_size=64, epochs=1, patience=None)
+        tracemalloc.start()
+        try:
+            train(config, params, data, LossSpec(kind="ce"), opt, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total / 4
 
     def test_non_finite_forward_raises_training_error(self):
         rng = np.random.default_rng(75)

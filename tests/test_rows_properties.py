@@ -1,0 +1,58 @@
+"""Property test: a split handed over as _Rows trains and predicts exactly
+as a fancy-indexed copy of the same rows does."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tailfocal import LossSpec, ModelConfig, OptimConfig, init_params, predict_proba, train
+from tailfocal import fusion
+from tailfocal.fusion import _Rows
+
+PROPS = settings(derandomize=True, deadline=None, max_examples=40)
+
+CONFIG = ModelConfig(
+    n_classes=3, embed_dims=(4, 4, 4, 4), hidden_dim=3, k_stages=2,
+    classifier_dims=(5, 4, 3, 3), pool_window=2,
+)
+N = 12
+_rng = np.random.default_rng(90)
+FEATS_A = {m: _rng.normal(size=(N, CONFIG.embed_dim(m))) for m in CONFIG.modalities}
+FEATS_B = {m: _rng.normal(size=(N, CONFIG.embed_dim(m))) for m in CONFIG.modalities}
+LABELS = _rng.integers(0, CONFIG.n_classes, size=N)
+
+# unsorted, with repeats, or a single row
+ROWS = st.lists(st.integers(0, N - 1), min_size=1, max_size=3 * N).map(np.array)
+
+
+def _as_rows(rows):
+    return _Rows(FEATS_A, FEATS_B, rows), None, LABELS[rows]
+
+
+def _as_copies(rows):
+    return (*({m: v[rows] for m, v in f.items()} for f in (FEATS_A, FEATS_B)), LABELS[rows])
+
+
+@pytest.mark.parametrize("predict_rows", [1, 3, 7, 1024])
+@PROPS
+@given(ROWS, ROWS)
+@example(np.array([5]), np.array([0]))
+@example(np.array([7, 2, 7, 7, 0, 11, 2]), np.array([3, 3, 1]))
+def test_rows_train_and_predict_as_their_copies(predict_rows, train_rows, val_rows):
+    opt = OptimConfig(lr=1e-2, batch_size=4, epochs=3, patience=1)
+    spec = LossSpec(kind="ce")
+    runs = []
+    with mock.patch.object(fusion, "_PREDICT_ROWS", predict_rows):
+        for split in (_as_rows, _as_copies):
+            params = init_params(CONFIG, seed=17)
+            val = split(val_rows)
+            trace = train(CONFIG, params, split(train_rows), spec, opt, val_data=val, seed=8)
+            runs.append((params, trace, predict_proba(CONFIG, params, *val[:2])))
+    (p1, t1, probs1), (p2, t2, probs2) = runs
+    assert all(np.array_equal(p1[k], p2[k]) for k in p1)
+    assert t1 == t2 and t1[0].val_macro_f1 is not None
+    assert probs1.shape == (val_rows.size, CONFIG.n_classes)
+    assert np.array_equal(probs1, probs2)
