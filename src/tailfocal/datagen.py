@@ -272,10 +272,16 @@ def generate_dataset(spec: DatasetSpec) -> tuple[Dataset, ClassStats]:
     offsets = {m: rng.normal(size=(spec.n_drugs, d)) * spec.offset_scale for m, d in dims}
 
     def features(drugs):
-        return {
-            m: protos[m][labels] + offsets[m][drugs] + rng.normal(size=(n, d)) * spec.noise_scale
-            for m, d in dims
-        }
+        # (P + O) + N * s per modality, built in place in the output block
+        feats = {}
+        for m, d in dims:
+            block = feats[m] = np.take(protos[m], labels, axis=0)
+            block += np.take(offsets[m], drugs, axis=0)
+            noise = rng.normal(size=(n, d))
+            noise *= spec.noise_scale
+            block += noise
+            del noise  # before the next block is taken: at most two blocks in flight
+        return feats
 
     names = _names("D", spec.n_drugs)
     # arguments are evaluated in order, so drug a's noise is drawn before drug b's

@@ -30,12 +30,18 @@ reproduces the run exactly when fed back in.
 
 compare_losses, ablate and sweep check every run before any data is built,
 then train them on up to os.cpu_count() worker interpreters with one BLAS
-thread each (see _train_each); the rows are those of training the runs one
-after another in this process.
+thread each (see _train_pooled). Runs move between workers one epoch at a
+time: a free worker takes the oldest waiting run of the data source it
+holds (one at a time), else the oldest run, with the run's pickled
+training state, and hands the state back after one epoch. After a failure
+no new task is sent, and once every worker has exited the error of the
+failed run that comes first in submission order is raised. The rows are
+those of training the runs one after another in this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import typing
@@ -62,6 +68,8 @@ from .fusion import (
     OptimConfig,
     _check_net,
     _Rows,
+    _train_pair,
+    _Training,
     _variant_modalities,
     init_params,
     predict_proba,
@@ -279,6 +287,45 @@ def _check_run(run: RunConfig) -> None:
         _check_net(net)
 
 
+def _prepare(run: RunConfig, data):
+    """What a run derives from its config and data before training: its
+    ModelConfig, its LossSpec, and its train, validation (None when it has
+    no rows) and test splits, each as (_Rows, None, labels), the dataset's
+    columns and the split's row indices, so no split's features are copied."""
+    feats_a, feats_b, labels, n_classes = data
+    train_idx, test_idx = split_indices(labels, run.split.test_fraction, seed=run.seed + 1)
+    if test_idx.size == 0:
+        raise ConfigError("split produced an empty test set")
+    val_idx = np.array([], dtype=np.int64)
+    if run.split.val_fraction > 0.0:
+        sub_train, sub_val = split_indices(
+            labels[train_idx], run.split.val_fraction, seed=run.seed + 4
+        )
+        val_idx = train_idx[sub_val]
+        train_idx = train_idx[sub_train]
+
+    tally = np.bincount(labels[train_idx], minlength=n_classes)
+    loss_spec = build_loss_spec(run.loss, class_stats_from_counts(tally))
+
+    embed_dims = tuple(feats_a[m].shape[1] for m in MODALITIES)
+    model_config = _model_config(run.model, n_classes, embed_dims)
+
+    def split(idx):
+        return _Rows(feats_a, feats_b, idx), None, labels[idx]
+
+    val_data = split(val_idx) if val_idx.size else None
+    return model_config, loss_spec, split(train_idx), val_data, split(test_idx)
+
+
+def _as_read(run: RunConfig, n_classes: int, embed_dims) -> RunConfig:
+    """`run` as effective.cfg records it: on a data file, with the class
+    count and modality widths read from the file in place of the
+    data.n_classes and data.embed_dims it ignored."""
+    if run.data.path is None:
+        return run
+    return replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
+
+
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
@@ -292,36 +339,14 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     and seed.
     """
     _check_run(run)
-    feats_a, feats_b, labels, n_classes = _data if _data is not None else load_run_data(run)
-
-    train_idx, test_idx = split_indices(labels, run.split.test_fraction, seed=run.seed + 1)
-    if test_idx.size == 0:
-        raise ConfigError("split produced an empty test set")
-    val_idx = np.array([], dtype=np.int64)
-    if run.split.val_fraction > 0.0:
-        sub_train, sub_val = split_indices(
-            labels[train_idx], run.split.val_fraction, seed=run.seed + 4
-        )
-        val_idx = train_idx[sub_val]
-        train_idx = train_idx[sub_train]
-
-    tally = np.bincount(labels[train_idx], minlength=n_classes)
-    train_stats = class_stats_from_counts(tally)
-    loss_spec = build_loss_spec(run.loss, train_stats)
-
-    embed_dims = tuple(feats_a[m].shape[1] for m in MODALITIES)
-    model_config = _model_config(run.model, n_classes, embed_dims)
+    data = _data if _data is not None else load_run_data(run)
+    model_config, loss_spec, train_data, val_data, test_data = _prepare(run, data)
     params = init_params(model_config, seed=run.seed + 2)
-
-    def split(idx):  # one split: the dataset's columns and its row indices
-        return _Rows(feats_a, feats_b, idx), None, labels[idx]
-
-    val_data = split(val_idx) if val_idx.size else None
     trace = train(
-        model_config, params, split(train_idx), loss_spec, run.optim, val_data, seed=run.seed + 3
+        model_config, params, train_data, loss_spec, run.optim, val_data, seed=run.seed + 3
     )
 
-    test_a, test_b, test_labels = split(test_idx)
+    test_a, test_b, test_labels = test_data
     report = metrics_report(predict_proba(model_config, params, test_a, test_b), test_labels)
 
     result = RunResult(
@@ -329,13 +354,12 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
         trace=trace,
         model_config=model_config,
         params=params,
-        train_stats=train_stats,
+        train_stats=loss_spec.stats,
         tail=loss_spec.tail,
         test_labels=test_labels,
     )
     if out_dir is not None:
-        if run.data.path is not None:
-            run = replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
+        run = _as_read(run, model_config.n_classes, model_config.embed_dims)
         _write_run_outputs(out_dir, run, result)
     return result
 
@@ -376,113 +400,202 @@ _THREAD_VARS = (
 )
 
 
-def _train_chunk(subs):
-    """Train each (key, run) of `subs` in order, building data once per
-    stretch of runs sharing a data config and seed; a (key, headline metrics)
-    row per run."""
-    rows, source = [], None
-    for key, sub in subs:
+def _headline(model_config: ModelConfig, report: MetricsReport):
+    """A finished run's outcome: its headline metrics, then the class count
+    and modality widths it trained on."""
+    metrics = [getattr(report, metric) for metric in _HEADLINE]
+    return metrics, model_config.n_classes, model_config.embed_dims
+
+
+def _train_in_turn(subs):
+    """Train each (key, run) of `subs` in this process, one after another,
+    building data once per stretch of runs sharing a data config and seed;
+    the _headline of each run."""
+    done, source = [], None
+    for _, sub in subs:
         if source != (sub.data, sub.seed):
             source, data = (sub.data, sub.seed), load_run_data(sub)
-        report = run_training(sub, _data=data).report
-        rows.append((key, [getattr(report, metric) for metric in _HEADLINE]))
-    return rows
+        result = run_training(sub, _data=data)
+        done.append(_headline(result.model_config, result.report))
+    return done
 
 
-def _chunk_worker() -> None:
-    """Main of a worker interpreter: read a pickled list of (key, run) on
-    stdin, and write back on stdout, pickled, (True, its `_train_chunk`
-    rows) or (False, the exception that stopped it)."""
+def _advance(run: RunConfig, prepared, state):
+    """One task of a pooled run, given its _prepare output: start it if
+    `state` is None, run its next epoch, and evaluate it once training is
+    done. The same steps in the same order as run_training, so the outcome
+    is bit-identical. Returns ("epoch", the state) or ("done", _headline)."""
+    model_config, loss_spec, train_data, val_data, (test_a, test_b, test_labels) = prepared
+    if state is None:
+        params = init_params(model_config, seed=run.seed + 2)
+        state = _Training(model_config, params, run.optim, seed=run.seed + 3)
+    if not state.done:
+        state.run_epoch(*_train_pair(model_config, train_data), loss_spec, val_data)
+    if not state.done:
+        return "epoch", state
+    probs = predict_proba(model_config, state.params(), test_a, test_b)
+    return "done", _headline(model_config, metrics_report(probs, test_labels))
+
+
+def _worker() -> None:
+    """Main of a worker interpreter. Reads pickled tasks (index, run, state)
+    on stdin until EOF, index being the run's place in submission order,
+    and answers each on stdout, pickled: the _advance reply, or ("error",
+    the exception). The worker holds the data of one source (data config
+    and seed) at a time, and the _prepare output of each run of that source
+    it has served."""
     import pickle
 
     reply_to, sys.stdout = sys.stdout.buffer, sys.stderr  # stray prints stay off the pipe
-    subs = pickle.load(sys.stdin.buffer)
-    try:
-        reply = (True, _train_chunk(subs))
-    except Exception as exc:
-        reply = (False, exc)
-    reply_to.write(pickle.dumps(reply))
+    source = None
+    while True:
+        try:
+            index, run, state = pickle.load(sys.stdin.buffer)
+        except EOFError:
+            return
+        try:
+            if source != (run.data, run.seed):
+                source = prepared = data = None  # the old source goes before the next is built
+                data = load_run_data(run)
+                source, prepared = (run.data, run.seed), {}
+            if index not in prepared:
+                prepared[index] = _prepare(run, data)
+            reply = _advance(run, prepared[index], state)
+        except Exception as exc:
+            reply = ("error", exc)
+        pickle.dump(reply, reply_to, protocol=5)
+        reply_to.flush()
+
+
+def _pick(waiting, sources, held) -> int:
+    """The position in `waiting`, run indices oldest first, of the run a
+    free worker takes: the oldest whose source (sources[index]) is `held`,
+    the one the worker has loaded, else the oldest."""
+    return next((i for i, index in enumerate(waiting) if sources[index] == held), 0)
 
 
 def _train_pooled(subs, n: int):
-    """`_train_chunk` over `n` contiguous chunks of `subs`, each in a fresh
-    worker interpreter with one BLAS thread. Rows come in submission order;
-    on failure, the error of the earliest failing run is raised once every
-    worker has exited."""
+    """The _headline of each (key, run) of `subs`, in submission order,
+    trained on `n` worker interpreters with one BLAS thread each and handed
+    between them one epoch at a time.
+
+    Every run waits in one FIFO. A free worker takes the run _pick chooses,
+    with its _Training state, and sends back the state one epoch on, which
+    goes to the back of the queue, or the finished run's outcome. So no
+    worker idles while any run has epochs left. Each worker holds the data
+    of one source at a time, and loads another source's data only when no
+    run of the source it holds waits. After a failure no new task is sent;
+    once every worker has exited, the error of the failed run that comes
+    first in submission order is raised."""
     import pickle
+    import select
     import subprocess
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
-        "from tailfocal.experiments import _chunk_worker; _chunk_worker()"
+        "from tailfocal.experiments import _worker; _worker()"
     )
     env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
-    chunks = [subs[len(subs) * i // n : len(subs) * (i + 1) // n] for i in range(n)]
+    sources = [(sub.data, sub.seed) for _, sub in subs]
+    waiting = list(range(len(subs)))  # runs waiting for a worker, oldest first
+    states = {}  # run index -> its _Training state, while it waits between epochs
+    done = [None] * len(subs)
+    failed = {}  # run index -> its exception
     workers = []
     try:
-        for _ in chunks:
+        for _ in range(n):
             workers.append(subprocess.Popen(
                 [sys.executable, "-c", code],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
             ))
-        # every chunk goes out before any reply is read, so the workers train at once
-        for worker, chunk in zip(workers, chunks):
+        free, held, busy = list(range(n)), [None] * n, {}  # busy: worker -> its run
+        while True:
+            while free and waiting and not failed:
+                w = free.pop(0)
+                index = waiting.pop(_pick(waiting, sources, held[w]))
+                held[w], busy[w] = sources[index], index
+                try:  # protocol 5 writes and reads an array's buffer with no copy
+                    task = (index, subs[index][1], states.pop(index, None))
+                    pickle.dump(task, workers[w].stdin, protocol=5)
+                    task = None  # no reference here keeps a handed-on state alive
+                    workers[w].stdin.flush()
+                except BrokenPipeError:  # it has exited; its missing reply is reported below
+                    pass
+            if not busy:
+                break
+            # one reply at a time, so its worker is sent its next task before
+            # another reply is read and the parent holds as few states as it can
+            ready, _, _ = select.select([workers[w].stdout for w in busy], [], [])
+            w = next(w for w in busy if workers[w].stdout in ready)
+            index = busy.pop(w)
+            free.append(w)
             try:
-                worker.stdin.write(pickle.dumps(chunk))
-                worker.stdin.close()
-            except BrokenPipeError:  # it died at start; its status is reported below
-                pass
-        rows = []
-        for worker, chunk in zip(workers, chunks):
-            reply = worker.stdout.read()
-            if worker.wait() != 0 or not reply:
-                raise TrainingError(
-                    f"the worker training {[key for key, _ in chunk]} exited with "
-                    f"status {worker.returncode} and no result"
+                kind, value = pickle.load(workers[w].stdout)
+            except (EOFError, pickle.UnpicklingError):
+                kind, value = "error", TrainingError(
+                    f"the worker training {subs[index][0]!r} exited with "
+                    f"status {workers[w].wait()} and no result"
                 )
-            ok, value = pickle.loads(reply)
-            if not ok:  # the chunks before this one succeeded, so no run failed earlier
-                raise value
-            rows += value
-        return rows
+            if kind == "epoch":
+                states[index] = value
+                waiting.append(index)
+            elif kind == "done":
+                done[index] = value
+            else:
+                failed[index] = value
+            value = None  # nor here, once states hands it on
+        for worker in workers:  # end of input: each worker exits
+            with contextlib.suppress(BrokenPipeError):  # unsent bytes to an exited worker
+                worker.stdin.close()
+        for worker in workers:
+            worker.wait()
+        if failed:
+            raise failed[min(failed)]
+        return done
     finally:  # on any error or interrupt, no worker outlives the call
         for worker in workers:
             if worker.poll() is None:
                 worker.kill()
             worker.wait()
             for pipe in (worker.stdin, worker.stdout):
-                pipe.close()
+                with contextlib.suppress(BrokenPipeError):
+                    pipe.close()
 
 
 def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
     """Check every (key, run) of `subs`, then train them on up to
-    `os.cpu_count()` worker interpreters with one BLAS thread each (in this
-    one on a single core), every worker building its own copy of the data;
-    tabulate the headline metrics, and write them and `run`'s config to
-    out_dir/name if given. The rows are identical to training the runs one
-    after another in this process."""
+    `os.cpu_count()` worker interpreters with one BLAS thread each, handed
+    between workers one epoch at a time, each worker holding the data of
+    one source at a time, or in this one on a single core; the rows are
+    identical either way. After a failure no new epoch is handed out, and
+    once every worker has exited the error of the failed run that comes
+    first in submission order is raised (see _train_pooled). Returns the
+    (key, headline metrics) rows and `run` _as_read, whose config is
+    written with the table to out_dir/name if given."""
     if not subs:
         raise ConfigError("no runs to train")
     for _, sub in subs:
         _check_run(sub)
     n = min(os.cpu_count() or 1, len(subs))
-    rows = _train_chunk(subs) if n == 1 else _train_pooled(subs, n)
+    done = _train_in_turn(subs) if n == 1 else _train_pooled(subs, n)
+    rows = [(key, metrics) for (key, _), (metrics, _, _) in zip(subs, done)]
+    run = _as_read(run, *done[0][1:])
     if out_dir is not None:
         _write_table(out_dir, name, (label, *_HEADLINE), [(k, *v) for k, v in rows], run)
-    return rows
+    return rows, run
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
     """Train once per loss on the same data, split, and init; tabulate metrics."""
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
-    return _train_each(run, subs, out_dir, "losses.csv", "loss")
+    return _train_each(run, subs, out_dir, "losses.csv", "loss")[0]
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
     """Train the configured loss once per modality variant; tabulate metrics."""
     subs = [(v.upper(), replace(run, model=replace(run.model, variant=v))) for v in variants]
-    return _train_each(run, subs, out_dir, "ablation.csv", "variant")
+    return _train_each(run, subs, out_dir, "ablation.csv", "variant")[0]
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
@@ -493,7 +606,7 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
         (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
         for r in range(cfg.repeats) for v in cfg.grid
     ]
-    trained = _train_each(run, subs)
+    trained, run = _train_each(run, subs)
     metrics = np.array([m for _, m in trained]).reshape(cfg.repeats, len(cfg.grid), -1)
     mean, std = metrics.mean(axis=0), metrics.std(axis=0)
     rows = [(float(v), mean[i], std[i]) for i, v in enumerate(cfg.grid)]

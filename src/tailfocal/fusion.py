@@ -34,13 +34,15 @@ Everything is explicit: forward caches intermediates, backward walks them
 in reverse, and training is mini-batch Adam-style updates with optional
 early stopping on validation macro-F1, which keeps the best epoch's
 parameters. The parameters, their gradients and the Adam moments each live
-in one flat float64 buffer with a named view per parameter. _plan is the
+in one flat float64 buffer with a named view per parameter; what training
+carries from one epoch to the next is one picklable _Training state, so a
+run can be resumed between epochs in another process. _plan is the
 only place parameter names, shapes, their order and flat offsets come from;
 everything else reads them from it. Ablation variants drop whole streams.
 
 backward computes the parameter gradients alone, all that training reads.
 _pack, forward and backward write every array into a _Work, sized once
-for a batch. train makes one per call and reuses it on every step, so a
+for a batch. train makes one per epoch and reuses it on every step, so a
 step allocates no large array; the Adam update runs over cache-sized
 slices of the flat buffers. forward on dicts makes a full _Work per call,
 which backward writes into, so what they return is the caller's;
@@ -264,10 +266,15 @@ def _plan(config: ModelConfig) -> _Plan:
     return _Plan(width, x_own, stages, hidden, tuple(classifier), layout, ends[-1])
 
 
+def _views(plan: _Plan, buf: np.ndarray) -> dict[str, np.ndarray]:
+    """A named view per parameter into the flat buffer `buf`."""
+    return {name: buf[lo:hi].reshape(shape) for name, lo, hi, shape in plan.params}
+
+
 def _flat(plan: _Plan) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """One float64 buffer and a named view into it per parameter."""
     buf = np.empty(plan.size)
-    return buf, {name: buf[lo:hi].reshape(shape) for name, lo, hi, shape in plan.params}
+    return buf, _views(plan, buf)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -370,7 +377,7 @@ class _Work:
     batches of up to `rows` pairs; a shorter batch uses leading-row views of
     them.
 
-    train makes one per call, gathers each batch into its `x` and passes it
+    train makes one per epoch, gathers each batch into its `x` and passes it
     to forward inside _Packed on every step, and forward hands it on to
     backward in its cache. forward called on dicts makes a full one for that
     call alone, so the arrays forward and backward return stay the caller's;
@@ -548,71 +555,70 @@ def _macro_f1(config, params, feats_a, feats_b, labels) -> float:
     return confusion_metrics(pred, labels, config.n_classes).macro_f1
 
 
-def train(
-    config: ModelConfig,
-    params: dict,
-    train_data,
-    loss_spec: LossSpec,
-    opt: OptimConfig,
-    val_data=None,
-    seed: int = 0,
-) -> list[EpochStats]:
-    """Mini-batch training with per-parameter adaptive step scaling.
-
-    train_data / val_data: (features_a, features_b, labels) triples, or
-    (_Rows(features_a, features_b, rows), None, labels), a split of those
-    columns with labels[i] for its i-th row. train checks its pair once and
-    copies no more of it than one batch; val_data goes to predict_proba as
-    given, once per epoch. `seed` drives the per-epoch batch shuffle and
-    nothing else; the same params, data, opt and seed give bit-identical
-    training.
-
-    A step allocates nothing of its own: the call makes one _Work for
-    batch_size rows (a short last batch uses its leading rows), _pack
-    gathers each batch straight from the columns into its batch buffer, and
-    forward and backward write into it. The Adam update runs its thirteen
-    in-place passes one _ADAM_SLICE slice of the flat buffers at a time,
-    checking each slice for finiteness as it goes.
-
-    Writes the trained values into the arrays of `params` and returns
-    per-epoch statistics. With val_data and a patience, stops once
-    validation macro-F1 has not improved for `patience` consecutive epochs
-    and returns the parameters of the best validation epoch. Raises
-    TrainingError the moment logits, a batch loss or the updated parameters
-    go non-finite, leaving `params` as they were.
-    """
+def _train_pair(config: ModelConfig, train_data) -> tuple[_Rows, np.ndarray]:
+    """train_data's pair, checked by _rows, and its labels as int64, one per row."""
     feats_a, feats_b, labels = train_data
     pair = _rows(config, feats_a, feats_b)
-    n = pair.rows.size
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size != n:
+    if labels.size != pair.rows.size:
         raise ConfigError("labels and features disagree on sample count")
+    return pair, labels
 
-    _check_params(config, params, "params dict")
-    plan = _plan(config)
-    theta, views = _flat(plan)
-    for name, view in views.items():
-        view[...] = params[name]
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
-    rows = min(opt.batch_size, n)
-    work = _Work(config, rows)
-    # backward writes its gradients into work.grad; an Adam slice is views
-    # (th, m, v, g) of theta, m1, m2 and work.grad, with u, w of t1, t2 its scratch
-    slices = [
-        (theta[s], m1[s], m2[s], work.grad[s])
-        for s in (slice(lo, lo + _ADAM_SLICE) for lo in range(0, plan.size, _ADAM_SLICE))
-    ]
-    t1 = np.empty(min(_ADAM_SLICE, plan.size))
-    t2 = np.empty_like(t1)
-    step = 0
 
-    rng = np.random.default_rng(seed)
-    trace: list[EpochStats] = []
-    best, best_f1 = None, -np.inf
-    stale = 0
-    for epoch in range(opt.epochs):
-        perm = rng.permutation(n)
+class _Training:
+    """Everything train carries from one epoch to the next: the flat
+    parameters theta, the Adam moments m1 and m2 and its step, the shuffle
+    generator, the best validation parameters and score with the count of
+    stale epochs since, and the trace, whose length is the number of epochs
+    run. It pickles, and run_epoch on an unpickled copy goes on exactly as
+    it would have on the original, so a run can move between processes
+    between epochs. Buffers for a single epoch (the _Work and the Adam
+    scratch) are made by run_epoch and are not part of the state."""
+
+    def __init__(self, config: ModelConfig, params: dict, opt: OptimConfig, seed: int):
+        _check_params(config, params, "params dict")
+        self.config, self.opt = config, opt
+        self.theta, views = _flat(_plan(config))
+        for name, view in views.items():
+            view[...] = params[name]
+        self.m1 = np.zeros_like(self.theta)
+        self.m2 = np.zeros_like(self.theta)
+        self.step = 0
+        self.rng = np.random.default_rng(seed)
+        self.best, self.best_f1, self.stale = None, -np.inf, 0
+        self.trace: list[EpochStats] = []
+
+    @property
+    def done(self) -> bool:
+        """All epochs run, or validation stopped improving for `patience` of them."""
+        patience = self.opt.patience
+        stopped = patience is not None and self.stale >= patience
+        return stopped or len(self.trace) >= self.opt.epochs
+
+    def params(self) -> dict:
+        """Named views of the parameters train returns: those of the best
+        validation epoch if there is one, else the latest."""
+        return _views(_plan(self.config), self.theta if self.best is None else self.best)
+
+    def run_epoch(self, pair: _Rows, labels: np.ndarray, loss_spec: LossSpec, val_data) -> None:
+        """One epoch of train on `pair` and `labels` from _train_pair: a
+        shuffle, one Adam step per batch, then the validation score."""
+        config, opt, theta = self.config, self.opt, self.theta
+        plan = _plan(config)
+        views = _views(plan, theta)
+        n = pair.rows.size
+        epoch = len(self.trace)
+        work = _Work(config, min(opt.batch_size, n))
+        # backward writes its gradients into work.grad; an Adam slice is views
+        # (th, m, v, g) of theta, m1, m2 and work.grad, with u, w of t1, t2 its scratch
+        slices = [
+            (theta[s], self.m1[s], self.m2[s], work.grad[s])
+            for s in (slice(lo, lo + _ADAM_SLICE) for lo in range(0, plan.size, _ADAM_SLICE))
+        ]
+        t1 = np.empty(min(_ADAM_SLICE, plan.size))
+        t2 = np.empty_like(t1)
+
+        perm = self.rng.permutation(n)
         total = 0.0
         for lo in range(0, n, opt.batch_size):
             idx = perm[lo : lo + opt.batch_size]
@@ -632,9 +638,9 @@ def train(
 
             # per slice: m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
             # th -= lr * (m/bc1) / (sqrt(v/bc2) + eps), in that order
-            step += 1
-            bc1 = 1.0 - opt.beta1**step
-            bc2 = 1.0 - opt.beta2**step
+            self.step += 1
+            bc1 = 1.0 - opt.beta1**self.step
+            bc2 = 1.0 - opt.beta2**self.step
             for th, m, v, g in slices:
                 u, w = t1[: th.size], t2[: th.size]
                 m *= opt.beta1
@@ -658,22 +664,62 @@ def train(
                     )
 
         stats = EpochStats(epoch=epoch, train_loss=total / n)
-        trace.append(stats)
+        self.trace.append(stats)
         if val_data is not None:
             stats.val_macro_f1 = _macro_f1(config, views, *val_data)
             if opt.patience is not None:
-                if stats.val_macro_f1 > best_f1 + 1e-12:
-                    best, best_f1 = theta.copy(), stats.val_macro_f1
-                    stale = 0
+                if stats.val_macro_f1 > self.best_f1 + 1e-12:
+                    self.best, self.best_f1 = theta.copy(), stats.val_macro_f1
+                    self.stale = 0
                 else:
-                    stale += 1
-                if stale >= opt.patience:
-                    break
-    if best is not None:
-        theta[...] = best
-    for name, view in views.items():
+                    self.stale += 1
+
+
+def train(
+    config: ModelConfig,
+    params: dict,
+    train_data,
+    loss_spec: LossSpec,
+    opt: OptimConfig,
+    val_data=None,
+    seed: int = 0,
+) -> list[EpochStats]:
+    """Mini-batch training with per-parameter adaptive step scaling.
+
+    train_data / val_data: (features_a, features_b, labels) triples, or
+    (_Rows(features_a, features_b, rows), None, labels), a split of those
+    columns with labels[i] for its i-th row. train checks its pair once and
+    copies no more of it than one batch; val_data goes to predict_proba as
+    given, once per epoch. `seed` drives the per-epoch batch shuffle and
+    nothing else; the same params, data, opt and seed give bit-identical
+    training.
+
+    Everything carried from one epoch to the next lives in a _Training
+    state, which train builds, advances with run_epoch until it is done,
+    and reads the parameters from; batch commands in experiments run the
+    same state an epoch at a time, pickled between worker processes.
+
+    A step allocates nothing of its own: each epoch makes one _Work for
+    batch_size rows (a short last batch uses its leading rows), _pack
+    gathers each batch straight from the columns into its batch buffer, and
+    forward and backward write into it. The Adam update runs its thirteen
+    in-place passes one _ADAM_SLICE slice of the flat buffers at a time,
+    checking each slice for finiteness as it goes.
+
+    Writes the trained values into the arrays of `params` and returns
+    per-epoch statistics. With val_data and a patience, stops once
+    validation macro-F1 has not improved for `patience` consecutive epochs
+    and returns the parameters of the best validation epoch. Raises
+    TrainingError the moment logits, a batch loss or the updated parameters
+    go non-finite, leaving `params` as they were.
+    """
+    pair, labels = _train_pair(config, train_data)
+    state = _Training(config, params, opt, seed)
+    while not state.done:
+        state.run_epoch(pair, labels, loss_spec, val_data)
+    for name, view in state.params().items():
         params[name][...] = view
-    return trace
+    return state.trace
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tailfocal import (
+    MODALITIES,
     PRESETS,
     ConfigError,
     DataFormatError,
@@ -130,6 +131,32 @@ class TestGenerator:
             for k in range(4):
                 assert np.array_equal(ra.features_a[k], rb.features_a[k])
                 assert np.array_equal(ra.features_b[k], rb.features_b[k])
+
+    @pytest.mark.parametrize("spec", [
+        DatasetSpec(seed=5, **TINY),
+        DatasetSpec(seed=6, **TINY),
+        preset_spec("DDIMDL", seed=5, embed_dims=(8, 4, 8, 4)),
+        preset_spec("DDIMDL", seed=6, embed_dims=(8, 4, 8, 4)),
+    ])
+    def test_features_match_the_whole_expression(self, spec):
+        # generate_dataset's draws in its order, each block as one expression
+        counts = sample_class_counts(spec.n_classes, spec.n_samples, spec.cir)
+        rng = np.random.default_rng(spec.seed)
+        n = spec.n_samples
+        labels = np.repeat(np.arange(spec.n_classes, dtype=np.int64), counts)[rng.permutation(n)]
+        drug_a = rng.integers(0, spec.n_drugs, size=n)
+        drug_b = (drug_a + 1 + rng.integers(0, spec.n_drugs - 1, size=n)) % spec.n_drugs
+        dims = list(zip(MODALITIES, spec.embed_dims))
+        scales = spec.signal_scale
+        protos = {m: rng.normal(size=(spec.n_classes, d)) * c for (m, d), c in zip(dims, scales)}
+        offsets = {m: rng.normal(size=(spec.n_drugs, d)) * spec.offset_scale for m, d in dims}
+        data, _ = generate_dataset(spec)
+        for drugs, feats in ((drug_a, data.features_a), (drug_b, data.features_b)):
+            for m, d in dims:
+                noise = rng.normal(size=(n, d))
+                want = protos[m][labels] + offsets[m][drugs] + noise * spec.noise_scale
+                assert feats[m].tobytes() == want.tobytes()
+        assert np.array_equal(data.labels, labels)
 
     def test_seed_changes_output(self):
         a, _ = generate_dataset(DatasetSpec(seed=5, **TINY))

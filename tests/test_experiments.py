@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tailfocal import (
+    LOSS_KINDS,
     MODALITIES,
     ConfigError,
     DataConfig,
@@ -29,6 +30,7 @@ from tailfocal import (
     SplitConfig,
     SweepConfig,
     TrainingError,
+    VARIANTS,
     ablate,
     analyze,
     build_loss_spec,
@@ -130,6 +132,17 @@ def _file_without_class(tmp_path, missing: int) -> Path:
     path = tmp_path / f"no-class-{missing}.tsv"
     write_dataset(path, data, n_classes=5)
     return path
+
+
+def _five_class_file_run(tmp_path) -> RunConfig:
+    """TINY_RUN on a 5-class file with 4-wide blocks, under a config whose
+    data.n_classes (3) and data.embed_dims (8,8,8,8) the file overrides."""
+    path = tmp_path / "five.tsv"
+    write_generated_dataset(_tiny(data=dict(n_classes=5)).data, seed=3, out_path=path)
+    return _tiny(
+        data=dict(path=str(path), n_classes=3, embed_dims=(8, 8, 8, 8)),
+        model=dict(classifier_dims=(8, 8, 8, 5)),
+    )
 
 
 def _strip_timestamp(text: str) -> str:
@@ -337,12 +350,8 @@ class TestRunTraining:
         assert result.report.n_classes == 3
 
     def test_file_run_records_the_file_class_count_and_widths(self, tmp_path):
-        path = tmp_path / "five.tsv"
-        write_generated_dataset(_tiny(data=dict(n_classes=5)).data, seed=3, out_path=path)
-        run = _tiny(
-            data=dict(path=str(path), n_classes=3, embed_dims=(8, 8, 8, 8)),
-            model=dict(classifier_dims=(8, 8, 8, 5)),
-        )
+        run = _five_class_file_run(tmp_path)
+        path = run.data.path
         out1 = tmp_path / "r1"
         run_training(run, out_dir=out1)
         text = (out1 / "effective.cfg").read_text().splitlines()
@@ -422,6 +431,21 @@ class TestBatchCommands:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("beta,mean_accuracy,std_accuracy")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("command, table", [
+        ("compare", "losses.csv"), ("ablate", "ablation.csv"), ("sweep", "sweep.csv"),
+    ])
+    def test_file_run_records_the_file_class_count_and_widths(
+        self, monkeypatch, tmp_path, command, table, cores
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        COMMANDS[command](_five_class_file_run(tmp_path), out1)
+        text = (out1 / "effective.cfg").read_text().splitlines()
+        assert "data.n_classes = 5" in text and "data.embed_dims = 4,4,4,4" in text
+        COMMANDS[command](parse_config_file(out1 / "effective.cfg"), out2)
+        assert (out1 / table).read_bytes() == (out2 / table).read_bytes()
 
     def test_sweep_config_validation(self):
         with pytest.raises(ConfigError):
@@ -511,12 +535,12 @@ SRC_ENV = {
 }
 
 
-def _batch_outputs(out: Path) -> dict:
-    """Pickled rows and table text of each batch command on WIDE_RUN, by table name."""
+def _batch_outputs(out: Path, run=WIDE_RUN, kinds=LOSS_KINDS, variants=tuple(VARIANTS)) -> dict:
+    """Pickled rows and table text of each batch command on `run`, by table name."""
     rows = {
-        "losses.csv": compare_losses(WIDE_RUN, out_dir=out),
-        "ablation.csv": ablate(WIDE_RUN, out_dir=out),
-        "sweep.csv": sweep(WIDE_RUN, SweepConfig("beta", (0.0, 2.0), 2), out_dir=out),
+        "losses.csv": compare_losses(run, kinds=kinds, out_dir=out),
+        "ablation.csv": ablate(run, variants=variants, out_dir=out),
+        "sweep.csv": sweep(run, SweepConfig("beta", (0.0, 2.0), 2), out_dir=out),
     }
     return {name: (pickle.dumps(r), (out / name).read_text()) for name, r in rows.items()}
 
@@ -544,6 +568,49 @@ class TestWorkerPool:
         assert _batch_outputs(tmp_path / "pooled") == alone
         assert len(workers) == 9  # three per command
         assert all(env[v] == "1" for _, env in workers for v in experiments._THREAD_VARS)
+
+    @pytest.mark.parametrize("run", [
+        WIDE_RUN,
+        # validation with patience: the runs stop after 3 to 5 of 8 epochs
+        _tiny(split=dict(val_fraction=0.25), optim=dict(lr=1e-2, epochs=8, patience=2)),
+    ], ids=["wide", "early-stop"])
+    def test_epoch_hand_off_matches_the_in_process_loop(self, monkeypatch, tmp_path, workers, run):
+        # three runs on two workers, variants of uneven cost, and a sweep over two data sources
+        batch = partial(
+            _batch_outputs, run=run, kinds=("tfl", "fl", "wce"), variants=("G", "GSTE", "T")
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        alone = batch(tmp_path / "alone")
+        assert workers == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert batch(tmp_path / "pooled") == alone
+        assert len(workers) == 6
+
+    def test_a_free_worker_takes_the_oldest_run_of_its_source_else_the_oldest(self):
+        sources = ["x", "y", "x", "y", "z"]
+        pick = experiments._pick
+        assert pick([1, 2, 3], sources, "x") == 1
+        assert pick([3, 0, 1, 2], sources, "y") == 0
+        assert pick([3, 0, 1, 2], sources, "x") == 1
+        assert pick([1, 3, 0], sources, "z") == 0  # no run of its source: the oldest
+        assert pick([2, 4], sources, None) == 0  # a worker that holds nothing yet
+
+    def test_run_diverging_in_its_second_epoch_stops_the_pool(self, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        steady = _tiny(optim=dict(epochs=6))
+        # both overflow in epoch 1, the first at its third batch and the
+        # second at its first; whichever fails first in time, the first's
+        # error is raised, while the steady runs still have epochs left
+        subs = [
+            ("late", _tiny(optim=dict(lr=4.5e60, epochs=6))),
+            ("early", _tiny(optim=dict(lr=6e60, epochs=6))),
+            ("tfl", steady),
+            ("fl", replace(steady, loss=replace(steady.loss, kind="fl"))),
+        ]
+        with pytest.raises(TrainingError, match="logits at epoch 1, batch starting at sample 64"):
+            experiments._train_each(TINY_RUN, subs)
+        assert len(workers) == 2
+        assert all(proc.returncode is not None for proc, _ in workers)
 
     def test_one_blas_thread_matches_default_threads(self, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -586,7 +653,7 @@ class TestWorkerPool:
     def test_worker_without_a_result_is_a_training_error(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(sys, "executable", shutil.which("false"))
-        with pytest.raises(TrainingError, match=r"\['ce'\] exited with status 1"):
+        with pytest.raises(TrainingError, match="'ce' exited with status 1"):
             compare_losses(TINY_RUN, kinds=("ce", "tfl"))
 
     def test_script_without_main_guard_finishes(self, tmp_path):

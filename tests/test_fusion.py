@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -579,6 +580,31 @@ class TestTraining:
         assert len(scores) < 40 and scores[-1] < max(scores)  # stopped past the best epoch
         pred = np.argmax(predict_proba(config, params, val_a, val_b), axis=1)
         assert confusion_metrics(pred, labels, config.n_classes).macro_f1 == max(scores)
+
+    @pytest.mark.parametrize(
+        "epochs, patience, validate", [(60, 3, True), (4, None, False), (0, 3, True)]
+    )
+    def test_epochs_stepped_through_pickle_match_one_call(self, epochs, patience, validate):
+        rng = np.random.default_rng(73)
+        config = ModelConfig(**TINY)
+        data = self._toy(rng, config, 32)
+        val_data = data if validate else None
+        opt = OptimConfig(lr=1e-2, batch_size=16, epochs=epochs, patience=patience)
+        spec = LossSpec(kind="ce")
+        whole = init_params(config, seed=10)
+        start = {k: v.copy() for k, v in whole.items()}
+        trace = train(config, whole, data, spec, opt, val_data=val_data, seed=3)
+        if patience is not None and epochs:
+            assert len(trace) < epochs  # validation stopped it early
+        pair, labels = fusion._train_pair(config, data)
+        state = fusion._Training(config, start, opt, seed=3)
+        while not state.done:
+            state = pickle.loads(pickle.dumps(state))
+            state.run_epoch(pair, labels, spec, val_data)
+        state = pickle.loads(pickle.dumps(state))
+        assert state.trace == trace
+        stepped = state.params()
+        assert all(stepped[k].tobytes() == whole[k].tobytes() for k in whole)
 
     def test_training_on_dicts_copies_no_whole_split(self):
         # 20.5 MB of features, against a workspace of 64 rows at width 64
