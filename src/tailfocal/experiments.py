@@ -34,9 +34,10 @@ thread each (see _train_pooled). Runs move between workers one epoch at a
 time: a free worker takes the oldest waiting run of the data source it
 holds (one at a time), else the oldest run, with the run's pickled
 training state, and hands the state back after one epoch. After a failure
-no new task is sent, and once every worker has exited the error of the
-failed run that comes first in submission order is raised. The rows are
-those of training the runs one after another in this process.
+only the runs before it in submission order go on, so the error raised,
+once every worker has exited, is that of the first run that fails, and the
+rows or the error are those of training the runs one after another in
+this process.
 """
 
 from __future__ import annotations
@@ -67,14 +68,13 @@ from .fusion import (
     ModelConfig,
     OptimConfig,
     _check_net,
-    _Rows,
-    _train_pair,
+    _predict,
+    _rows,
+    _train,
     _Training,
     _variant_modalities,
     init_params,
-    predict_proba,
     save_model,
-    train,
 )
 from .imbalance import (
     ClassStats, TailPartition, _check_ts, class_stats_from_counts, tail_partition,
@@ -290,8 +290,10 @@ def _check_run(run: RunConfig) -> None:
 def _prepare(run: RunConfig, data):
     """What a run derives from its config and data before training: its
     ModelConfig, its LossSpec, and its train, validation (None when it has
-    no rows) and test splits, each as (_Rows, None, labels), the dataset's
-    columns and the split's row indices, so no split's features are copied."""
+    no rows) and test splits, each as (pair, labels). The dataset's columns
+    are checked once, by _rows, and each split's pair is that one with the
+    split's row indices, so no split's features are copied or checked
+    again."""
     feats_a, feats_b, labels, n_classes = data
     train_idx, test_idx = split_indices(labels, run.split.test_fraction, seed=run.seed + 1)
     if test_idx.size == 0:
@@ -310,11 +312,13 @@ def _prepare(run: RunConfig, data):
     embed_dims = tuple(feats_a[m].shape[1] for m in MODALITIES)
     model_config = _model_config(run.model, n_classes, embed_dims)
 
-    def split(idx):
-        return _Rows(feats_a, feats_b, idx), None, labels[idx]
+    pair = _rows(model_config, feats_a, feats_b)
 
-    val_data = split(val_idx) if val_idx.size else None
-    return model_config, loss_spec, split(train_idx), val_data, split(test_idx)
+    def split(idx):
+        return pair._replace(rows=idx), labels[idx]
+
+    val = split(val_idx) if val_idx.size else None
+    return model_config, loss_spec, split(train_idx), val, split(test_idx)
 
 
 def _as_read(run: RunConfig, n_classes: int, embed_dims) -> RunConfig:
@@ -329,8 +333,8 @@ def _as_read(run: RunConfig, n_classes: int, embed_dims) -> RunConfig:
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
-    train and predict_proba get each split as _Rows, the dataset's columns
-    and the split's row indices, so no split's features are copied. On a
+    Training and prediction get each split as the dataset's columns, checked
+    once, and the split's row indices, so no split's features are copied. On a
     data file, effective.cfg records the class count and modality widths
     read from the file, not the data.n_classes and data.embed_dims ignored.
 
@@ -340,14 +344,10 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """
     _check_run(run)
     data = _data if _data is not None else load_run_data(run)
-    model_config, loss_spec, train_data, val_data, test_data = _prepare(run, data)
+    model_config, loss_spec, (pair, labels), val, (test, test_labels) = _prepare(run, data)
     params = init_params(model_config, seed=run.seed + 2)
-    trace = train(
-        model_config, params, train_data, loss_spec, run.optim, val_data, seed=run.seed + 3
-    )
-
-    test_a, test_b, test_labels = test_data
-    report = metrics_report(predict_proba(model_config, params, test_a, test_b), test_labels)
+    trace = _train(model_config, params, pair, labels, loss_spec, run.optim, val, seed=run.seed + 3)
+    report = metrics_report(_predict(model_config, params, test), test_labels)
 
     result = RunResult(
         report=report,
@@ -425,15 +425,15 @@ def _advance(run: RunConfig, prepared, state):
     `state` is None, run its next epoch, and evaluate it once training is
     done. The same steps in the same order as run_training, so the outcome
     is bit-identical. Returns ("epoch", the state) or ("done", _headline)."""
-    model_config, loss_spec, train_data, val_data, (test_a, test_b, test_labels) = prepared
+    model_config, loss_spec, (pair, labels), val, (test, test_labels) = prepared
     if state is None:
         params = init_params(model_config, seed=run.seed + 2)
         state = _Training(model_config, params, run.optim, seed=run.seed + 3)
     if not state.done:
-        state.run_epoch(*_train_pair(model_config, train_data), loss_spec, val_data)
+        state.run_epoch(pair, labels, loss_spec, val)
     if not state.done:
         return "epoch", state
-    probs = predict_proba(model_config, state.params(), test_a, test_b)
+    probs = _predict(model_config, state.params(), test)
     return "done", _headline(model_config, metrics_report(probs, test_labels))
 
 
@@ -484,9 +484,11 @@ def _train_pooled(subs, n: int):
     goes to the back of the queue, or the finished run's outcome. So no
     worker idles while any run has epochs left. Each worker holds the data
     of one source at a time, and loads another source's data only when no
-    run of the source it holds waits. After a failure no new task is sent;
-    once every worker has exited, the error of the failed run that comes
-    first in submission order is raised."""
+    run of the source it holds waits. After a failure only the runs before
+    the earliest failed one in submission order get tasks, and a worker
+    whose reply is lost gets none; once every worker has exited, the
+    earliest failed run's error is raised. So the error is that of the first
+    run that fails, whatever the timing, as in _train_in_turn."""
     import pickle
     import select
     import subprocess
@@ -511,7 +513,9 @@ def _train_pooled(subs, n: int):
             ))
         free, held, busy = list(range(n)), [None] * n, {}  # busy: worker -> its run
         while True:
-            while free and waiting and not failed:
+            # after a failure, only the runs before the earliest failed one go on
+            waiting = [i for i in waiting if i < min(failed, default=len(subs))]
+            while free and waiting:
                 w = free.pop(0)
                 index = waiting.pop(_pick(waiting, sources, held[w]))
                 held[w], busy[w] = sources[index], index
@@ -529,9 +533,9 @@ def _train_pooled(subs, n: int):
             ready, _, _ = select.select([workers[w].stdout for w in busy], [], [])
             w = next(w for w in busy if workers[w].stdout in ready)
             index = busy.pop(w)
-            free.append(w)
             try:
                 kind, value = pickle.load(workers[w].stdout)
+                free.append(w)
             except (EOFError, pickle.UnpicklingError):
                 kind, value = "error", TrainingError(
                     f"the worker training {subs[index][0]!r} exited with "
@@ -568,11 +572,10 @@ def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
     `os.cpu_count()` worker interpreters with one BLAS thread each, handed
     between workers one epoch at a time, each worker holding the data of
     one source at a time, or in this one on a single core; the rows are
-    identical either way. After a failure no new epoch is handed out, and
-    once every worker has exited the error of the failed run that comes
-    first in submission order is raised (see _train_pooled). Returns the
-    (key, headline metrics) rows and `run` _as_read, whose config is
-    written with the table to out_dir/name if given."""
+    identical either way, and so is the error of the first run that fails
+    (see _train_pooled). Returns the (key, headline metrics) rows and `run`
+    _as_read, whose config is written with the table to out_dir/name if
+    given."""
     if not subs:
         raise ConfigError("no runs to train")
     for _, sub in subs:

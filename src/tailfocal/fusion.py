@@ -21,39 +21,32 @@ stage is one matmul per modality over all 2B rows, max-pooling is one pass
 over the whole row (pool_window divides every width), and the fused rows
 reshaped to (B, 2F) are the pair vectors without a copy.
 
-_check_net alone holds the network's rules that need no data. The
-caller's columns are the only copy of the features: _rows checks a feature
-pair once per call, on the whole arrays, and _pack gathers one batch of its
-rows at a time from those columns, unchecked, into the batch buffer of a
-_Work. A split is _Rows(feats_a, feats_b, rows), the dataset's columns and
-the split's row indices, which _pack composes with each batch's; nothing
-copies a whole split, and train and predict_proba on dicts gather from the
-dicts' columns the same way.
+forward, predict_proba and train take each drug's features as a dict of
+(n, width) arrays by modality, checked once per call on the whole arrays;
+anything else is a ConfigError. Each is a thin wrapper over one private
+core on checked arrays, which experiments calls with splits it checked once
+per run. The caller's columns are the only copy of the features: each
+batch's rows are gathered straight from them into a workspace made once per
+call (once per epoch in train), which forward and backward write into, so a
+training step allocates no large array.
 
 Everything is explicit: forward caches intermediates, backward walks them
-in reverse, and training is mini-batch Adam-style updates with optional
-early stopping on validation macro-F1, which keeps the best epoch's
-parameters. The parameters, their gradients and the Adam moments each live
-in one flat float64 buffer with a named view per parameter; what training
-carries from one epoch to the next is one picklable _Training state, so a
-run can be resumed between epochs in another process. _plan is the
-only place parameter names, shapes, their order and flat offsets come from;
-everything else reads them from it. Ablation variants drop whole streams.
-
-backward computes the parameter gradients alone, all that training reads.
-_pack, forward and backward write every array into a _Work, sized once
-for a batch. train makes one per epoch and reuses it on every step, so a
-step allocates no large array; the Adam update runs over cache-sized
-slices of the flat buffers. forward on dicts makes a full _Work per call,
-which backward writes into, so what they return is the caller's;
-predict_proba makes one forward-only _Work per call and reuses it across
-its batches.
+in reverse and computes the parameter gradients alone, and training is
+mini-batch Adam-style updates with optional early stopping on validation
+macro-F1, which keeps the best epoch's parameters. The parameters, their
+gradients and the Adam moments each live in one flat float64 buffer with a
+named view per parameter, and the Adam update runs over cache-sized slices
+of them. One layout, derived from the config alone, gives every
+parameter's name, shape, order and flat offset. What training carries from
+one epoch to the next is one picklable state, so a run can be resumed
+between epochs in another process. Ablation variants drop whole streams.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
@@ -307,36 +300,28 @@ def _check_params(config: ModelConfig, params, where: str) -> None:
 
 
 class _Rows(NamedTuple):
-    """Rows `rows` of the drug pair (feats_a, feats_b): a split that stays
-    in the caller's columns. train and predict_proba take it in place of
-    drug a's features, with None for drug b, and gather it a batch at a
-    time; run_training hands them each split this way."""
+    """Rows `rows` of the drug pair (feats_a, feats_b), dicts of the
+    caller's columns: a split that stays in those columns and is gathered
+    a batch at a time. _rows makes one over every row; a split of it is
+    pair._replace(rows=idx)."""
 
     feats_a: dict
     feats_b: dict
     rows: np.ndarray
 
 
-class _Packed(NamedTuple):
-    """A batch that _pack gathered, as a (B, 2, D) block, and the _Work it
-    sits in, which forward (and backward after it) writes into. forward
-    takes it in place of drug a's features, with None for drug b."""
-
-    block: np.ndarray
-    work: _Work
-
-
 def _rows(config: ModelConfig, feats_a, feats_b) -> _Rows:
-    """The pair as _Rows over the caller's columns, each an array, with
-    rows 0..n-1 for a pair of dicts. Checks the whole arrays once: each
-    active modality (n, width) on both sides, and the rows a non-empty 1-D
-    list of indices within 0..n-1."""
-    rows = None
-    if isinstance(feats_a, _Rows):
-        feats_a, feats_b, rows = feats_a
+    """The pair as _Rows over all its rows, 0..n-1. Checks the whole
+    arrays once: each side a mapping with every active modality as an
+    (n, width) array, n >= 1 the same throughout."""
     sides = (("a", feats_a), ("b", feats_b))
     n = None
     for side, feats in sides:
+        if not isinstance(feats, Mapping):
+            raise ConfigError(
+                f"features for drug {side} must map each modality to an array, "
+                f"got {type(feats).__name__}"
+            )
         for m in config.modalities:
             if m not in feats:
                 raise ConfigError(f"features for drug {side} lack modality {m!r}")
@@ -348,26 +333,23 @@ def _rows(config: ModelConfig, feats_a, feats_b) -> _Rows:
                 n = shape[0]
             elif shape[0] != n:
                 raise ConfigError(f"drug {side} modality {m} has {shape[0]} rows, expected {n}")
-    rows = np.arange(n) if rows is None else np.asarray(rows)
-    if rows.size == 0:
+    if n == 0:
         raise ConfigError("empty batch")
-    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n:
-        raise ConfigError(f"rows must be a 1-D list of indices into the pair's {n} rows")
     cols = [{m: np.asarray(feats[m]) for m in config.modalities} for _, feats in sides]
-    return _Rows(*cols, rows)
+    return _Rows(*cols, np.arange(n))
 
 
 def _pack(config: ModelConfig, pair: _Rows, idx, out: np.ndarray) -> np.ndarray:
     """Rows pair.rows[idx] (idx an index array or a slice) gathered into the
     leading rows of `out`, a (B, 2, D) block in canonical column order, with
     one np.take per modality and side straight from the columns. Nothing is
-    checked: `pair` comes from _rows."""
+    checked: `pair` is _rows' or a split of it."""
     rows = pair.rows[idx]
     block = out[: rows.size]
     plan = _plan(config)
     for k, feats in enumerate(pair[:2]):
         for m, cols in plan.cols.items():
-            # mode="clip" skips take's bounds check; _rows made one
+            # mode="clip" skips take's bounds check; the rows are in range
             block[:, k, cols] = np.take(feats[m], rows, axis=0, mode="clip")
     return block
 
@@ -377,11 +359,11 @@ class _Work:
     batches of up to `rows` pairs; a shorter batch uses leading-row views of
     them.
 
-    train makes one per epoch, gathers each batch into its `x` and passes it
-    to forward inside _Packed on every step, and forward hands it on to
-    backward in its cache. forward called on dicts makes a full one for that
-    call alone, so the arrays forward and backward return stay the caller's;
-    predict_proba, which never runs backward, makes one with backward=False.
+    _Training makes one per epoch, gathers each batch into its `x` and
+    passes both to _forward on every step, which hands the _Work on to
+    backward in its cache. forward makes a full one for that call alone, so
+    the arrays forward and backward return stay the caller's; _predict,
+    which never runs backward, makes one with backward=False.
     """
 
     def __init__(self, config: ModelConfig, rows: int, backward=True):
@@ -440,21 +422,11 @@ def _pool(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(config: ModelConfig, params: dict, feats_a, feats_b):
-    """Batch forward pass. Returns (logits, cache) where cache feeds backward().
-
-    feats_a, feats_b map each active modality to a (B, width) array, which
-    forward checks and gathers into a full _Work it makes for this call;
-    backward writes into the same one. A _Packed input, with None for
-    drug b, is a batch already gathered into the _Work it carries.
-    """
+def _forward(config: ModelConfig, params: dict, x: np.ndarray, work: _Work):
+    """The forward pass of `x`, a (B, 2, D) batch that _pack gathered into
+    work.x, writing every array into `work`. Returns (logits, cache), the
+    cache holding `work` for backward."""
     plan = _plan(config)
-    if isinstance(feats_a, _Packed):
-        x, work = feats_a
-    else:
-        pair = _rows(config, feats_a, feats_b)
-        work = _Work(config, pair.rows.size)
-        x = _pack(config, pair, slice(None), work.x)
     x = x.reshape(-1, plan.width)
     n2 = x.shape[0]
     acts = [a[: n2 // 2] for a in work.acts]
@@ -478,10 +450,24 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     return acts[-1], {"x": x, "posts": posts, "acts": acts, "work": work}
 
 
+def forward(config: ModelConfig, params: dict, feats_a, feats_b):
+    """Batch forward pass. Returns (logits, cache) where cache feeds backward().
+
+    feats_a, feats_b map each active modality to a (B, width) array. forward
+    checks them and runs them through a workspace it makes for this call
+    alone, which backward writes into, so what either returns is the
+    caller's.
+    """
+    pair = _rows(config, feats_a, feats_b)
+    work = _Work(config, pair.rows.size)
+    return _forward(config, params, _pack(config, pair, slice(None), work.x), work)
+
+
 def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dict:
-    """The gradient of every parameter given d(loss)/d(logits), as a dict of
-    views into the flat buffer work.grad of the _Work in `cache`, in
-    param_shapes order. No gradient for the input features is computed.
+    """The gradient of every parameter given d(loss)/d(logits), in
+    param_shapes order, as a dict of views into one flat buffer of the
+    workspace the forward pass of `cache` wrote into. No gradient for the
+    input features is computed.
     """
     plan = _plan(config)
     x, posts, acts, work = cache["x"], cache["posts"], cache["acts"], cache["work"]
@@ -518,25 +504,37 @@ def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dic
     return grads
 
 
-# pairs per predict_proba batch, which bounds its memory
+# pairs per prediction batch, which bounds its memory. It is part of the
+# output contract: BLAS picks its kernels by matrix shape, so another value
+# can change the bits of predict_proba (on the corpus_eval split at seed 1,
+# 256 and 128 rows differ from 1024; 512 does not).
 _PREDICT_ROWS = 1024
 
 
-def predict_proba(config, params, feats_a, feats_b) -> np.ndarray:
-    """Class probabilities, _PREDICT_ROWS pairs at a time, for a pair of
-    dicts or for _Rows (with None for drug b), row i being the pair's i-th
-    row. The pair is checked once, then each batch is gathered straight
-    from the caller's columns into one forward workspace and run through
-    it; no larger copy of the features is made."""
-    pair = _rows(config, feats_a, feats_b)
+def _predict(config: ModelConfig, params: dict, pair: _Rows) -> np.ndarray:
+    """Class probabilities of the rows of `pair`, _PREDICT_ROWS at a time,
+    each batch gathered from its columns into one forward-only _Work.
+    Raises TrainingError on a batch whose logits are not finite."""
     n = pair.rows.size
     out = np.empty((n, config.n_classes))
     work = _Work(config, min(_PREDICT_ROWS, n), backward=False)
     for lo in range(0, n, _PREDICT_ROWS):
         x = _pack(config, pair, slice(lo, lo + _PREDICT_ROWS), work.x)
-        logits, _ = forward(config, params, _Packed(x, work), None)
+        logits, _ = _forward(config, params, x, work)
+        if not np.all(np.isfinite(logits)):
+            raise TrainingError(f"non-finite logits in prediction, batch starting at row {lo}")
         out[lo : lo + _PREDICT_ROWS] = _softmax_rows(logits)
     return out
+
+
+def predict_proba(config, params, feats_a, feats_b) -> np.ndarray:
+    """Class probabilities, row i for the pair's i-th row, with feats_a and
+    feats_b as for forward. The pair is checked once, then predicted in
+    batches of a fixed size, each gathered straight from the caller's
+    columns, so no larger copy of the features is made. Raises
+    TrainingError if a batch's logits are not finite, naming its first
+    row."""
+    return _predict(config, params, _rows(config, feats_a, feats_b))
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +545,6 @@ def predict_proba(config, params, feats_a, feats_b) -> np.ndarray:
 # scale (1.15M parameters, 2 cores) 16k-32k measured 14-15 ms per update
 # against 23 ms over the whole buffers, 4k 19 ms; the values are identical.
 _ADAM_SLICE = 1 << 15
-
-
-def _macro_f1(config, params, feats_a, feats_b, labels) -> float:
-    probs = predict_proba(config, params, feats_a, feats_b)
-    pred = np.argmax(probs, axis=1)
-    return confusion_metrics(pred, labels, config.n_classes).macro_f1
-
-
-def _train_pair(config: ModelConfig, train_data) -> tuple[_Rows, np.ndarray]:
-    """train_data's pair, checked by _rows, and its labels as int64, one per row."""
-    feats_a, feats_b, labels = train_data
-    pair = _rows(config, feats_a, feats_b)
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size != pair.rows.size:
-        raise ConfigError("labels and features disagree on sample count")
-    return pair, labels
 
 
 class _Training:
@@ -600,9 +582,10 @@ class _Training:
         validation epoch if there is one, else the latest."""
         return _views(_plan(self.config), self.theta if self.best is None else self.best)
 
-    def run_epoch(self, pair: _Rows, labels: np.ndarray, loss_spec: LossSpec, val_data) -> None:
-        """One epoch of train on `pair` and `labels` from _train_pair: a
-        shuffle, one Adam step per batch, then the validation score."""
+    def run_epoch(self, pair: _Rows, labels: np.ndarray, loss_spec: LossSpec, val) -> None:
+        """One epoch of _train on `pair` and its int64 `labels`: a shuffle,
+        one Adam step per batch, then the validation score of `val`, a
+        (pair, labels) split or None."""
         config, opt, theta = self.config, self.opt, self.theta
         plan = _plan(config)
         views = _views(plan, theta)
@@ -623,7 +606,7 @@ class _Training:
         for lo in range(0, n, opt.batch_size):
             idx = perm[lo : lo + opt.batch_size]
             x = _pack(config, pair, idx, work.x)
-            logits, cache = forward(config, views, _Packed(x, work), None)
+            logits, cache = _forward(config, views, x, work)
             if not np.all(np.isfinite(logits)):
                 raise TrainingError(
                     f"non-finite logits at epoch {epoch}, batch starting at sample {lo}"
@@ -665,14 +648,28 @@ class _Training:
 
         stats = EpochStats(epoch=epoch, train_loss=total / n)
         self.trace.append(stats)
-        if val_data is not None:
-            stats.val_macro_f1 = _macro_f1(config, views, *val_data)
+        if val is not None:
+            pred = np.argmax(_predict(config, views, val[0]), axis=1)
+            stats.val_macro_f1 = confusion_metrics(pred, val[1], config.n_classes).macro_f1
             if opt.patience is not None:
                 if stats.val_macro_f1 > self.best_f1 + 1e-12:
                     self.best, self.best_f1 = theta.copy(), stats.val_macro_f1
                     self.stale = 0
                 else:
                     self.stale += 1
+
+
+def _train(config, params, pair, labels, loss_spec, opt, val, seed) -> list[EpochStats]:
+    """train on `pair` (from _rows, or a split of it) and its int64 labels,
+    with `val` a (pair, labels) split or None: a _Training state advanced a
+    run_epoch at a time until done, then its parameters written into
+    `params`. Returns the trace."""
+    state = _Training(config, params, opt, seed)
+    while not state.done:
+        state.run_epoch(pair, labels, loss_spec, val)
+    for name, view in state.params().items():
+        params[name][...] = view
+    return state.trace
 
 
 def train(
@@ -686,25 +683,17 @@ def train(
 ) -> list[EpochStats]:
     """Mini-batch training with per-parameter adaptive step scaling.
 
-    train_data / val_data: (features_a, features_b, labels) triples, or
-    (_Rows(features_a, features_b, rows), None, labels), a split of those
-    columns with labels[i] for its i-th row. train checks its pair once and
-    copies no more of it than one batch; val_data goes to predict_proba as
-    given, once per epoch. `seed` drives the per-epoch batch shuffle and
-    nothing else; the same params, data, opt and seed give bit-identical
-    training.
+    train_data / val_data: (features_a, features_b, labels) triples, the
+    features as for forward and one label per row. train checks both pairs
+    once, before the first step, and copies no more of either than one
+    batch. `seed` drives the per-epoch batch shuffle and nothing else; the
+    same params, data, opt and seed give bit-identical training.
 
-    Everything carried from one epoch to the next lives in a _Training
-    state, which train builds, advances with run_epoch until it is done,
-    and reads the parameters from; batch commands in experiments run the
-    same state an epoch at a time, pickled between worker processes.
-
-    A step allocates nothing of its own: each epoch makes one _Work for
-    batch_size rows (a short last batch uses its leading rows), _pack
-    gathers each batch straight from the columns into its batch buffer, and
-    forward and backward write into it. The Adam update runs its thirteen
-    in-place passes one _ADAM_SLICE slice of the flat buffers at a time,
-    checking each slice for finiteness as it goes.
+    A step allocates no large array: each epoch makes one workspace for
+    batch_size rows, each batch is gathered straight from the caller's
+    columns into it, and forward and backward write into it. The Adam
+    update runs its thirteen in-place passes over cache-sized slices of the
+    flat buffers, checking each slice for finiteness as it goes.
 
     Writes the trained values into the arrays of `params` and returns
     per-epoch statistics. With val_data and a patience, stops once
@@ -713,13 +702,13 @@ def train(
     TrainingError the moment logits, a batch loss or the updated parameters
     go non-finite, leaving `params` as they were.
     """
-    pair, labels = _train_pair(config, train_data)
-    state = _Training(config, params, opt, seed)
-    while not state.done:
-        state.run_epoch(pair, labels, loss_spec, val_data)
-    for name, view in state.params().items():
-        params[name][...] = view
-    return state.trace
+    feats_a, feats_b, labels = train_data
+    pair = _rows(config, feats_a, feats_b)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size != pair.rows.size:
+        raise ConfigError("labels and features disagree on sample count")
+    val = None if val_data is None else (_rows(config, *val_data[:2]), val_data[2])
+    return _train(config, params, pair, labels, loss_spec, opt, val, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from tailfocal import (
     write_generated_dataset,
 )
 import tailfocal
-from tailfocal import experiments
+from tailfocal import experiments, fusion
 from tailfocal.cli import _build_parser, _run_config, main
 
 TINY_RUN = RunConfig(
@@ -73,6 +73,10 @@ def _tiny(**sections):
     """TINY_RUN with the given fields of each named section replaced."""
     return replace(TINY_RUN, **{s: replace(getattr(TINY_RUN, s), **v) for s, v in sections.items()})
 
+
+# training stays finite, but the test split's logits overflow
+OVERFLOW_RUN = _tiny(loss=dict(kind="ce"), optim=dict(lr=3.75e60, epochs=4))
+OVERFLOW = "non-finite logits in prediction, batch starting at row 0"
 
 # runs that every command rejects before any data is built, with the error text
 REJECTED = {
@@ -385,6 +389,31 @@ class TestRunTraining:
             tracemalloc.stop()
         assert peak < total / 4
 
+    def test_test_logits_overflow_is_a_training_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=OVERFLOW):
+                run_training(OVERFLOW_RUN)
+
+    def test_columns_are_checked_once_per_run(self, monkeypatch):
+        real, calls = fusion._rows, []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_rows", counted)
+        monkeypatch.setattr(fusion, "_rows", counted)
+        run = _tiny(split=dict(val_fraction=0.25), optim=dict(lr=1e-2, epochs=8, patience=2))
+        trace = run_training(run).trace
+        assert 1 < len(trace) < 8 and all(s.val_macro_f1 is not None for s in trace)
+        assert len(calls) == 1
+        # a worker's run: one _prepare, then one _advance per epoch
+        prepared = experiments._prepare(run, experiments.load_run_data(run))
+        kind, state = "epoch", None
+        while kind == "epoch":
+            kind, state = experiments._advance(run, prepared, state)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("missing", [2, 4])
     def test_file_missing_a_declared_class_is_rejected(self, tmp_path, missing):
         path = _file_without_class(tmp_path, missing)
@@ -640,6 +669,14 @@ class TestWorkerPool:
         assert all(proc.returncode is not None for proc, _ in workers)
         assert {v: os.environ.get(v) for v in experiments._THREAD_VARS} == threads
 
+    def test_test_logits_overflow_in_a_worker_is_a_training_error(self, monkeypatch, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        subs = [("first", OVERFLOW_RUN), ("second", OVERFLOW_RUN)]
+        with pytest.raises(TrainingError, match=OVERFLOW):
+            experiments._train_each(OVERFLOW_RUN, subs)
+        assert len(workers) == 2
+        assert all(proc.returncode is not None for proc, _ in workers)
+
     def test_earliest_failing_run_is_raised(self, monkeypatch, tmp_path, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         subs = [("ok", TINY_RUN)] + [
@@ -692,6 +729,15 @@ class TestCli:
         assert code == 0
         assert (out / "summary.txt").exists()
         assert "macro_f1" in capsys.readouterr().out
+
+    def test_train_with_overflowing_test_logits_exits_5(self, tmp_path, capsys):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(TINY_CFG_TEXT + "loss.kind = ce\noptim.lr = 3.75e60\noptim.epochs = 4\n")
+        out = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(path), "--out", str(out)]) == 5
+        assert OVERFLOW in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_flag_overrides_config(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

@@ -1,6 +1,7 @@
 """Fusion network: shapes, forward oracle, gradients, training loop, checkpoints."""
 
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -27,7 +28,7 @@ from tailfocal import (
     train,
 )
 from tailfocal import fusion
-from tailfocal.fusion import _pack, _Packed, _plan, _pool, _rows, _Work
+from tailfocal.fusion import _forward, _pack, _plan, _pool, _rows, _Rows, _Work
 from tailfocal.metrics import confusion_metrics
 
 TINY = dict(
@@ -330,6 +331,72 @@ class TestForward:
             assert all(np.array_equal(feats[m], before[m]) for m in feats)
 
 
+class TestPublicContract:
+    """forward, predict_proba and train take dicts of arrays in their
+    feature slots, and nothing else."""
+
+    CALLS = {
+        "forward": forward,
+        "predict_proba": predict_proba,
+        "train": lambda config, params, fa, fb: train(
+            config, params, (fa, fb, np.zeros(4, dtype=int)), LossSpec(kind="ce"),
+            OptimConfig(batch_size=4, epochs=1, patience=None),
+        ),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("carrier", ["rows-in-a", "rows-in-b", "none", "array", "list"])
+    def test_feature_slots_take_only_mappings(self, call, carrier):
+        rng = np.random.default_rng(57)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=4)
+        before = {k: v.copy() for k, v in params.items()}
+        fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
+        rows = _Rows(fa, fb, np.arange(4))
+        side, fa, fb = {
+            "rows-in-a": ("a", rows, None),  # the split form the public slots once took
+            "rows-in-b": ("b", fa, rows),
+            "none": ("b", fa, None),
+            "array": ("a", fa["g"], fb),
+            "list": ("b", fa, list(fb.values())),
+        }[carrier]
+        with pytest.raises(ConfigError, match=f"drug {side} must map each modality"):
+            self.CALLS[call](config, params, fa, fb)
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+
+    @pytest.mark.parametrize("carrier", ["rows", "array"])
+    def test_validation_slots_are_checked_before_training(self, monkeypatch, carrier):
+        rng = np.random.default_rng(58)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=4)
+        fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
+        labels = rng.integers(0, 3, size=4)
+        val = {"rows": (_Rows(fa, fb, np.arange(4)), None, labels), "array": (fa, fa["g"], labels)}
+        steps = []
+        monkeypatch.setattr(fusion, "backward", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match="must map each modality"):
+            train(config, params, (fa, fb, labels), LossSpec(kind="ce"),
+                  OptimConfig(batch_size=4, epochs=1, patience=None), val_data=val[carrier])
+        assert steps == []
+
+    def test_public_docstrings_name_no_private_carrier(self):
+        for name in fusion.__all__:
+            obj = getattr(fusion, name)
+            if inspect.isfunction(obj):
+                for private in ("_Rows", "_Packed", "_Work"):
+                    assert private not in obj.__doc__, (name, private)
+
+    def test_predict_proba_raises_on_non_finite_logits_naming_the_batch(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=4)
+        fa, fb = _rand_feats(rng, config, 10), _rand_feats(rng, config, 10)
+        fb["t"][6] = np.nan  # in the second batch of four
+        monkeypatch.setattr(fusion, "_PREDICT_ROWS", 4)
+        with pytest.raises(TrainingError, match="in prediction, batch starting at row 4"):
+            predict_proba(config, params, fa, fb)
+
+
 class TestBackward:
     def _fd_param_check(self, activation, seed, rtol=1e-4):
         rng = np.random.default_rng(seed)
@@ -372,7 +439,7 @@ class TestBackward:
         for seed in (2, 3):
             self._fd_param_check("relu", seed)
 
-    # forward on dicts makes its own workspace; a _Packed batch carries train's
+    # forward makes its own workspace; _forward writes into the one training passes it
     @pytest.mark.parametrize("packed", [False, True], ids=["own_work", "packed_work"])
     def test_gradients_are_views_of_the_workspace_in_layout_order(self, packed):
         rng = np.random.default_rng(60)
@@ -381,9 +448,10 @@ class TestBackward:
         fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
         work = _Work(config, 4)
         if packed:
-            pair = _rows(config, fa, fb)
-            fa, fb = _Packed(_pack(config, pair, slice(None), work.x), work), None
-        logits, cache = forward(config, params, fa, fb)
+            x = _pack(config, _rows(config, fa, fb), slice(None), work.x)
+            logits, cache = _forward(config, params, x, work)
+        else:
+            logits, cache = forward(config, params, fa, fb)
         _, grad_logits = batch_loss(LossSpec(kind="ce"), logits, rng.integers(0, 3, size=4))
         grads = backward(config, params, cache, grad_logits)
         assert (cache["work"] is work) == packed
@@ -596,11 +664,12 @@ class TestTraining:
         trace = train(config, whole, data, spec, opt, val_data=val_data, seed=3)
         if patience is not None and epochs:
             assert len(trace) < epochs  # validation stopped it early
-        pair, labels = fusion._train_pair(config, data)
+        pair, labels = _rows(config, *data[:2]), data[2]
+        val = (pair, labels) if validate else None
         state = fusion._Training(config, start, opt, seed=3)
         while not state.done:
             state = pickle.loads(pickle.dumps(state))
-            state.run_epoch(pair, labels, spec, val_data)
+            state.run_epoch(pair, labels, spec, val)
         state = pickle.loads(pickle.dumps(state))
         assert state.trace == trace
         stepped = state.params()

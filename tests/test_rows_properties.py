@@ -1,5 +1,6 @@
-"""Property test: a split handed over as _Rows trains and predicts exactly
-as a fancy-indexed copy of the same rows does."""
+"""Property test: a split handed to the private training and prediction
+cores as rows of the whole columns trains and predicts exactly as the public
+calls on a fancy-indexed copy of the same rows do."""
 
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tailfocal import LossSpec, ModelConfig, OptimConfig, init_params, predict_proba, train
 from tailfocal import fusion
-from tailfocal.fusion import _Rows
+from tailfocal.fusion import _predict, _rows, _train
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -28,11 +29,10 @@ LABELS = _rng.integers(0, CONFIG.n_classes, size=N)
 ROWS = st.lists(st.integers(0, N - 1), min_size=1, max_size=3 * N).map(np.array)
 
 
-def _as_rows(rows):
-    return _Rows(FEATS_A, FEATS_B, rows), None, LABELS[rows]
+PAIR = _rows(CONFIG, FEATS_A, FEATS_B)
 
 
-def _as_copies(rows):
+def _copies(rows):
     return (*({m: v[rows] for m, v in f.items()} for f in (FEATS_A, FEATS_B)), LABELS[rows])
 
 
@@ -44,14 +44,17 @@ def _as_copies(rows):
 def test_rows_train_and_predict_as_their_copies(predict_rows, train_rows, val_rows):
     opt = OptimConfig(lr=1e-2, batch_size=4, epochs=3, patience=1)
     spec = LossSpec(kind="ce")
-    runs = []
     with mock.patch.object(fusion, "_PREDICT_ROWS", predict_rows):
-        for split in (_as_rows, _as_copies):
-            params = init_params(CONFIG, seed=17)
-            val = split(val_rows)
-            trace = train(CONFIG, params, split(train_rows), spec, opt, val_data=val, seed=8)
-            runs.append((params, trace, predict_proba(CONFIG, params, *val[:2])))
-    (p1, t1, probs1), (p2, t2, probs2) = runs
+        p1 = init_params(CONFIG, seed=17)
+        split, val = PAIR._replace(rows=train_rows), PAIR._replace(rows=val_rows)
+        t1 = _train(
+            CONFIG, p1, split, LABELS[train_rows], spec, opt, (val, LABELS[val_rows]), seed=8
+        )
+        probs1 = _predict(CONFIG, p1, val)
+        p2 = init_params(CONFIG, seed=17)
+        copies = _copies(val_rows)
+        t2 = train(CONFIG, p2, _copies(train_rows), spec, opt, val_data=copies, seed=8)
+        probs2 = predict_proba(CONFIG, p2, *copies[:2])
     assert all(np.array_equal(p1[k], p2[k]) for k in p1)
     assert t1 == t2 and t1[0].val_macro_f1 is not None
     assert probs1.shape == (val_rows.size, CONFIG.n_classes)
