@@ -28,16 +28,19 @@ built, bar the rules that need a data file's class count or widths.
 Every run writes its effective config next to its outputs, and that file
 reproduces the run exactly when fed back in.
 
+One driver, _advance, starts, steps and evaluates every run: run_training
+calls it until the run is done, and a batch-command worker once per epoch.
 compare_losses, ablate and sweep check every run before any data is built,
 then train them on up to os.cpu_count() worker interpreters with one BLAS
 thread each (see _train_pooled). Runs move between workers one epoch at a
 time: a free worker takes the oldest waiting run of the data source it
 holds (one at a time), else the oldest run, with the run's pickled
-training state, and hands the state back after one epoch. After a failure
-only the runs before it in submission order go on, so the error raised,
-once every worker has exited, is that of the first run that fails, and the
-rows or the error are those of training the runs one after another in
-this process.
+training state, and hands the state back after one epoch. It starts a run
+only while at most as many started runs as workers are unfinished. After
+a failure only the runs before it in submission order go on, so the error
+raised, once every worker has exited, is that of the first run that
+fails, and the rows or the error are those of training the runs one after
+another in this process.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from .fusion import (
     _check_net,
     _predict,
     _rows,
-    _train,
     _Training,
     _variant_modalities,
     init_params,
@@ -333,33 +335,25 @@ def _as_read(run: RunConfig, n_classes: int, embed_dims) -> RunConfig:
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
-    Training and prediction get each split as the dataset's columns, checked
-    once, and the split's row indices, so no split's features are copied. On a
-    data file, effective.cfg records the class count and modality widths
-    read from the file, not the data.n_classes and data.embed_dims ignored.
+    The run is _advance called until it is done, as a batch-command worker
+    calls it one epoch at a time. Training and prediction get each split as
+    the dataset's columns, checked once, and the split's row indices, so no
+    split's features are copied, and the returned params are views of the
+    run's one parameter buffer. On a data file, effective.cfg records the
+    class count and modality widths read from the file, not the
+    data.n_classes and data.embed_dims ignored.
 
     _data lets sibling runs (loss comparisons, sweeps) reuse already-built
     arrays; it must come from load_run_data on an identical data config
     and seed.
     """
     _check_run(run)
-    data = _data if _data is not None else load_run_data(run)
-    model_config, loss_spec, (pair, labels), val, (test, test_labels) = _prepare(run, data)
-    params = init_params(model_config, seed=run.seed + 2)
-    trace = _train(model_config, params, pair, labels, loss_spec, run.optim, val, seed=run.seed + 3)
-    report = metrics_report(_predict(model_config, params, test), test_labels)
-
-    result = RunResult(
-        report=report,
-        trace=trace,
-        model_config=model_config,
-        params=params,
-        train_stats=loss_spec.stats,
-        tail=loss_spec.tail,
-        test_labels=test_labels,
-    )
+    prepared = _prepare(run, _data if _data is not None else load_run_data(run))
+    kind, result = "epoch", None
+    while kind == "epoch":
+        kind, result = _advance(run, prepared, result)
     if out_dir is not None:
-        run = _as_read(run, model_config.n_classes, model_config.embed_dims)
+        run = _as_read(run, result.model_config.n_classes, result.model_config.embed_dims)
         _write_run_outputs(out_dir, run, result)
     return result
 
@@ -400,11 +394,11 @@ _THREAD_VARS = (
 )
 
 
-def _headline(model_config: ModelConfig, report: MetricsReport):
+def _headline(result: RunResult):
     """A finished run's outcome: its headline metrics, then the class count
     and modality widths it trained on."""
-    metrics = [getattr(report, metric) for metric in _HEADLINE]
-    return metrics, model_config.n_classes, model_config.embed_dims
+    metrics = [getattr(result.report, metric) for metric in _HEADLINE]
+    return metrics, result.model_config.n_classes, result.model_config.embed_dims
 
 
 def _train_in_turn(subs):
@@ -415,16 +409,16 @@ def _train_in_turn(subs):
     for _, sub in subs:
         if source != (sub.data, sub.seed):
             source, data = (sub.data, sub.seed), load_run_data(sub)
-        result = run_training(sub, _data=data)
-        done.append(_headline(result.model_config, result.report))
+        done.append(_headline(run_training(sub, _data=data)))
     return done
 
 
 def _advance(run: RunConfig, prepared, state):
-    """One task of a pooled run, given its _prepare output: start it if
-    `state` is None, run its next epoch, and evaluate it once training is
-    done. The same steps in the same order as run_training, so the outcome
-    is bit-identical. Returns ("epoch", the state) or ("done", _headline)."""
+    """One task of a run, given its _prepare output, and the only code that
+    starts, steps and evaluates one: start it if `state` is None, run its
+    next epoch, and evaluate it once training is done. Returns ("epoch",
+    the _Training state) or ("done", the RunResult), whose params are views
+    of the state's parameters."""
     model_config, loss_spec, (pair, labels), val, (test, test_labels) = prepared
     if state is None:
         params = init_params(model_config, seed=run.seed + 2)
@@ -433,17 +427,21 @@ def _advance(run: RunConfig, prepared, state):
         state.run_epoch(pair, labels, loss_spec, val)
     if not state.done:
         return "epoch", state
-    probs = _predict(model_config, state.params(), test)
-    return "done", _headline(model_config, metrics_report(probs, test_labels))
+    params = state.params()
+    report = metrics_report(_predict(model_config, params, test), test_labels)
+    return "done", RunResult(
+        report, state.trace, model_config, params, loss_spec.stats, loss_spec.tail, test_labels
+    )
 
 
 def _worker() -> None:
     """Main of a worker interpreter. Reads pickled tasks (index, run, state)
     on stdin until EOF, index being the run's place in submission order,
-    and answers each on stdout, pickled: the _advance reply, or ("error",
-    the exception). The worker holds the data of one source (data config
-    and seed) at a time, and the _prepare output of each run of that source
-    it has served."""
+    and answers each on stdout, pickled: the _advance reply, a finished
+    run's RunResult reduced to its _headline, or ("error", the exception).
+    The worker holds the data of one source (data config and seed) at a
+    time, and the _prepare output of each run of that source it has
+    served."""
     import pickle
 
     reply_to, sys.stdout = sys.stdout.buffer, sys.stderr  # stray prints stay off the pipe
@@ -460,18 +458,21 @@ def _worker() -> None:
                 source, prepared = (run.data, run.seed), {}
             if index not in prepared:
                 prepared[index] = _prepare(run, data)
-            reply = _advance(run, prepared[index], state)
+            kind, value = _advance(run, prepared[index], state)
+            reply = (kind, _headline(value) if kind == "done" else value)
         except Exception as exc:
             reply = ("error", exc)
         pickle.dump(reply, reply_to, protocol=5)
         reply_to.flush()
 
 
-def _pick(waiting, sources, held) -> int:
+def _pick(waiting, sources, held, started, may_start: bool) -> int:
     """The position in `waiting`, run indices oldest first, of the run a
     free worker takes: the oldest whose source (sources[index]) is `held`,
-    the one the worker has loaded, else the oldest."""
-    return next((i for i, index in enumerate(waiting) if sources[index] == held), 0)
+    the one the worker has loaded, else the oldest, among the runs in
+    `started` and, if `may_start`, the runs not started yet."""
+    open_to = [i for i, index in enumerate(waiting) if may_start or index in started]
+    return next((i for i in open_to if sources[waiting[i]] == held), open_to[0])
 
 
 def _train_pooled(subs, n: int):
@@ -482,7 +483,10 @@ def _train_pooled(subs, n: int):
     Every run waits in one FIFO. A free worker takes the run _pick chooses,
     with its _Training state, and sends back the state one epoch on, which
     goes to the back of the queue, or the finished run's outcome. So no
-    worker idles while any run has epochs left. Each worker holds the data
+    worker idles while any run has epochs left. A free worker may start a
+    run only while at most `n` started runs are unfinished, so this process
+    holds about one waiting state, not one per run, and n + 1 runs share
+    the n workers until the last runs are left. Each worker holds the data
     of one source at a time, and loads another source's data only when no
     run of the source it holds waits. After a failure only the runs before
     the earliest failed one in submission order get tasks, and a worker
@@ -514,10 +518,13 @@ def _train_pooled(subs, n: int):
         free, held, busy = list(range(n)), [None] * n, {}  # busy: worker -> its run
         while True:
             # after a failure, only the runs before the earliest failed one go on
-            waiting = [i for i in waiting if i < min(failed, default=len(subs))]
+            cut = min(failed, default=len(subs))
+            waiting = [i for i in waiting if i < cut]
+            states = {i: state for i, state in states.items() if i < cut}
             while free and waiting:
                 w = free.pop(0)
-                index = waiting.pop(_pick(waiting, sources, held[w]))
+                may_start = len(busy) + len(states) <= n  # started and unfinished runs
+                index = waiting.pop(_pick(waiting, sources, held[w], states, may_start))
                 held[w], busy[w] = sources[index], index
                 try:  # protocol 5 writes and reads an array's buffer with no copy
                     task = (index, subs[index][1], states.pop(index, None))

@@ -23,12 +23,13 @@ reshaped to (B, 2F) are the pair vectors without a copy.
 
 forward, predict_proba and train take each drug's features as a dict of
 (n, width) arrays by modality, checked once per call on the whole arrays;
-anything else is a ConfigError. Each is a thin wrapper over one private
-core on checked arrays, which experiments calls with splits it checked once
-per run. The caller's columns are the only copy of the features: each
-batch's rows are gathered straight from them into a workspace made once per
-call (once per epoch in train), which forward and backward write into, so a
-training step allocates no large array.
+anything else is a ConfigError. Each is a thin wrapper over private code
+on checked arrays (for train, a loop over the epochs of one training
+state), which experiments calls with splits it checked once per run. The
+caller's columns are the only copy of the features: each batch's rows are
+gathered straight from them into a workspace made once per call (once per
+epoch in train), which forward and backward write into, so a training
+step allocates no large array.
 
 Everything is explicit: forward caches intermediates, backward walks them
 in reverse and computes the parameter gradients alone, and training is
@@ -359,11 +360,12 @@ class _Work:
     batches of up to `rows` pairs; a shorter batch uses leading-row views of
     them.
 
-    _Training makes one per epoch, gathers each batch into its `x` and
-    passes both to _forward on every step, which hands the _Work on to
-    backward in its cache. forward makes a full one for that call alone, so
-    the arrays forward and backward return stay the caller's; _predict,
-    which never runs backward, makes one with backward=False.
+    _Training makes one per epoch for its batch steps alone, gathers each
+    batch into its `x` and passes both to _forward on every step, which
+    hands the _Work on to backward in its cache. forward makes a full one
+    for that call alone, so the arrays forward and backward return stay the
+    caller's; _predict, which never runs backward, makes one with
+    backward=False.
     """
 
     def __init__(self, config: ModelConfig, rows: int, backward=True):
@@ -554,8 +556,9 @@ class _Training:
     stale epochs since, and the trace, whose length is the number of epochs
     run. It pickles, and run_epoch on an unpickled copy goes on exactly as
     it would have on the original, so a run can move between processes
-    between epochs. Buffers for a single epoch (the _Work and the Adam
-    scratch) are made by run_epoch and are not part of the state."""
+    between epochs. Buffers for a single epoch's steps (the _Work and the
+    Adam scratch) are made by _steps and are not part of the state, and the
+    epoch that finishes training drops the Adam moments."""
 
     def __init__(self, config: ModelConfig, params: dict, opt: OptimConfig, seed: int):
         _check_params(config, params, "params dict")
@@ -583,9 +586,29 @@ class _Training:
         return _views(_plan(self.config), self.theta if self.best is None else self.best)
 
     def run_epoch(self, pair: _Rows, labels: np.ndarray, loss_spec: LossSpec, val) -> None:
-        """One epoch of _train on `pair` and its int64 `labels`: a shuffle,
-        one Adam step per batch, then the validation score of `val`, a
-        (pair, labels) split or None."""
+        """One epoch on `pair` (from _rows, or a split of it) and its int64
+        `labels`: the batch steps, then the validation score of `val`, a
+        (pair, labels) split or None. The steps' buffers are gone before
+        validation makes its workspace, so the two are never alive at once."""
+        config, opt = self.config, self.opt
+        stats = EpochStats(epoch=len(self.trace), train_loss=self._steps(pair, labels, loss_spec))
+        self.trace.append(stats)
+        if val is not None:
+            pred = np.argmax(_predict(config, _views(_plan(config), self.theta), val[0]), axis=1)
+            stats.val_macro_f1 = confusion_metrics(pred, val[1], config.n_classes).macro_f1
+            if opt.patience is not None:
+                if stats.val_macro_f1 > self.best_f1 + 1e-12:
+                    self.best, self.best_f1 = self.theta.copy(), stats.val_macro_f1
+                    self.stale = 0
+                else:
+                    self.stale += 1
+        if self.done:  # no step follows, so the moments go before the run is evaluated
+            self.m1 = self.m2 = None
+
+    def _steps(self, pair: _Rows, labels: np.ndarray, loss_spec: LossSpec) -> float:
+        """The next epoch's shuffle and one Adam step per batch, in a
+        workspace and Adam scratch that die with the call; the epoch's mean
+        training loss."""
         config, opt, theta = self.config, self.opt, self.theta
         plan = _plan(config)
         views = _views(plan, theta)
@@ -645,31 +668,7 @@ class _Training:
                         f"non-finite parameters after the update at epoch {epoch}, "
                         f"batch starting at sample {lo}"
                     )
-
-        stats = EpochStats(epoch=epoch, train_loss=total / n)
-        self.trace.append(stats)
-        if val is not None:
-            pred = np.argmax(_predict(config, views, val[0]), axis=1)
-            stats.val_macro_f1 = confusion_metrics(pred, val[1], config.n_classes).macro_f1
-            if opt.patience is not None:
-                if stats.val_macro_f1 > self.best_f1 + 1e-12:
-                    self.best, self.best_f1 = theta.copy(), stats.val_macro_f1
-                    self.stale = 0
-                else:
-                    self.stale += 1
-
-
-def _train(config, params, pair, labels, loss_spec, opt, val, seed) -> list[EpochStats]:
-    """train on `pair` (from _rows, or a split of it) and its int64 labels,
-    with `val` a (pair, labels) split or None: a _Training state advanced a
-    run_epoch at a time until done, then its parameters written into
-    `params`. Returns the trace."""
-    state = _Training(config, params, opt, seed)
-    while not state.done:
-        state.run_epoch(pair, labels, loss_spec, val)
-    for name, view in state.params().items():
-        params[name][...] = view
-    return state.trace
+        return total / n
 
 
 def train(
@@ -708,7 +707,12 @@ def train(
     if labels.size != pair.rows.size:
         raise ConfigError("labels and features disagree on sample count")
     val = None if val_data is None else (_rows(config, *val_data[:2]), val_data[2])
-    return _train(config, params, pair, labels, loss_spec, opt, val, seed)
+    state = _Training(config, params, opt, seed)
+    while not state.done:
+        state.run_epoch(pair, labels, loss_spec, val)
+    for name, view in state.params().items():
+        params[name][...] = view
+    return state.trace
 
 
 # ---------------------------------------------------------------------------

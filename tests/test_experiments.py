@@ -409,10 +409,35 @@ class TestRunTraining:
         assert len(calls) == 1
         # a worker's run: one _prepare, then one _advance per epoch
         prepared = experiments._prepare(run, experiments.load_run_data(run))
-        kind, state = "epoch", None
+        kind, value = "epoch", None
         while kind == "epoch":
-            kind, state = experiments._advance(run, prepared, state)
+            kind, value = experiments._advance(run, prepared, value)
         assert len(calls) == 2
+        assert value.trace == trace  # the finished run's RunResult
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_a_run_is_one_advance_per_epoch(self, monkeypatch, epochs):
+        real, calls = experiments._advance, []
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_advance", counted)
+        result = run_training(_tiny(optim=dict(epochs=epochs)))
+        assert len(result.trace) == epochs
+        assert len(calls) == max(epochs, 1)  # with no epoch, one call starts and evaluates
+
+    @pytest.mark.parametrize("run", [
+        TINY_RUN,
+        # validation with patience: the params are those of the best epoch
+        _tiny(split=dict(val_fraction=0.25), optim=dict(lr=1e-2, epochs=8, patience=2)),
+    ], ids=["latest", "best"])
+    def test_params_are_views_of_one_buffer(self, run):
+        params = run_training(run).params
+        base = params["cls0_W"].base
+        assert base is not None and base.size == sum(v.size for v in params.values())
+        assert all(v.base is base for v in params.values())
 
     @pytest.mark.parametrize("missing", [2, 4])
     def test_file_missing_a_declared_class_is_rejected(self, tmp_path, missing):
@@ -617,12 +642,20 @@ class TestWorkerPool:
 
     def test_a_free_worker_takes_the_oldest_run_of_its_source_else_the_oldest(self):
         sources = ["x", "y", "x", "y", "z"]
-        pick = experiments._pick
+        pick = partial(experiments._pick, started=(), may_start=True)
         assert pick([1, 2, 3], sources, "x") == 1
         assert pick([3, 0, 1, 2], sources, "y") == 0
         assert pick([3, 0, 1, 2], sources, "x") == 1
         assert pick([1, 3, 0], sources, "z") == 0  # no run of its source: the oldest
         assert pick([2, 4], sources, None) == 0  # a worker that holds nothing yet
+
+    def test_at_the_started_run_bound_only_started_runs_are_taken(self):
+        sources = ["x", "y", "x", "y", "z"]
+        pick = partial(experiments._pick, started={3, 0}, may_start=False)
+        assert pick([1, 2, 3, 0], sources, "x") == 3  # run 2 of its source has not started
+        assert pick([1, 2, 3, 0], sources, "y") == 2
+        assert pick([1, 2, 3, 0], sources, "z") == 2  # the oldest started run
+        assert experiments._pick([1, 2, 3, 0], sources, "x", {3, 0}, True) == 1
 
     def test_run_diverging_in_its_second_epoch_stops_the_pool(self, monkeypatch, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

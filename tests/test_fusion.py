@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -674,6 +675,36 @@ class TestTraining:
         assert state.trace == trace
         stepped = state.params()
         assert all(stepped[k].tobytes() == whole[k].tobytes() for k in whole)
+
+    def test_no_training_workspace_is_alive_during_validation(self, monkeypatch):
+        made, alive = [], []  # weak refs to the training workspaces; those alive per validation
+
+        class Recorded(_Work):
+            def __init__(self, config, rows, backward=True):
+                if not backward:  # a prediction workspace, as validation makes
+                    alive.append(sum(ref() is not None for ref in made))
+                super().__init__(config, rows, backward)
+                if backward:
+                    made.append(weakref.ref(self))
+
+        monkeypatch.setattr(fusion, "_Work", Recorded)
+        rng = np.random.default_rng(86)
+        config = ModelConfig(**TINY)
+        data = self._toy(rng, config, 32)
+        opt = OptimConfig(batch_size=8, epochs=3, patience=None)
+        train(config, init_params(config, seed=4), data, LossSpec(kind="ce"), opt, val_data=data)
+        assert len(made) == 3 and alive == [0, 0, 0]
+
+    def test_the_finishing_epoch_drops_the_adam_moments(self):
+        rng = np.random.default_rng(87)
+        config = ModelConfig(**TINY)
+        fa, fb, labels = self._toy(rng, config, 16)
+        opt = OptimConfig(batch_size=8, epochs=2, patience=None)
+        state = fusion._Training(config, init_params(config, seed=4), opt, seed=0)
+        for _ in range(2):
+            assert state.m1 is not None and state.m2 is not None  # an epoch is left
+            state.run_epoch(_rows(config, fa, fb), labels, LossSpec(kind="ce"), None)
+        assert state.done and state.m1 is None and state.m2 is None
 
     def test_training_on_dicts_copies_no_whole_split(self):
         # 20.5 MB of features, against a workspace of 64 rows at width 64

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tailfocal import LossSpec, ModelConfig, OptimConfig, init_params, predict_proba, train
 from tailfocal import fusion
-from tailfocal.fusion import _predict, _rows, _train
+from tailfocal.fusion import _predict, _rows, _Training
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -47,9 +47,10 @@ def test_rows_train_and_predict_as_their_copies(predict_rows, train_rows, val_ro
     with mock.patch.object(fusion, "_PREDICT_ROWS", predict_rows):
         p1 = init_params(CONFIG, seed=17)
         split, val = PAIR._replace(rows=train_rows), PAIR._replace(rows=val_rows)
-        t1 = _train(
-            CONFIG, p1, split, LABELS[train_rows], spec, opt, (val, LABELS[val_rows]), seed=8
-        )
+        state = _Training(CONFIG, p1, opt, seed=8)
+        while not state.done:
+            state.run_epoch(split, LABELS[train_rows], spec, (val, LABELS[val_rows]))
+        t1, p1 = state.trace, state.params()
         probs1 = _predict(CONFIG, p1, val)
         p2 = init_params(CONFIG, seed=17)
         copies = _copies(val_rows)
