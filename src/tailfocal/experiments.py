@@ -35,12 +35,11 @@ then train them on up to os.cpu_count() worker interpreters with one BLAS
 thread each (see _train_pooled). Runs move between workers one epoch at a
 time: a free worker takes the oldest waiting run of the data source it
 holds (one at a time), else the oldest run, with the run's pickled
-training state, and hands the state back after one epoch. It starts a run
-only while at most as many started runs as workers are unfinished. After
-a failure only the runs before it in submission order go on, so the error
-raised, once every worker has exited, is that of the first run that
-fails, and the rows or the error are those of training the runs one after
-another in this process.
+training state, and hands the state back after one epoch. After a failure
+only the runs before it in submission order go on, so the error raised,
+once every worker has exited, is that of the first run that fails, and the
+rows or the error are those of training the runs one after another in
+this process.
 """
 
 from __future__ import annotations
@@ -349,9 +348,10 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """
     _check_run(run)
     prepared = _prepare(run, _data if _data is not None else load_run_data(run))
-    kind, result = "epoch", None
+    kind, value = "epoch", None
     while kind == "epoch":
-        kind, result = _advance(run, prepared, result)
+        kind, value = _advance(run, prepared, value)
+    result = value
     if out_dir is not None:
         run = _as_read(run, result.model_config.n_classes, result.model_config.embed_dims)
         _write_run_outputs(out_dir, run, result)
@@ -466,13 +466,11 @@ def _worker() -> None:
         reply_to.flush()
 
 
-def _pick(waiting, sources, held, started, may_start: bool) -> int:
+def _pick(waiting, sources, held) -> int:
     """The position in `waiting`, run indices oldest first, of the run a
     free worker takes: the oldest whose source (sources[index]) is `held`,
-    the one the worker has loaded, else the oldest, among the runs in
-    `started` and, if `may_start`, the runs not started yet."""
-    open_to = [i for i, index in enumerate(waiting) if may_start or index in started]
-    return next((i for i in open_to if sources[waiting[i]] == held), open_to[0])
+    the one the worker has loaded, else the oldest."""
+    return next((i for i, index in enumerate(waiting) if sources[index] == held), 0)
 
 
 def _train_pooled(subs, n: int):
@@ -483,10 +481,7 @@ def _train_pooled(subs, n: int):
     Every run waits in one FIFO. A free worker takes the run _pick chooses,
     with its _Training state, and sends back the state one epoch on, which
     goes to the back of the queue, or the finished run's outcome. So no
-    worker idles while any run has epochs left. A free worker may start a
-    run only while at most `n` started runs are unfinished, so this process
-    holds about one waiting state, not one per run, and n + 1 runs share
-    the n workers until the last runs are left. Each worker holds the data
+    worker idles while any run has epochs left. Each worker holds the data
     of one source at a time, and loads another source's data only when no
     run of the source it holds waits. After a failure only the runs before
     the earliest failed one in submission order get tasks, and a worker
@@ -518,13 +513,10 @@ def _train_pooled(subs, n: int):
         free, held, busy = list(range(n)), [None] * n, {}  # busy: worker -> its run
         while True:
             # after a failure, only the runs before the earliest failed one go on
-            cut = min(failed, default=len(subs))
-            waiting = [i for i in waiting if i < cut]
-            states = {i: state for i, state in states.items() if i < cut}
+            waiting = [i for i in waiting if i < min(failed, default=len(subs))]
             while free and waiting:
                 w = free.pop(0)
-                may_start = len(busy) + len(states) <= n  # started and unfinished runs
-                index = waiting.pop(_pick(waiting, sources, held[w], states, may_start))
+                index = waiting.pop(_pick(waiting, sources, held[w]))
                 held[w], busy[w] = sources[index], index
                 try:  # protocol 5 writes and reads an array's buffer with no copy
                     task = (index, subs[index][1], states.pop(index, None))

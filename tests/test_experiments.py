@@ -642,20 +642,12 @@ class TestWorkerPool:
 
     def test_a_free_worker_takes_the_oldest_run_of_its_source_else_the_oldest(self):
         sources = ["x", "y", "x", "y", "z"]
-        pick = partial(experiments._pick, started=(), may_start=True)
+        pick = experiments._pick
         assert pick([1, 2, 3], sources, "x") == 1
         assert pick([3, 0, 1, 2], sources, "y") == 0
         assert pick([3, 0, 1, 2], sources, "x") == 1
         assert pick([1, 3, 0], sources, "z") == 0  # no run of its source: the oldest
         assert pick([2, 4], sources, None) == 0  # a worker that holds nothing yet
-
-    def test_at_the_started_run_bound_only_started_runs_are_taken(self):
-        sources = ["x", "y", "x", "y", "z"]
-        pick = partial(experiments._pick, started={3, 0}, may_start=False)
-        assert pick([1, 2, 3, 0], sources, "x") == 3  # run 2 of its source has not started
-        assert pick([1, 2, 3, 0], sources, "y") == 2
-        assert pick([1, 2, 3, 0], sources, "z") == 2  # the oldest started run
-        assert experiments._pick([1, 2, 3, 0], sources, "x", {3, 0}, True) == 1
 
     def test_run_diverging_in_its_second_epoch_stops_the_pool(self, monkeypatch, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
