@@ -78,7 +78,7 @@ from .fusion import (
     save_model,
 )
 from .imbalance import (
-    ClassStats, TailPartition, _check_ts, class_stats_from_counts, tail_partition,
+    ClassStats, TailPartition, _check_ts, _integers, class_stats_from_counts, tail_partition,
 )
 from .losses import LOSS_KINDS, LossSpec, _check_loss, _loss_kind
 from .metrics import (
@@ -206,7 +206,7 @@ def split_indices(labels, test_fraction: float, seed: int):
     singleton classes entirely to train (their metrics would be meaningless
     and training needs them more).
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     if labels.ndim != 1 or labels.size == 0:
         raise ConfigError("labels must be a non-empty 1-D sequence")
     if not 0.0 <= test_fraction < 1.0:

@@ -57,6 +57,7 @@ import numpy as np
 
 from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
+from .imbalance import _integers
 from .losses import LossSpec, _softmax_rows, batch_loss
 from .metrics import confusion_metrics
 
@@ -525,7 +526,7 @@ def _predict(config: ModelConfig, params: dict, pair: _Rows) -> np.ndarray:
         logits, _ = _forward(config, params, x, work)
         if not np.all(np.isfinite(logits)):
             raise TrainingError(f"non-finite logits in prediction, batch starting at row {lo}")
-        out[lo : lo + _PREDICT_ROWS] = _softmax_rows(logits)
+        _softmax_rows(logits, out=out[lo : lo + _PREDICT_ROWS])
     return out
 
 
@@ -703,10 +704,12 @@ def train(
     """
     feats_a, feats_b, labels = train_data
     pair = _rows(config, feats_a, feats_b)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     if labels.size != pair.rows.size:
         raise ConfigError("labels and features disagree on sample count")
-    val = None if val_data is None else (_rows(config, *val_data[:2]), val_data[2])
+    val = None
+    if val_data is not None:
+        val = (_rows(config, *val_data[:2]), _integers(val_data[2], "labels"))
     state = _Training(config, params, opt, seed)
     while not state.done:
         state.run_epoch(pair, labels, loss_spec, val)

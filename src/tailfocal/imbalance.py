@@ -28,6 +28,17 @@ def _check_ts(t_s: float) -> None:
         raise ConfigError(f"ts must be in [0, 1], got {t_s}")
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as a new int64 array; a ConfigError naming `what` if any
+    entry is not a finite whole number, so 1.7 is refused rather than cut to 1."""
+    arr = np.asarray(values)
+    if not np.issubdtype(arr.dtype, np.integer) and not np.all(
+        np.isfinite(arr) & (arr == np.floor(arr))
+    ):
+        raise ConfigError(f"{what} must be integers")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class ClassStats:
     """Per-class sample counts plus derived aggregates.
@@ -73,9 +84,7 @@ def class_stats_from_counts(counts) -> ClassStats:
     arr = np.asarray(counts)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError("counts must be a non-empty 1-D sequence")
-    if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
-        raise ConfigError("class counts must be integers")
-    arr = arr.astype(np.int64)
+    arr = _integers(arr, "class counts")
     if np.any(arr <= 0):
         bad = int(np.argmax(arr <= 0))
         raise ConfigError(f"class {bad} has count {arr[bad]}; every class needs >= 1 sample")

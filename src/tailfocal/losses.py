@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import ClassStats, TailPartition
+from .imbalance import ClassStats, TailPartition, _integers
 
 __all__ = [
     "LOSS_KINDS",
@@ -138,10 +138,12 @@ def _finite(x, ndim: int, what: str) -> np.ndarray:
     return x
 
 
-def _softmax_rows(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_rows(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row softmax of Z, computed in place in `out` (a new array if None)."""
+    out = np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def softmax(z) -> np.ndarray:
@@ -183,7 +185,7 @@ def _rows(spec: LossSpec, X: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray, np.
     Y = np.asarray(Y)
     if Y.shape != (b,):
         raise ConfigError(f"labels shape {Y.shape} does not match batch {b}")
-    Y = Y.astype(np.int64)
+    Y = _integers(Y, "labels")
     if np.any(Y < 0) or np.any(Y >= n):
         raise ConfigError(f"labels out of range for {n} classes")
     per_class = _per_class(spec)

@@ -11,9 +11,10 @@ be computed hold NaN.
 Zero-denominator conventions: precision and recall fall back to 0, as does
 F1 when both components are 0. AUC uses the Mann-Whitney rank statistic
 with midranks for ties; AUPR is the step-summed average precision
-sum_k (R_k - R_{k-1}) * P_k over descending score thresholds. Both come
-from one stable sort per class: the midranks are read off its tie groups,
-and the descending thresholds are the same groups walked in reverse.
+sum_k (R_k - R_{k-1}) * P_k over descending score thresholds. Both are read
+from a value sort of each class's score column and of its positives' scores:
+midranks from where a positive's tie group starts and ends in the column,
+and each threshold's true positives from where it falls among the positives.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .imbalance import _integers
 
 __all__ = [
     "ConfusionMetrics",
@@ -73,7 +75,7 @@ def _check_labels(labels, n_classes: int, name: str) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{name} must be a non-empty 1-D sequence")
-    arr = arr.astype(np.int64)
+    arr = _integers(arr, name)
     if np.any(arr < 0) or np.any(arr >= n_classes):
         raise ConfigError(f"{name} contain values outside [0, {n_classes})")
     return arr
@@ -131,20 +133,6 @@ def confusion_metrics(pred, true, n_classes: int) -> ConfusionMetrics:
     )
 
 
-def _midranks(x: np.ndarray):
-    """1-based ranks with ties sharing their average rank.
-
-    Also returns the stable ascending order and the tie-group edges in it:
-    group k is order[edges[k]:edges[k + 1]].
-    """
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    edges = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1], [True])))
-    ranks = np.empty(x.size, dtype=float)
-    ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
-    return ranks, order, edges
-
-
 def _check_inputs(scores, true) -> tuple[np.ndarray, np.ndarray]:
     s = _check_scores(scores)
     true = _check_labels(true, s.shape[1], "true labels")
@@ -159,24 +147,34 @@ def _macro(per_class: np.ndarray) -> float:
 
 
 def _ovr_auc_ap(s: np.ndarray, true: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class AUC and AP of validated inputs, from one sort per column."""
+    """Per-class AUC and AP of validated inputs, NaN where undefined.
+
+    Column by column, for classes with positives: a value v's tie group
+    spans the 1-based ranks left + 1 .. right of the sorted column, with
+    left and right the counts of scores below v and at or below it, so a
+    positive's midrank is 0.5 * (left + right + 1). The half-integer rank
+    sum and the true-positive counts are exact, so the result has the bits
+    a stable argsort of each column gives.
+    """
     n, n_classes = s.shape
     auc = np.full(n_classes, np.nan)
     ap = np.full(n_classes, np.nan)
-    for c in range(n_classes):
-        pos = true == c
-        n_pos = int(pos.sum())
-        if n_pos == 0:
-            continue
-        ranks, order, edges = _midranks(s[:, c])
+    counts = np.bincount(true, minlength=n_classes)
+    rows_of = np.split(np.argsort(true), np.cumsum(counts)[:-1])
+    for c in np.flatnonzero(counts):
+        n_pos = int(counts[c])
         n_neg = n - n_pos
+        col = np.sort(s[:, c])
+        pos = np.sort(s[rows_of[c], c])
         if n_neg:
-            auc[c] = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        # descending tie groups end where the ascending ones start
-        tp = np.cumsum(pos[order[::-1]], dtype=float)
-        idx = n - 1 - edges[-2::-1]
-        prec = tp[idx] / (idx + 1.0)
-        rec = tp[idx] / n_pos
+            left, right = np.searchsorted(col, pos, "left"), np.searchsorted(col, pos, "right")
+            rank_sum = (0.5 * (left + right + 1)).sum()
+            auc[c] = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        # the distinct values, descending, and the samples scored at or above each
+        starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))[::-1]
+        tp = (n_pos - np.searchsorted(pos, col[starts], "left")).astype(float)
+        prec = tp / (n - starts)
+        rec = tp / n_pos
         ap[c] = float(np.sum(np.diff(np.concatenate(([0.0], rec))) * prec))
     return auc, ap
 

@@ -26,6 +26,7 @@ from tailfocal import (
     param_shapes,
     predict_proba,
     save_model,
+    softmax,
     train,
 )
 from tailfocal import fusion
@@ -289,6 +290,8 @@ class TestForward:
         full = predict_proba(config, params, fa, fb)
         assert full.shape == (10, 3)
         np.testing.assert_allclose(full.sum(axis=1), 1.0, atol=1e-12)
+        logits, _ = forward(config, params, fa, fb)
+        assert all(np.array_equal(row, softmax(z)) for row, z in zip(full, logits))
         for rows in (1, 3, 7, 1024):  # the batch size changes no row
             monkeypatch.setattr(fusion, "_PREDICT_ROWS", rows)
             assert np.array_equal(predict_proba(config, params, fa, fb), full)

@@ -1,4 +1,5 @@
-"""Property tests for the ranking metrics on tie-heavy score matrices."""
+"""Property tests for the ranking metrics on tie-heavy score matrices, and a
+bit-exact oracle: the stable-argsort AUC/AP that the value sorts replaced."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfocal import metrics_report, pr_auc_ovr, roc_auc_ovr
-from tailfocal.metrics import _midranks
+from tailfocal.metrics import _ovr_auc_ap
 
 from test_metrics import _brute_ap, _brute_auc, _brute_confusion
 
@@ -98,8 +99,67 @@ def test_report_matches_brute_force(case):
     )
 
 
-def test_midranks_hand_case():
-    ranks, order, edges = _midranks(np.array([2.0, 1.0, 2.0, 2.0, 0.0]))
-    np.testing.assert_array_equal(ranks, [4.0, 2.0, 4.0, 4.0, 1.0])
-    np.testing.assert_array_equal(order, [4, 1, 0, 2, 3])
-    np.testing.assert_array_equal(edges, [0, 1, 2, 5])
+def _stable_argsort_auc_ap(s, true):
+    """Per-class AUC and AP from one stable argsort per column: each tie
+    group's midrank spread over its members, and a cumulative count of
+    positives down the reversed order, read at each descending group's end."""
+    n, n_classes = s.shape
+    auc = np.full(n_classes, np.nan)
+    ap = np.full(n_classes, np.nan)
+    for c in range(n_classes):
+        pos = true == c
+        n_pos = int(pos.sum())
+        if n_pos == 0:
+            continue
+        order = np.argsort(s[:, c], kind="stable")
+        sx = s[order, c]
+        edges = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1], [True])))
+        ranks = np.empty(n)
+        ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
+        n_neg = n - n_pos
+        if n_neg:
+            auc[c] = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        tp = np.cumsum(pos[order[::-1]], dtype=float)
+        idx = n - 1 - edges[-2::-1]
+        prec = tp[idx] / (idx + 1.0)
+        rec = tp[idx] / n_pos
+        ap[c] = float(np.sum(np.diff(np.concatenate(([0.0], rec))) * prec))
+    return auc, ap
+
+
+def _assert_bit_identical(scores, labels):
+    got = _ovr_auc_ap(scores, labels)
+    want = _stable_argsort_auc_ap(scores, labels)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@PROPS
+@given(cases())
+def test_ranking_matches_the_stable_argsort_bit_for_bit(case):
+    _assert_bit_identical(*case)
+
+
+def test_long_tailed_matrix_matches_the_stable_argsort_bit_for_bit():
+    rng = np.random.default_rng(20)
+    n, n_classes = 8000, 65
+    freq = 1.0 / np.arange(1, n_classes + 1) ** 1.5
+    labels = rng.choice(n_classes, size=n, p=freq / freq.sum())
+    logits = rng.normal(size=(n, n_classes))
+    logits[np.arange(n), labels] += 1.5
+    scores = np.exp(logits)
+    scores /= scores.sum(axis=1, keepdims=True)
+    scores[:, ::4] = np.round(scores[:, ::4], 3)  # tie groups in every fourth column
+    assert 0 < np.bincount(labels, minlength=n_classes).min() < 5
+    _assert_bit_identical(scores, labels)
+
+
+def test_tied_hand_case():
+    # rows 0 and 1, one of each class, tie at 0.75 in column 0; class 2 never occurs
+    scores = np.array([[0.75, 0.25, 0.0], [0.75, 0.25, 0.0], [0.5, 0.5, 0.0], [0.25, 0.75, 0.0]])
+    labels = np.array([0, 1, 1, 0])
+    auc, macro_auc = roc_auc_ovr(scores, labels)
+    ap, macro_ap = pr_auc_ovr(scores, labels)
+    assert np.array_equal(auc, [0.375, 0.375, np.nan], equal_nan=True)
+    assert np.array_equal(ap, [0.5, 0.5, np.nan], equal_nan=True)
+    assert (macro_auc, macro_ap) == (0.375, 0.5)
