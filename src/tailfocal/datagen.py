@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imbalance import ClassStats, class_stats_from_counts
+from .imbalance import ClassStats, _widths, class_stats_from_counts
 
 __all__ = [
     "MODALITIES",
@@ -138,8 +138,7 @@ class DatasetSpec:
             raise ConfigError(f"cir must be finite and >= 1, got {self.cir}")
         if self.n_drugs < 2:
             raise ConfigError(f"n_drugs must be >= 2, got {self.n_drugs}")
-        if len(self.embed_dims) != 4 or any(int(d) < 1 for d in self.embed_dims):
-            raise ConfigError("embed_dims must be four positive widths (g, s, t, e)")
+        object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
         if len(self.signal_scale) != 4 or not all(0.0 <= v < math.inf for v in self.signal_scale):
             raise ConfigError("signal_scale must be four finite factors >= 0")
         for name in ("offset_scale", "noise_scale"):
@@ -153,7 +152,6 @@ def preset_spec(name: str, seed: int = 0, embed_dims=(64, 64, 64, 64), **overrid
     if key not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     n_samples, n_classes, n_drugs, cir = PRESETS[key]
-    embed_dims = tuple(int(d) for d in embed_dims)
     return DatasetSpec(n_classes, n_samples, cir, n_drugs, embed_dims, seed, **overrides)
 
 

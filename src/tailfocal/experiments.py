@@ -78,7 +78,7 @@ from .fusion import (
     save_model,
 )
 from .imbalance import (
-    ClassStats, TailPartition, _check_ts, _integers, class_stats_from_counts, tail_partition,
+    ClassStats, TailPartition, _check_ts, _labels, class_stats_from_counts, tail_partition,
 )
 from .losses import LOSS_KINDS, LossSpec, _check_loss, _loss_kind
 from .metrics import (
@@ -206,9 +206,7 @@ def split_indices(labels, test_fraction: float, seed: int):
     singleton classes entirely to train (their metrics would be meaningless
     and training needs them more).
     """
-    labels = _integers(labels, "labels")
-    if labels.ndim != 1 or labels.size == 0:
-        raise ConfigError("labels must be a non-empty 1-D sequence")
+    labels = _labels(labels, "labels")
     if not 0.0 <= test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
@@ -647,8 +645,6 @@ def analyze(gamma: float = 2.0, beta: float = 2.0, out_dir=None) -> str:
 def _fmt_value(v) -> str:
     if v is None:
         return "none"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, tuple):
@@ -679,17 +675,8 @@ def _config_keys() -> dict:
     return keys
 
 
-def _parse_bool(v):
-    low = v.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
-
-
 def _parse_value(annotation, text: str):
-    """Parse one config value as `annotation`: int, float, str, bool, X | None,
+    """Parse one config value as `annotation`: int, float, str, X | None,
     or tuple[X, ...] (comma-separated)."""
     args = typing.get_args(annotation)
     if type(None) in args:
@@ -699,8 +686,6 @@ def _parse_value(annotation, text: str):
         return _parse_value(inner, text)
     if typing.get_origin(annotation) is tuple:
         return tuple(_parse_value(args[0], item) for item in text.split(","))
-    if annotation is bool:
-        return _parse_bool(text)
     return annotation(text)
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
-from .imbalance import _integers
+from .imbalance import _labels, _widths
 from .losses import LossSpec, _softmax_rows, batch_loss
 from .metrics import confusion_metrics
 
@@ -108,9 +108,8 @@ def _check_net(net) -> None:
         raise ConfigError(f"activation must be 'relu' or 'tanh', got {net.activation!r}")
     if net.pool_window < 1:
         raise ConfigError(f"pool_window must be >= 1, got {net.pool_window}")
-    dims = net.classifier_dims
-    if dims is not None and (len(dims) != 4 or any(int(d) < 1 for d in dims)):
-        raise ConfigError("classifier_dims must be four positive widths")
+    if net.classifier_dims is not None:
+        _widths(net.classifier_dims, "classifier_dims")
 
 
 @dataclass(frozen=True)
@@ -128,9 +127,7 @@ class ModelConfig:
         _check_net(self)
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if len(self.embed_dims) != 4 or any(int(d) < 1 for d in self.embed_dims):
-            raise ConfigError("embed_dims must be four positive widths (g, s, t, e)")
-        object.__setattr__(self, "embed_dims", tuple(int(d) for d in self.embed_dims))
+        object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
         mods = tuple(m.lower() for m in self.modalities)
         if not mods or len(set(mods)) != len(mods) or any(m not in MODALITIES for m in mods):
             raise ConfigError(f"modalities must be a non-empty subset of {MODALITIES}")
@@ -142,7 +139,7 @@ class ModelConfig:
                 raise ConfigError(
                     f"pool_window {self.pool_window} must divide the {m} width {dim}"
                 )
-        dims = tuple(int(d) for d in self.classifier_dims or (256, 256, 128, self.n_classes))
+        dims = _widths(self.classifier_dims or (256, 256, 128, self.n_classes), "classifier_dims")
         if dims[-1] != self.n_classes:
             raise ConfigError(
                 f"classifier ends at {dims[-1]} units but n_classes is {self.n_classes}"
@@ -684,10 +681,11 @@ def train(
     """Mini-batch training with per-parameter adaptive step scaling.
 
     train_data / val_data: (features_a, features_b, labels) triples, the
-    features as for forward and one label per row. train checks both pairs
-    once, before the first step, and copies no more of either than one
-    batch. `seed` drives the per-epoch batch shuffle and nothing else; the
-    same params, data, opt and seed give bit-identical training.
+    features as for forward and one label per row, a whole number in
+    [0, n_classes). train checks both pairs and their labels once, before
+    the first step, and copies no more of either than one batch. `seed`
+    drives the per-epoch batch shuffle and nothing else; the same params,
+    data, opt and seed give bit-identical training.
 
     A step allocates no large array: each epoch makes one workspace for
     batch_size rows, each batch is gathered straight from the caller's
@@ -704,12 +702,12 @@ def train(
     """
     feats_a, feats_b, labels = train_data
     pair = _rows(config, feats_a, feats_b)
-    labels = _integers(labels, "labels")
-    if labels.size != pair.rows.size:
-        raise ConfigError("labels and features disagree on sample count")
+    labels = _labels(labels, "labels", config.n_classes, size=pair.rows.size)
     val = None
     if val_data is not None:
-        val = (_rows(config, *val_data[:2]), _integers(val_data[2], "labels"))
+        val_pair = _rows(config, *val_data[:2])
+        val_labels = _labels(val_data[2], "validation labels", config.n_classes, val_pair.rows.size)
+        val = (val_pair, val_labels)
     state = _Training(config, params, opt, seed)
     while not state.done:
         state.run_epoch(pair, labels, loss_spec, val)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import ClassStats, TailPartition, _integers
+from .imbalance import ClassStats, TailPartition, _labels, _prob_rows
 
 __all__ = [
     "LOSS_KINDS",
@@ -151,13 +151,6 @@ def softmax(z) -> np.ndarray:
     return _softmax_rows(_finite(z, 1, "logits")[None])[0]
 
 
-def _check_prob_vector(p) -> np.ndarray:
-    p = _finite(p, 1, "p")
-    if np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
-        raise ConfigError("p is not a probability distribution")
-    return p
-
-
 def _per_class(spec: LossSpec) -> np.ndarray | None:
     """The per-class vector a kind applies: bs/ldam logit shift, wce/cb
     weight, tfl tail boost. ce and fl have none."""
@@ -182,12 +175,7 @@ def _rows(spec: LossSpec, X: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray, np.
     for bs/ldam; grad_z is always with respect to the logits.
     """
     b, n = X.shape
-    Y = np.asarray(Y)
-    if Y.shape != (b,):
-        raise ConfigError(f"labels shape {Y.shape} does not match batch {b}")
-    Y = _integers(Y, "labels")
-    if np.any(Y < 0) or np.any(Y >= n):
-        raise ConfigError(f"labels out of range for {n} classes")
+    Y = _labels(Y, "labels", n, size=b)
     per_class = _per_class(spec)
     if per_class is not None and per_class.size != n:
         raise ConfigError(f"loss {spec.kind!r} is set up for {per_class.size} classes, got {n}")
@@ -240,7 +228,7 @@ def _one_row(out) -> LossEval:
 
 
 def _on_probs(spec: LossSpec, p, y) -> LossEval:
-    return _one_row(_rows(spec, _check_prob_vector(p)[None], [y]))
+    return _one_row(_rows(spec, _prob_rows(_finite(p, 1, "p")[None], "p"), [y]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import _integers
+from .imbalance import _labels, _prob_rows
 
 __all__ = [
     "ConfusionMetrics",
@@ -71,27 +71,6 @@ _HEADLINE = ("accuracy", "macro_precision", "macro_recall", "macro_f1", "macro_a
 _PER_CLASS = ("support", "precision", "recall", "f1", "auc", "aupr")
 
 
-def _check_labels(labels, n_classes: int, name: str) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigError(f"{name} must be a non-empty 1-D sequence")
-    arr = _integers(arr, name)
-    if np.any(arr < 0) or np.any(arr >= n_classes):
-        raise ConfigError(f"{name} contain values outside [0, {n_classes})")
-    return arr
-
-
-def _check_scores(scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 2 or s.shape[0] == 0 or s.shape[1] == 0:
-        raise ConfigError("scores must be a non-empty (samples, classes) array")
-    if not np.all(np.isfinite(s)):
-        raise ConfigError("scores contain non-finite values")
-    if np.any(s < -1e-9) or np.any(np.abs(s.sum(axis=1) - 1.0) > 1e-6):
-        raise ConfigError("score rows must be probability distributions")
-    return s
-
-
 def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     out = np.zeros(num.shape, dtype=float)
     np.divide(num, den, out=out, where=den > 0)
@@ -105,10 +84,8 @@ def confusion_metrics(pred, true, n_classes: int) -> ConfusionMetrics:
     """
     if n_classes < 1:
         raise ConfigError(f"n_classes must be >= 1, got {n_classes}")
-    true = _check_labels(true, n_classes, "true labels")
-    pred = _check_labels(pred, n_classes, "predictions")
-    if pred.shape != true.shape:
-        raise ConfigError("pred and true must have the same length")
+    true = _labels(true, "true labels", n_classes)
+    pred = _labels(pred, "predictions", n_classes, size=true.size)
 
     support = np.bincount(true, minlength=n_classes)
     predicted = np.bincount(pred, minlength=n_classes)
@@ -134,11 +111,8 @@ def confusion_metrics(pred, true, n_classes: int) -> ConfusionMetrics:
 
 
 def _check_inputs(scores, true) -> tuple[np.ndarray, np.ndarray]:
-    s = _check_scores(scores)
-    true = _check_labels(true, s.shape[1], "true labels")
-    if true.size != s.shape[0]:
-        raise ConfigError("scores and labels disagree on sample count")
-    return s, true
+    s = _prob_rows(scores, "scores")
+    return s, _labels(true, "true labels", s.shape[1], size=s.shape[0])
 
 
 def _macro(per_class: np.ndarray) -> float:

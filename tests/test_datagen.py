@@ -110,6 +110,8 @@ class TestDatasetSpec:
         ("signal_scale", (1.0, math.nan, 1.0, 1.0)),
         ("signal_scale", (1.0, 1.0, math.inf, 1.0)),
         ("signal_scale", (1.0, 1.0, 1.0, -1.0)),
+        ("embed_dims", (4.5, 4, 4, 4)),  # not left to fail in the generator
+        ("embed_dims", (4, 0, 4, 4)),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -126,9 +126,16 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n_classes=2, embed_dims=(4, 4, 4, 4), modalities=("g", "x"))
 
-    def test_rejects_zero_stages(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(n_classes=2, embed_dims=(4, 4, 4, 4), k_stages=0)
+    @pytest.mark.parametrize("field, value", [
+        ("k_stages", 0),
+        ("embed_dims", (4.5, 4, 4, 4)),  # not cut to 4
+        ("embed_dims", (4, 4, 4)),
+        ("classifier_dims", (8.7, 8, 8, 3)),
+        ("classifier_dims", (8, 0, 8, 3)),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{"n_classes": 3, "embed_dims": (4, 4, 4, 4), field: value})
 
     def test_default_classifier_ends_at_n_classes(self):
         config = ModelConfig(n_classes=7, embed_dims=(4, 4, 4, 4))
