@@ -7,6 +7,13 @@ chemical structure, substructure, target, enzyme stand-ins). Features are
 class prototype + drug offset + noise, so informativeness per modality is
 a knob: zero noise with distinct prototypes is linearly separable, scaling
 a modality's prototypes to zero makes that block pure noise.
+
+A Dataset checks its features with the feature-pair rule that the fusion
+model's entry points also apply (imbalance._feature_pair), and its labels
+as whole numbers. A DatasetSpec asks the generator's own allocation,
+sample_class_counts, whether its class counts exist. read_dataset checks
+the values it parses, so a non-finite one is a DataFormatError naming its
+line.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imbalance import ClassStats, _widths, class_stats_from_counts
+from .imbalance import ClassStats, _feature_pair, _integers, _widths, class_stats_from_counts
 
 __all__ = [
     "MODALITIES",
@@ -68,11 +75,13 @@ class Record:
 class Dataset:
     """Drug-pair records as columns, one row per pair.
 
-    pair_ids, drug_a and drug_b are string arrays and labels an int64 array,
-    all of length n; features_a and features_b map each modality (g, s, t, e)
-    to an (n, dim) float array, with the same widths on both sides; other
-    column shapes raise ConfigError. dataset[i] is row i as a Record whose
-    vectors are views into the columns.
+    pair_ids, drug_a and drug_b are string arrays of length n, and labels
+    are kept as a 1-D int64 array of n whole numbers; features_a and
+    features_b map each modality (g, s, t, e) to an (n, dim) array of finite
+    real numbers, with the same widths on both sides. Anything else, such as
+    a label of 1.7, a text feature column or a nan feature, raises
+    ConfigError. n may be 0. dataset[i] is row i as a Record whose vectors
+    are views into the columns.
     """
 
     pair_ids: np.ndarray
@@ -83,21 +92,14 @@ class Dataset:
     features_b: dict
 
     def __post_init__(self):
-        n = len(self.labels)
-        if any(len(c) != n for c in (self.pair_ids, self.drug_a, self.drug_b)):
-            raise ConfigError("Dataset columns differ in length")
-        for side, feats in (("a", self.features_a), ("b", self.features_b)):
-            for m in MODALITIES:
-                if m not in feats:
-                    raise ConfigError(f"features_{side} lack modality {m!r}")
-                shape = np.shape(feats[m])
-                if len(shape) != 2 or shape[0] != n:
-                    raise ConfigError(f"features_{side}[{m!r}] must be ({n}, width), got {shape}")
-                width_a = np.shape(self.features_a[m])[1]
-                if side == "b" and shape[1] != width_a:
-                    raise ConfigError(
-                        f"modality {m} is {width_a} wide for drug a but {shape[1]} for drug b"
-                    )
+        labels = _integers(self.labels, "labels")
+        if labels.ndim != 1:
+            raise ConfigError(f"labels must be a 1-D sequence, got shape {labels.shape}")
+        object.__setattr__(self, "labels", labels)
+        n = labels.size
+        rows = _feature_pair(self.features_a, self.features_b, MODALITIES)
+        if any(len(c) != n for c in (self.pair_ids, self.drug_a, self.drug_b)) or rows != n:
+            raise ConfigError(f"Dataset columns differ in length from the {n} labels")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -115,7 +117,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Everything needed to regenerate a dataset byte for byte."""
+    """Everything needed to regenerate a dataset byte for byte. A spec whose
+    class counts sample_class_counts cannot allocate raises ConfigError."""
 
     n_classes: int
     n_samples: int
@@ -130,12 +133,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.n_samples < self.n_classes:
-            raise ConfigError(
-                f"n_samples ({self.n_samples}) must cover every class ({self.n_classes})"
-            )
-        if not 1.0 <= self.cir < math.inf:
-            raise ConfigError(f"cir must be finite and >= 1, got {self.cir}")
+        sample_class_counts(self.n_classes, self.n_samples, self.cir)
         if self.n_drugs < 2:
             raise ConfigError(f"n_drugs must be >= 2, got {self.n_drugs}")
         object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
@@ -313,7 +311,9 @@ def write_dataset(path, data: Dataset, n_classes: int) -> None:
     Feature blocks are comma-joined decimals at 9 significant digits, in
     fixed order g,s,t,e for drug a, then g,s,t,e for drug b. An id holding
     a tab or a line break, or a label outside [0, n_classes), raises
-    ConfigError before the file is opened.
+    ConfigError before the file is opened. A Dataset refuses text and
+    non-finite features when it is built, so the file of one whose arrays
+    were not changed since reads back.
     """
     for column in (data.pair_ids, data.drug_a, data.drug_b):
         ids = np.ascontiguousarray(column, dtype=str)
@@ -348,13 +348,16 @@ def _block_error(lineno: int, blocks: list[str], dims: list[int]) -> DataFormatE
     for k, raw in enumerate(blocks):
         m, side, dim = MODALITIES[k % 4], "ab"[k // 4], dims[k % 4]
         try:
-            width = len([float(v) for v in raw.split(",")]) if raw else 0
+            values = [float(v) for v in raw.split(",")] if raw else []
         except ValueError:
             return DataFormatError(f"line {lineno}: unparseable {m} block for drug {side}")
+        width = len(values)
         if width != dim:
             return DataFormatError(
                 f"line {lineno}: modality {m} of drug {side} has {width} values, expected {dim}"
             )
+        if not all(map(math.isfinite, values)):
+            return DataFormatError(f"line {lineno}: non-finite value in {m} block for drug {side}")
     return DataFormatError(f"line {lineno}: unparseable feature blocks")
 
 
@@ -363,7 +366,8 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
 
     Returns (dataset, stats); stats is None when the file is empty or some
     declared class has no records (per-class statistics would be undefined).
-    Malformed lines raise DataFormatError naming the 1-based line number.
+    Malformed lines, a non-finite feature value among them, raise
+    DataFormatError naming the 1-based line number.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -394,7 +398,8 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
                 values = np.array(text.split(",") if text else [], dtype=float)
             except ValueError:
                 values = None
-            if values is None or [b.count(",") + 1 if b else 0 for b in blocks] != widths:
+            counts = [b.count(",") + 1 if b else 0 for b in blocks]
+            if values is None or counts != widths or not np.isfinite(values).all():
                 raise _block_error(lineno, blocks, dims)
             rows.append(values)
             names.append(fields[:3])

@@ -329,6 +329,18 @@ def _as_read(run: RunConfig, n_classes: int, embed_dims) -> RunConfig:
     return replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
 
 
+def _check_out_dir(out_dir) -> None:
+    """An OSError unless `out_dir` is None or its nearest existing ancestor
+    (itself, if it exists) is a directory. Creates nothing."""
+    if out_dir is None:
+        return
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"cannot write outputs to {out_dir}: {path} is not a directory")
+
+
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
@@ -345,6 +357,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     and seed.
     """
     _check_run(run)
+    _check_out_dir(out_dir)
     prepared = _prepare(run, _data if _data is not None else load_run_data(run))
     kind, value = "epoch", None
     while kind == "epoch":
@@ -577,6 +590,7 @@ def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
         raise ConfigError("no runs to train")
     for _, sub in subs:
         _check_run(sub)
+    _check_out_dir(out_dir)
     n = min(os.cpu_count() or 1, len(subs))
     done = _train_in_turn(subs) if n == 1 else _train_pooled(subs, n)
     rows = [(key, metrics) for (key, _), (metrics, _, _) in zip(subs, done)]
@@ -606,6 +620,7 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
         (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
         for r in range(cfg.repeats) for v in cfg.grid
     ]
+    _check_out_dir(out_dir)
     trained, run = _train_each(run, subs)
     metrics = np.array([m for _, m in trained]).reshape(cfg.repeats, len(cfg.grid), -1)
     mean, std = metrics.mean(axis=0), metrics.std(axis=0)

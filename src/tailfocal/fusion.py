@@ -22,14 +22,16 @@ over the whole row (pool_window divides every width), and the fused rows
 reshaped to (B, 2F) are the pair vectors without a copy.
 
 forward, predict_proba and train take each drug's features as a dict of
-(n, width) arrays by modality, checked once per call on the whole arrays;
-anything else is a ConfigError. Each is a thin wrapper over private code
-on checked arrays (for train, a loop over the epochs of one training
-state), which experiments calls with splits it checked once per run. The
-caller's columns are the only copy of the features: each batch's rows are
-gathered straight from them into a workspace made once per call (once per
-epoch in train), which forward and backward write into, so a training
-step allocates no large array.
+(n, width) arrays of finite real numbers by modality, checked once per
+call on the whole arrays by the feature-pair rule that Dataset also
+applies (imbalance._feature_pair); anything else, an inf or a text column
+among it, is a ConfigError before any parameter changes. Each is a thin
+wrapper over private code on checked arrays (for train, a loop over the
+epochs of one training state), which experiments calls with splits it
+checked once per run. The caller's columns are the only copy of the
+features: each batch's rows are gathered straight from them into a
+workspace made once per call (once per epoch in train), which forward and
+backward write into, so a training step allocates no large array.
 
 Everything is explicit: forward caches intermediates, backward walks them
 in reverse and computes the parameter gradients alone, and training is
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
@@ -57,7 +58,7 @@ import numpy as np
 
 from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
-from .imbalance import _labels, _widths
+from .imbalance import _feature_pair, _labels, _widths
 from .losses import LossSpec, _softmax_rows, batch_loss
 from .metrics import confusion_metrics
 
@@ -311,30 +312,13 @@ class _Rows(NamedTuple):
 
 def _rows(config: ModelConfig, feats_a, feats_b) -> _Rows:
     """The pair as _Rows over all its rows, 0..n-1. Checks the whole
-    arrays once: each side a mapping with every active modality as an
-    (n, width) array, n >= 1 the same throughout."""
-    sides = (("a", feats_a), ("b", feats_b))
-    n = None
-    for side, feats in sides:
-        if not isinstance(feats, Mapping):
-            raise ConfigError(
-                f"features for drug {side} must map each modality to an array, "
-                f"got {type(feats).__name__}"
-            )
-        for m in config.modalities:
-            if m not in feats:
-                raise ConfigError(f"features for drug {side} lack modality {m!r}")
-            shape = np.shape(feats[m])
-            want = config.embed_dim(m)
-            if len(shape) != 2 or shape[1] != want:
-                raise ConfigError(f"drug {side} modality {m} must be (n, {want}), got {shape}")
-            if n is None:
-                n = shape[0]
-            elif shape[0] != n:
-                raise ConfigError(f"drug {side} modality {m} has {shape[0]} rows, expected {n}")
+    arrays once, by imbalance._feature_pair over the active modalities at
+    the config's widths, and requires n >= 1."""
+    widths = [config.embed_dim(m) for m in config.modalities]
+    n = _feature_pair(feats_a, feats_b, config.modalities, widths)
     if n == 0:
         raise ConfigError("empty batch")
-    cols = [{m: np.asarray(feats[m]) for m in config.modalities} for _, feats in sides]
+    cols = [{m: np.asarray(feats[m]) for m in config.modalities} for feats in (feats_a, feats_b)]
     return _Rows(*cols, np.arange(n))
 
 

@@ -13,12 +13,16 @@ they land at small positions; rare classes land near 1.
 The module also holds the rules for each kind of outside input, which every
 entry point calls where the input enters rather than keeping its own copy:
 `_labels` for class labels (and counts), `_widths` for the four modality or
-classifier widths, and `_prob_rows` for rows of class probabilities. Each
-raises ConfigError naming the field, so a bad label reaches no training step.
+classifier widths, `_finite` for non-empty finite vectors or (rows, classes)
+arrays such as logits, `_prob_rows` for rows of class probabilities, and
+`_feature_pair` for a drug pair's per-modality feature blocks, which both
+`Dataset` and the fusion model's entry points apply. Each raises ConfigError
+naming the field, so bad input reaches no training step.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +76,53 @@ def _widths(dims, what: str) -> tuple[int, int, int, int]:
     return tuple(arr.tolist())
 
 
+def _finite(x, ndim: int, what: str) -> np.ndarray:
+    """`x` as a non-empty float array of `ndim` (1 or 2) dimensions, all
+    finite; a ConfigError naming `what` otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != ndim or x.size == 0:
+        shape = "1-D vector" if ndim == 1 else "(rows, classes) array"
+        raise ConfigError(f"{what} must be a non-empty {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError(f"non-finite values in {what}")
+    return x
+
+
 def _prob_rows(values, what: str) -> np.ndarray:
     """`values` as a non-empty 2-D float array whose rows are probability
     distributions: finite, no entry below -1e-9, each sum within 1e-6 of 1;
     a ConfigError naming `what` otherwise."""
-    s = np.asarray(values, dtype=float)
-    if s.ndim != 2 or s.size == 0:
-        raise ConfigError(f"{what} must be a non-empty (rows, classes) array")
-    if not np.all(np.isfinite(s)):
-        raise ConfigError(f"non-finite values in {what}")
+    s = _finite(values, 2, what)
     if np.any(s < -1e-9) or np.any(np.abs(s.sum(axis=1) - 1.0) > 1e-6):
         raise ConfigError(f"{what} rows must be probability distributions")
     return s
+
+
+def _feature_pair(feats_a, feats_b, modalities, widths=None) -> int:
+    """The row count of a drug pair's features; a ConfigError naming the
+    side and the modality unless each side maps every one of `modalities`
+    to a 2-D array of finite real numbers, with one row count throughout
+    and one width per modality on both sides, equal to its entry of
+    `widths` (in the order of `modalities`) when given."""
+    want = dict(zip(modalities, widths)) if widths is not None else {}
+    n = None
+    for side, feats in (("a", feats_a), ("b", feats_b)):
+        if not isinstance(feats, Mapping):
+            got = type(feats).__name__
+            raise ConfigError(f"drug {side} must map each modality to an array, got {got}")
+        for m in modalities:
+            if m not in feats:
+                raise ConfigError(f"drug {side} lacks modality {m!r}")
+            arr, where = np.asarray(feats[m]), f"drug {side} modality {m}"
+            if arr.ndim != 2:
+                raise ConfigError(f"{where} must be (rows, width), got shape {arr.shape}")
+            n = arr.shape[0] if n is None else n
+            width = want.setdefault(m, arr.shape[1])
+            if arr.shape != (n, width):
+                raise ConfigError(f"{where} has shape {arr.shape}, expected {n} rows of {width}")
+            if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+                raise ConfigError(f"{where} must hold finite real numbers")
+    return n
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import ClassStats, TailPartition, _labels, _prob_rows
+from .imbalance import ClassStats, TailPartition, _finite, _labels, _prob_rows
 
 __all__ = [
     "LOSS_KINDS",
@@ -126,16 +126,6 @@ class LossSpec:
             raise ConfigError(f"loss {kind!r} needs class statistics")
         if kind == "tfl" and self.tail is None:
             raise ConfigError("loss 'tfl' needs a tail partition")
-
-
-def _finite(x, ndim: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != ndim or x.size == 0:
-        shape = "1-D vector" if ndim == 1 else "(batch, classes) array"
-        raise ConfigError(f"{what} must be a non-empty {shape}")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError(f"non-finite values in {what}")
-    return x
 
 
 def _softmax_rows(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

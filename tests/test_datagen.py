@@ -105,6 +105,7 @@ class TestPresets:
 class TestDatasetSpec:
     @pytest.mark.parametrize("field, value", [
         ("cir", math.nan), ("cir", math.inf), ("cir", 0.5),
+        ("cir", 1000.0),  # 60 samples over 3 classes cannot reach it: the generator's refusal
         ("noise_scale", math.nan), ("noise_scale", math.inf), ("noise_scale", -0.1),
         ("offset_scale", math.nan), ("offset_scale", -0.1),
         ("signal_scale", (1.0, math.nan, 1.0, 1.0)),
@@ -210,6 +211,13 @@ class TestGenerator:
             records_to_arrays([])
 
 
+def _with(block, value):
+    """A copy of `block` with `value` at row 7, column 1."""
+    block = block.copy()
+    block[7, 1] = value
+    return block
+
+
 class TestDatasetColumns:
     def _dataset(self):
         return generate_dataset(DatasetSpec(seed=12, **TINY))[0]
@@ -223,13 +231,18 @@ class TestDatasetColumns:
             lambda d: {"features_b": {m: v for m, v in d.features_b.items() if m != "e"}},
             lambda d: {"features_b": {**d.features_b, "g": d.features_b["g"][:, :3]}},
             lambda d: {"features_a": {**d.features_a, "s": d.features_a["s"][:, 0]}},
+            lambda d: {"features_b": {**d.features_b, "t": d.features_b["t"].astype(str)}},
+            lambda d: {"features_a": {**d.features_a, "e": _with(d.features_a["e"], np.nan)}},
+            lambda d: {"labels": d.labels[:, None]},
         ],
-        ids=["labels", "drug_b", "rows", "missing", "widths", "1-d"],
+        ids=["labels", "drug_b", "rows", "missing", "widths", "1-d", "text", "nan", "2-d labels"],
     )
-    def test_rejects_mismatched_columns(self, change):
+    def test_rejects_mismatched_columns(self, tmp_path, change):
         data = self._dataset()
         with pytest.raises(ConfigError):
-            dataclasses.replace(data, **change(data))
+            bad = dataclasses.replace(data, **change(data))
+            write_dataset(tmp_path / "d.tsv", bad, n_classes=3)
+        assert not (tmp_path / "d.tsv").exists()
 
     @pytest.mark.parametrize("column", ["pair_ids", "drug_a", "drug_b"])
     @pytest.mark.parametrize("char", ["\t", "\n", "\r"])

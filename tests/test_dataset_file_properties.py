@@ -61,7 +61,8 @@ def test_round_trip_is_byte_stable_and_keeps_nine_digits(tmp_path_factory, case)
             assert read.tobytes() == rounded.tobytes()  # bit for bit, so -0.0 stays -0.0
 
 
-MUTATIONS = ("drop_tab", "add_tab", "drop_comma", "add_comma", "truncate", "replace_char", "label")
+MUTATIONS = ("drop_tab", "add_tab", "drop_comma", "add_comma", "truncate", "replace_char", "label",
+             "non_finite")
 CHARS = st.characters(max_codepoint=0x24F, blacklist_categories=("Cs",))
 
 
@@ -74,6 +75,8 @@ def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, da
     lines = path.read_text().split("\n")[:-1]
     k = data.draw(st.integers(0, len(lines) - 1), label="line index")
     line = lines[k]
+
+    expected = None  # the line that must be named, when the file cannot be read
 
     def at(text):
         return data.draw(st.integers(0, len(text)), label="position")
@@ -92,6 +95,19 @@ def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, da
     elif mutation == "replace_char":
         i = at(line)
         line = line[:i] + data.draw(CHARS, label="character") + line[i + 1:]
+    elif mutation == "non_finite":
+        k = data.draw(st.integers(1, len(lines) - 1), label="record line")
+        fields = lines[k].split("\t")
+        filled = [i for i in range(4, 12) if fields[i]]
+        if filled:
+            i = data.draw(st.sampled_from(filled), label="block")
+            values = fields[i].split(",")
+            values[data.draw(st.integers(0, len(values) - 1), label="value")] = data.draw(
+                st.sampled_from(["nan", "inf", "-inf", "1e999"]), label="non-finite"
+            )
+            fields[i] = ",".join(values)
+            expected = k + 1  # the 1-based line number
+        line = "\t".join(fields)
     elif k > 0:
         fields = line.split("\t")
         bad = ["-1", str(n_classes), str(n_classes + 7), str(10**30), "", "x", "1.5"]
@@ -100,7 +116,10 @@ def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, da
     lines[k] = line
     path.write_text("\n".join(lines) + "\n")
 
+    named = r"\d+" if expected is None else str(expected)
     try:
         read_dataset(path)
     except DataFormatError as err:
-        assert re.match(r"line \d+: ", str(err)), str(err)
+        assert re.match(rf"line {named}: ", str(err)), str(err)
+    else:
+        assert expected is None, f"line {expected} was read"

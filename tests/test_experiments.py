@@ -94,6 +94,11 @@ REJECTED = {
     "ts": (_tiny(loss=dict(ts=1.5)), "ts must be in"),
     "path-and-preset": (_tiny(data=dict(path="pairs.tsv", preset="DDIMDL")), "both set"),
     "test-fraction": (_tiny(split=dict(test_fraction=0.0)), "test_fraction must be above 0"),
+    "allocation": (
+        _tiny(data=dict(n_classes=50, n_samples=60, cir=1000.0),
+              model=dict(classifier_dims=(8, 8, 8, 50))),
+        "cannot allocate 60 samples over 50 classes",
+    ),
 }
 # each command that trains, called on a run and an output directory
 COMMANDS = {
@@ -542,6 +547,7 @@ class TestBatchCommands:
         calls = []
         monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(experiments, "run_training", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # data would be built in this process
         with pytest.raises(ConfigError, match=name):
             call(tmp_path / "out")
         assert calls == []
@@ -951,6 +957,38 @@ class TestCli:
         assert main(["sweep", "--config", cfg, *flags]) == 3
         assert "gamma" in capsys.readouterr().err
         assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "compare-losses", "ablate", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_4_before_building_data(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # batch commands load in this process
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        assert main([command, "--config", self._write_cfg(tmp_path), "--out", str(out)]) == 4
+        assert f"{taken} is not a directory" in capsys.readouterr().err
+        assert calls == []
+        assert taken.read_text() == "kept\n"
+
+    def test_non_finite_value_in_a_data_file_exits_4_naming_its_line(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        data = tmp_path / "pairs.tsv"
+        assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+        lines = data.read_text().split("\n")
+        fields = lines[5].split("\t")
+        fields[9] = "nan," + fields[9].split(",", 1)[1]  # drug b's s block
+        lines[5] = "\t".join(fields)
+        data.write_text("\n".join(lines))
+        with open(cfg, "a") as fh:
+            fh.write(f"data.path = {data}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 4
+        assert "line 6: non-finite value in s block for drug b" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence itself
     def test_diverging_train_exits_5_without_writing(self, tmp_path, capsys):

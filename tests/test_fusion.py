@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import pickle
+import sys
 import tracemalloc
 import weakref
 
@@ -375,6 +376,28 @@ class TestPublicContract:
             self.CALLS[call](config, params, fa, fb)
         assert all(np.array_equal(params[k], before[k]) for k in params)
 
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("side, modality, value", [
+        ("a", "g", np.inf), ("b", "e", -np.inf), ("b", "t", np.nan), ("a", "s", "x"),
+    ], ids=["inf", "-inf", "nan", "text"])
+    def test_non_finite_or_text_features_are_refused(
+        self, monkeypatch, call, side, modality, value
+    ):
+        rng = np.random.default_rng(60)
+        config = ModelConfig(**TINY)
+        params = init_params(config, seed=4)
+        before = {k: v.copy() for k, v in params.items()}
+        feats = {"a": _rand_feats(rng, config, 4), "b": _rand_feats(rng, config, 4)}
+        block = feats[side][modality].astype(object if isinstance(value, str) else float)
+        block[2, 1] = value
+        feats[side][modality] = block.astype(str) if isinstance(value, str) else block
+        steps = []
+        monkeypatch.setattr(fusion._Training, "_steps", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match=f"drug {side} modality {modality} must hold finite"):
+            self.CALLS[call](config, params, feats["a"], feats["b"])
+        assert all(np.array_equal(params[k], before[k]) for k in params)
+        assert steps == []
+
     @pytest.mark.parametrize("carrier", ["rows", "array"])
     def test_validation_slots_are_checked_before_training(self, monkeypatch, carrier):
         rng = np.random.default_rng(58)
@@ -402,10 +425,12 @@ class TestPublicContract:
         config = ModelConfig(**TINY)
         params = init_params(config, seed=4)
         fa, fb = _rand_feats(rng, config, 10), _rand_feats(rng, config, 10)
-        fb["t"][6] = np.nan  # in the second batch of four
+        for m in fb:  # finite, so accepted, but the forward pass overflows
+            fb[m][6] = sys.float_info.max  # in the second batch of four
         monkeypatch.setattr(fusion, "_PREDICT_ROWS", 4)
-        with pytest.raises(TrainingError, match="in prediction, batch starting at row 4"):
-            predict_proba(config, params, fa, fb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="in prediction, batch starting at row 4"):
+                predict_proba(config, params, fa, fb)
 
 
 class TestBackward:

@@ -1,11 +1,16 @@
 """Labels that are not whole numbers in range are refused where they enter,
 before any training step, not cut to integers or left to fail in numpy."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 from tailfocal import (
+    MODALITIES,
     ConfigError,
+    Dataset,
     LossSpec,
     ModelConfig,
     OptimConfig,
@@ -18,6 +23,7 @@ from tailfocal import (
     roc_auc_ovr,
     split_indices,
     train,
+    write_dataset,
 )
 from tailfocal import fusion
 
@@ -35,6 +41,11 @@ def _train(labels, val_labels=GOOD):
           OptimConfig(epochs=1, batch_size=1), val_data=(feats, feats, val_labels), seed=0)
 
 
+FEATS = {m: np.zeros((3, 2)) for m in MODALITIES}
+DATA = Dataset(*np.array([["p0", "p1", "p2"], ["d0", "d1", "d2"], ["d1", "d2", "d0"]]), GOOD,
+               FEATS, FEATS)
+
+
 ENTRY_POINTS = {
     "metrics_report": lambda y: metrics_report(SCORES, y),
     "confusion_metrics true": lambda y: confusion_metrics([0, 1, 0], y, 2),
@@ -45,6 +56,8 @@ ENTRY_POINTS = {
     "split_indices": lambda y: split_indices(y, 0.5, seed=0),
     "train": _train,
     "train validation": lambda y: _train(GOOD, y),
+    "Dataset": lambda y: dataclasses.replace(DATA, labels=y),
+    "write_dataset": lambda y: write_dataset(os.devnull, dataclasses.replace(DATA, labels=y), 2),
 }
 NOT_INTEGERS = {"fractional": LABELS, "text": ["a", "b", "a"], "none": [0, None, 1]}
 
