@@ -96,7 +96,12 @@ class Dataset:
         if labels.ndim != 1:
             raise ConfigError(f"labels must be a 1-D sequence, got shape {labels.shape}")
         object.__setattr__(self, "labels", labels)
-        n = labels.size
+        self._check_columns()
+
+    def _check_columns(self) -> None:
+        """A ConfigError unless the id and feature columns follow the rules
+        above, with one row per label."""
+        n = self.labels.size
         rows = _feature_pair(self.features_a, self.features_b, MODALITIES)
         if any(len(c) != n for c in (self.pair_ids, self.drug_a, self.drug_b)) or rows != n:
             raise ConfigError(f"Dataset columns differ in length from the {n} labels")
@@ -309,12 +314,14 @@ def write_dataset(path, data: Dataset, n_classes: int) -> None:
     """One header line (schema and widths), then one tab-separated record per line.
 
     Feature blocks are comma-joined decimals at 9 significant digits, in
-    fixed order g,s,t,e for drug a, then g,s,t,e for drug b. An id holding
-    a tab or a line break, or a label outside [0, n_classes), raises
-    ConfigError before the file is opened. A Dataset refuses text and
-    non-finite features when it is built, so the file of one whose arrays
-    were not changed since reads back.
+    fixed order g,s,t,e for drug a, then g,s,t,e for drug b. The columns
+    are checked again by the Dataset's own rules, since its arrays stay
+    writable after it is built, so a text, non-finite or misshapen feature
+    block, an id holding a tab or a line break, or a label outside
+    [0, n_classes) raises ConfigError before the file is opened, and every
+    file written reads back.
     """
+    data._check_columns()
     for column in (data.pair_ids, data.drug_a, data.drug_b):
         ids = np.ascontiguousarray(column, dtype=str)
         bad = np.isin(ids.view(np.uint32), _BREAKS)  # one code point per element

@@ -32,14 +32,14 @@ One driver, _advance, starts, steps and evaluates every run: run_training
 calls it until the run is done, and a batch-command worker once per epoch.
 compare_losses, ablate and sweep check every run before any data is built,
 then train them on up to os.cpu_count() worker interpreters with one BLAS
-thread each (see _train_pooled). Runs move between workers one epoch at a
-time: a free worker takes the oldest waiting run of the data source it
-holds (one at a time), else the oldest run, with the run's pickled
-training state, and hands the state back after one epoch. After a failure
-only the runs before it in submission order go on, so the error raised,
-once every worker has exited, is that of the first run that fails, and the
-rows or the error are those of training the runs one after another in
-this process.
+thread each (see _train_pooled) and build their tables from each run's
+RunResult. Runs move between workers one epoch at a time: a free worker
+takes the oldest waiting run of the data source it holds (one at a time),
+else the oldest run, with the run's pickled training state, and hands the
+state back after one epoch. After a failure only the runs before it in
+submission order go on, so the error raised, once every worker has exited,
+is that of the first run that fails, and the results or the error are
+those of training the runs one after another in this process.
 """
 
 from __future__ import annotations
@@ -185,10 +185,12 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """A finished run; params is None for a batch command's runs, which keep no model."""
+
     report: MetricsReport
     trace: list[EpochStats]
     model_config: ModelConfig
-    params: dict
+    params: dict | None
     train_stats: ClassStats
     tail: TailPartition
     test_labels: np.ndarray
@@ -320,12 +322,13 @@ def _prepare(run: RunConfig, data):
     return model_config, loss_spec, split(train_idx), val, split(test_idx)
 
 
-def _as_read(run: RunConfig, n_classes: int, embed_dims) -> RunConfig:
+def _as_read(run: RunConfig, model_config: ModelConfig) -> RunConfig:
     """`run` as effective.cfg records it: on a data file, with the class
-    count and modality widths read from the file in place of the
-    data.n_classes and data.embed_dims it ignored."""
+    count and modality widths of `model_config`, read from the file, in
+    place of the data.n_classes and data.embed_dims it ignored."""
     if run.data.path is None:
         return run
+    n_classes, embed_dims = model_config.n_classes, model_config.embed_dims
     return replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
 
 
@@ -364,8 +367,7 @@ def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
         kind, value = _advance(run, prepared, value)
     result = value
     if out_dir is not None:
-        run = _as_read(run, result.model_config.n_classes, result.model_config.embed_dims)
-        _write_run_outputs(out_dir, run, result)
+        _write_run_outputs(out_dir, _as_read(run, result.model_config), result)
     return result
 
 
@@ -405,22 +407,15 @@ _THREAD_VARS = (
 )
 
 
-def _headline(result: RunResult):
-    """A finished run's outcome: its headline metrics, then the class count
-    and modality widths it trained on."""
-    metrics = [getattr(result.report, metric) for metric in _HEADLINE]
-    return metrics, result.model_config.n_classes, result.model_config.embed_dims
-
-
 def _train_in_turn(subs):
     """Train each (key, run) of `subs` in this process, one after another,
     building data once per stretch of runs sharing a data config and seed;
-    the _headline of each run."""
+    the RunResult of each run, with params None."""
     done, source = [], None
     for _, sub in subs:
         if source != (sub.data, sub.seed):
             source, data = (sub.data, sub.seed), load_run_data(sub)
-        done.append(_headline(run_training(sub, _data=data)))
+        done.append(replace(run_training(sub, _data=data), params=None))
     return done
 
 
@@ -449,7 +444,7 @@ def _worker() -> None:
     """Main of a worker interpreter. Reads pickled tasks (index, run, state)
     on stdin until EOF, index being the run's place in submission order,
     and answers each on stdout, pickled: the _advance reply, a finished
-    run's RunResult reduced to its _headline, or ("error", the exception).
+    run's RunResult with params None, or ("error", the exception).
     The worker holds the data of one source (data config and seed) at a
     time, and the _prepare output of each run of that source it has
     served."""
@@ -470,7 +465,7 @@ def _worker() -> None:
             if index not in prepared:
                 prepared[index] = _prepare(run, data)
             kind, value = _advance(run, prepared[index], state)
-            reply = (kind, _headline(value) if kind == "done" else value)
+            reply = (kind, replace(value, params=None) if kind == "done" else value)
         except Exception as exc:
             reply = ("error", exc)
         pickle.dump(reply, reply_to, protocol=5)
@@ -485,9 +480,9 @@ def _pick(waiting, sources, held) -> int:
 
 
 def _train_pooled(subs, n: int):
-    """The _headline of each (key, run) of `subs`, in submission order,
-    trained on `n` worker interpreters with one BLAS thread each and handed
-    between them one epoch at a time.
+    """The RunResult, params None, of each (key, run) of `subs`, in
+    submission order, trained on `n` worker interpreters with one BLAS
+    thread each and handed between them one epoch at a time.
 
     Every run waits in one FIFO. A free worker takes the run _pick chooses,
     with its _Training state, and sends back the state one epoch on, which
@@ -577,39 +572,44 @@ def _train_pooled(subs, n: int):
                     pipe.close()
 
 
-def _train_each(run: RunConfig, subs, out_dir=None, name="", label=""):
-    """Check every (key, run) of `subs`, then train them on up to
-    `os.cpu_count()` worker interpreters with one BLAS thread each, handed
-    between workers one epoch at a time, each worker holding the data of
-    one source at a time, or in this one on a single core; the rows are
-    identical either way, and so is the error of the first run that fails
-    (see _train_pooled). Returns the (key, headline metrics) rows and `run`
-    _as_read, whose config is written with the table to out_dir/name if
-    given."""
+def _train_each(subs, out_dir=None) -> list[RunResult]:
+    """Check every (key, run) of `subs` and out_dir, then train the runs on
+    up to `os.cpu_count()` worker interpreters with one BLAS thread each,
+    handed between them one epoch at a time, or in this process on a single
+    core. Returns each run's RunResult, params None, in submission order;
+    the results are identical either way, and so is the error of the first
+    run that fails (see _train_pooled)."""
     if not subs:
         raise ConfigError("no runs to train")
     for _, sub in subs:
         _check_run(sub)
     _check_out_dir(out_dir)
     n = min(os.cpu_count() or 1, len(subs))
-    done = _train_in_turn(subs) if n == 1 else _train_pooled(subs, n)
-    rows = [(key, metrics) for (key, _), (metrics, _, _) in zip(subs, done)]
-    run = _as_read(run, *done[0][1:])
+    return _train_in_turn(subs) if n == 1 else _train_pooled(subs, n)
+
+
+def _table(run: RunConfig, subs, out_dir, name: str, label: str):
+    """The (key, headline metrics) row of each (key, run) of `subs`, trained
+    by _train_each, and written as out_dir/name with `run` _as_read if
+    out_dir is given."""
+    results = _train_each(subs, out_dir)
+    rows = [(key, [getattr(r.report, m) for m in _HEADLINE]) for (key, _), r in zip(subs, results)]
     if out_dir is not None:
+        run = _as_read(run, results[0].model_config)
         _write_table(out_dir, name, (label, *_HEADLINE), [(k, *v) for k, v in rows], run)
-    return rows, run
+    return rows
 
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
     """Train once per loss on the same data, split, and init; tabulate metrics."""
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
-    return _train_each(run, subs, out_dir, "losses.csv", "loss")[0]
+    return _table(run, subs, out_dir, "losses.csv", "loss")
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
     """Train the configured loss once per modality variant; tabulate metrics."""
     subs = [(v.upper(), replace(run, model=replace(run.model, variant=v))) for v in variants]
-    return _train_each(run, subs, out_dir, "ablation.csv", "variant")[0]
+    return _table(run, subs, out_dir, "ablation.csv", "variant")
 
 
 def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
@@ -620,16 +620,16 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
         (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
         for r in range(cfg.repeats) for v in cfg.grid
     ]
-    _check_out_dir(out_dir)
-    trained, run = _train_each(run, subs)
-    metrics = np.array([m for _, m in trained]).reshape(cfg.repeats, len(cfg.grid), -1)
+    results = _train_each(subs, out_dir)
+    metrics = np.array([[getattr(r.report, m) for m in _HEADLINE] for r in results])
+    metrics = metrics.reshape(cfg.repeats, len(cfg.grid), -1)
     mean, std = metrics.mean(axis=0), metrics.std(axis=0)
     rows = [(float(v), mean[i], std[i]) for i, v in enumerate(cfg.grid)]
     if out_dir is not None:
         header = [cfg.parameter] + [f"{s}_{name}" for name in _HEADLINE for s in ("mean", "std")]
         # mean and std of each metric side by side
         table = [(v, *np.column_stack([m, sd]).ravel()) for v, m, sd in rows]
-        _write_table(out_dir, "sweep.csv", header, table, run)
+        _write_table(out_dir, "sweep.csv", header, table, _as_read(run, results[0].model_config))
     return rows
 
 

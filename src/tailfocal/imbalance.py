@@ -78,8 +78,12 @@ def _widths(dims, what: str) -> tuple[int, int, int, int]:
 
 def _finite(x, ndim: int, what: str) -> np.ndarray:
     """`x` as a non-empty float array of `ndim` (1 or 2) dimensions, all
-    finite; a ConfigError naming `what` otherwise."""
-    x = np.asarray(x, dtype=float)
+    finite; a ConfigError naming `what` otherwise, so text is refused rather
+    than parsed or left to fail in numpy."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ConfigError(f"{what} must hold real numbers")
+    x = x.astype(float, copy=False)
     if x.ndim != ndim or x.size == 0:
         shape = "1-D vector" if ndim == 1 else "(rows, classes) array"
         raise ConfigError(f"{what} must be a non-empty {shape}")

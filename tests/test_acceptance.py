@@ -1,8 +1,9 @@
 """Acceptance checklist: eleven end-to-end checks, one verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines as
-they print. Criterion 8 trains fifteen desk-scale models and dominates the
-runtime (a few minutes on one core); everything else finishes in seconds.
+they print. Criterion 8 trains fifteen desk-scale models on the batch
+commands' worker pool and dominates the runtime (about 90 s on two cores);
+everything else finishes in seconds.
 """
 
 import math
@@ -12,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from tailfocal import (
+    LOSS_KINDS,
     VARIANTS,
     DataConfig,
     LossConfig,
@@ -26,17 +28,16 @@ from tailfocal import (
     cb_loss,
     ce_loss,
     class_stats_from_counts,
+    compare_losses,
     curve_table,
     fl_vanishing_threshold,
     focal_loss,
     generate_dataset,
     init_params,
     lambert_w0,
-    load_run_data,
     loss_on_logits,
     metrics_report,
     preset_spec,
-    run_training,
     softmax,
     tail_partition,
     tfl_loss,
@@ -44,7 +45,9 @@ from tailfocal import (
     wce_loss,
 )
 from tailfocal.cli import main as cli_main
+from tailfocal.experiments import _train_each
 from tailfocal.fusion import backward, forward
+from tailfocal.metrics import _HEADLINE
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -337,7 +340,8 @@ def test_criterion_08_desk_scale_directional_experiment():
     """The tail term helps on tail classes; plain reweighting over-corrects.
 
     Fifty classes, 20000 samples, imbalance ratio 1200, fusion model trained
-    50 epochs per loss. Directional claims use a 3-of-5-seeds majority.
+    50 epochs per loss, each seed's three runs on the batch commands' pool.
+    Directional claims use a 3-of-5-seeds majority.
     """
     t0 = time.time()
     tfl_wins = 0
@@ -364,11 +368,10 @@ def test_criterion_08_desk_scale_directional_experiment():
             split=SplitConfig(test_fraction=0.2, val_fraction=0.0),
             seed=seed,
         )
-        data = load_run_data(base)
-        scores = {}
-        for kind in ("tfl", "fl", "wce"):
-            run = replace(base, loss=replace(base.loss, kind=kind))
-            scores[kind] = _tail_scores(run_training(run, _data=data))
+        subs = [
+            (kind, replace(base, loss=replace(base.loss, kind=kind))) for kind in ("tfl", "fl", "wce")
+        ]
+        scores = {kind: _tail_scores(r) for (kind, _), r in zip(subs, _train_each(subs))}
         if scores["tfl"][0] >= scores["fl"][0]:
             tfl_wins += 1
         if scores["wce"][1] > scores["wce"][2]:
@@ -403,10 +406,8 @@ def test_criterion_09_zero_noise_reaches_perfect_accuracy():
             split=SplitConfig(test_fraction=0.25, val_fraction=0.0),
             seed=seed,
         )
-        data = load_run_data(base)
-        for kind in ("ce", "wce", "fl", "cb", "bs", "ldam", "tfl"):
-            run = replace(base, loss=replace(base.loss, kind=kind))
-            acc = run_training(run, _data=data).report.accuracy
+        for kind, metrics in compare_losses(base, kinds=LOSS_KINDS):
+            acc = metrics[_HEADLINE.index("accuracy")]
             if acc != 1.0:
                 failures.append((kind, seed, acc))
     ok = not failures

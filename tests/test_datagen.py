@@ -244,6 +244,21 @@ class TestDatasetColumns:
             write_dataset(tmp_path / "d.tsv", bad, n_classes=3)
         assert not (tmp_path / "d.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: d.features_a["g"].__setitem__((3, 0), np.nan),
+            lambda d: d.features_b.__setitem__("s", np.zeros((2, 4))),
+        ],
+        ids=["nan", "rows"],
+    )
+    def test_rejects_columns_changed_after_building(self, tmp_path, change):
+        data = self._dataset()
+        change(data)  # a Dataset's arrays and feature dicts stay writable
+        with pytest.raises(ConfigError):
+            write_dataset(tmp_path / "d.tsv", data, n_classes=3)
+        assert not (tmp_path / "d.tsv").exists()
+
     @pytest.mark.parametrize("column", ["pair_ids", "drug_a", "drug_b"])
     @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
     def test_write_rejects_id_with_a_break(self, tmp_path, column, char):

@@ -605,6 +605,23 @@ def _batch_outputs(out: Path, run=WIDE_RUN, kinds=LOSS_KINDS, variants=tuple(VAR
     return {name: (pickle.dumps(r), (out / name).read_text()) for name, r in rows.items()}
 
 
+def _assert_same_results(got, want):
+    """Each RunResult of `got` equals that of `want` field by field, the
+    report's arrays bit for bit, and neither side holds params."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.params is None and w.params is None
+        for f in fields(g.report):
+            a, b = np.asarray(getattr(g.report, f.name)), np.asarray(getattr(w.report, f.name))
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        assert g.trace == w.trace
+        assert g.model_config == w.model_config
+        assert np.array_equal(g.train_stats.counts, w.train_stats.counts)
+        assert g.tail.is_tail.tobytes() == w.tail.is_tail.tobytes()
+        assert g.test_labels.dtype == w.test_labels.dtype
+        assert np.array_equal(g.test_labels, w.test_labels)
+
+
 @pytest.fixture
 def workers(monkeypatch):
     """(process, environment) of each worker started during the test."""
@@ -621,6 +638,10 @@ def workers(monkeypatch):
 
 class TestWorkerPool:
     def test_rows_and_tables_match_the_in_process_loop(self, monkeypatch, tmp_path, workers):
+        results, train_each = [], experiments._train_each  # each call's results, in order
+        monkeypatch.setattr(
+            experiments, "_train_each", lambda *a: results.append(train_each(*a)) or results[-1]
+        )
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         alone = _batch_outputs(tmp_path / "alone")
         assert workers == []
@@ -628,6 +649,9 @@ class TestWorkerPool:
         assert _batch_outputs(tmp_path / "pooled") == alone
         assert len(workers) == 9  # three per command
         assert all(env[v] == "1" for _, env in workers for v in experiments._THREAD_VARS)
+        assert len(results) == 6  # one call per command on each side
+        for pooled, in_turn in zip(results[3:], results[:3]):
+            _assert_same_results(pooled, in_turn)
 
     @pytest.mark.parametrize("run", [
         WIDE_RUN,
@@ -668,7 +692,7 @@ class TestWorkerPool:
             ("fl", replace(steady, loss=replace(steady.loss, kind="fl"))),
         ]
         with pytest.raises(TrainingError, match="logits at epoch 1, batch starting at sample 64"):
-            experiments._train_each(TINY_RUN, subs)
+            experiments._train_each(subs)
         assert len(workers) == 2
         assert all(proc.returncode is not None for proc, _ in workers)
 
@@ -704,7 +728,7 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         subs = [("first", OVERFLOW_RUN), ("second", OVERFLOW_RUN)]
         with pytest.raises(TrainingError, match=OVERFLOW):
-            experiments._train_each(OVERFLOW_RUN, subs)
+            experiments._train_each(subs)
         assert len(workers) == 2
         assert all(proc.returncode is not None for proc, _ in workers)
 
@@ -714,7 +738,7 @@ class TestWorkerPool:
             (i, _tiny(data=dict(path=str(tmp_path / f"missing-{i}.tsv")))) for i in (1, 2)
         ]
         with pytest.raises(FileNotFoundError, match="missing-1"):
-            experiments._train_each(TINY_RUN, subs)
+            experiments._train_each(subs)
         assert len(workers) == 3
         assert all(proc.returncode is not None for proc, _ in workers)
 

@@ -67,9 +67,10 @@ class TestSoftmax:
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p > 0)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigError):
-            softmax(np.array([0.0, np.inf]))
+    @pytest.mark.parametrize("z", [np.array([0.0, np.inf]), ["1.0", "2.0"]], ids=["inf", "text"])
+    def test_rejects_non_finite_or_text(self, z):
+        with pytest.raises(ConfigError, match="logits"):
+            softmax(z)
 
 
 class TestPointValues:
@@ -345,10 +346,15 @@ class TestBatchLoss:
         assert value == pytest.approx(single.value, rel=1e-12)
         np.testing.assert_allclose(grad.sum(axis=0), single.grad_z, rtol=1e-12)
 
-    def test_rejects_empty_batch(self):
+    @pytest.mark.parametrize(
+        "logits, labels",
+        [(np.zeros((0, 3)), np.zeros(0, dtype=int)), ([["a", "b"]], [0])],
+        ids=["empty", "text"],
+    )
+    def test_rejects_empty_or_text_batch(self, logits, labels):
         spec = _spec_for("ce", None, None)
-        with pytest.raises(ConfigError):
-            batch_loss(spec, np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ConfigError, match="logits"):
+            batch_loss(spec, logits, labels)
 
     def test_rejects_label_out_of_range(self):
         spec = _spec_for("ce", None, None)

@@ -204,9 +204,12 @@ class TestReport:
         for f in fields(ConfusionMetrics):
             assert np.array_equal(getattr(report, f.name), getattr(conf, f.name)), f.name
 
-    def test_rejects_negative_scores(self):
-        with pytest.raises(ConfigError):
-            metrics_report(np.array([[1.2, -0.2]]), np.array([0]))
+    @pytest.mark.parametrize(
+        "scores", [np.array([[1.2, -0.2]]), [["0.5", "x"]]], ids=["negative", "text"]
+    )
+    def test_rejects_negative_or_text_scores(self, scores):
+        with pytest.raises(ConfigError, match="scores"):
+            metrics_report(scores, np.array([0]))
 
     def test_rejects_rows_not_summing_to_one(self):
         with pytest.raises(ConfigError):
