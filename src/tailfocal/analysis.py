@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .imbalance import _real
 
 __all__ = [
     "VanishingReport",
@@ -104,14 +105,9 @@ def lambert_w0(x: float) -> float:
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be finite and > 0, got {value}")
-
-
 def fl_vanishing_threshold(gamma: float) -> VanishingReport:
     """Probability where the focal gradient magnitude peaks out: exp(-1/gamma)."""
-    _check_positive("gamma", gamma)
+    _real(gamma, "gamma", 0, ends="()")
     p = math.exp(-1.0 / gamma)
     return VanishingReport(
         loss_kind="fl",
@@ -128,8 +124,8 @@ def tfl_vanishing_threshold(gamma: float, beta: float) -> VanishingReport:
     Raises ConfigError when (beta/gamma) * exp(1/gamma) or the crossover
     leaves the float range, as for a tiny gamma or a huge beta.
     """
-    _check_positive("gamma", gamma)
-    _check_positive("beta", beta)
+    _real(gamma, "gamma", 0, ends="()")
+    _real(beta, "beta", 0, ends="()")
     try:
         p = beta / (gamma * lambert_w0((beta / gamma) * math.exp(1.0 / gamma)))
     except (ArithmeticError, ConfigError):
@@ -152,7 +148,7 @@ def curve_table(loss_kind: str, grid=None, gamma: float = 2.0, beta: float = 2.0
     """Tabulate (p, loss, dloss/dp) rows for ce, fl, or tfl on a tail class.
 
     grid: 1-D array of probabilities in (0, 1), default 512 points
-    on [0.001, 0.999].
+    on [0.001, 0.999]. gamma (fl, tfl) and beta (tfl) must be finite and >= 0.
     """
     kind = loss_kind.lower()
     if kind not in ("ce", "fl", "tfl"):
@@ -165,6 +161,10 @@ def curve_table(loss_kind: str, grid=None, gamma: float = 2.0, beta: float = 2.0
         raise ConfigError("grid must be a non-empty 1-D array")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ConfigError("grid probabilities must lie strictly inside (0, 1)")
+    if kind != "ce":
+        _real(gamma, "gamma", 0)
+    if kind == "tfl":
+        _real(beta, "beta", 0)
 
     log_p = np.log(p)
     if kind == "ce":
@@ -175,8 +175,6 @@ def curve_table(loss_kind: str, grid=None, gamma: float = 2.0, beta: float = 2.0
         loss = -(one_m**gamma) * log_p
         grad = one_m ** (gamma - 1.0) * (gamma * log_p - 1.0 / p + 1.0)
         if kind == "tfl":
-            if beta < 0:
-                raise ConfigError(f"beta must be >= 0, got {beta}")
             loss = loss - beta * log_p
             grad = grad - beta / p
     return np.column_stack([p, loss, grad])

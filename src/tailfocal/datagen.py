@@ -26,7 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imbalance import ClassStats, _feature_pair, _integers, _widths, class_stats_from_counts
+from .imbalance import (
+    ClassStats, _count, _feature_pair, _integers, _real, _widths, class_stats_from_counts,
+)
 
 __all__ = [
     "MODALITIES",
@@ -136,17 +138,16 @@ class DatasetSpec:
     noise_scale: float = 0.5
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        _count(self.n_classes, "n_classes", 2)
         sample_class_counts(self.n_classes, self.n_samples, self.cir)
-        if self.n_drugs < 2:
-            raise ConfigError(f"n_drugs must be >= 2, got {self.n_drugs}")
+        _count(self.n_drugs, "n_drugs", 2)
         object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
-        if len(self.signal_scale) != 4 or not all(0.0 <= v < math.inf for v in self.signal_scale):
-            raise ConfigError("signal_scale must be four finite factors >= 0")
-        for name in ("offset_scale", "noise_scale"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if np.shape(self.signal_scale) != (4,):
+            raise ConfigError("signal_scale must be four factors")
+        for v in self.signal_scale:
+            _real(v, "signal_scale", 0)
+        _real(self.offset_scale, "offset_scale", 0)
+        _real(self.noise_scale, "noise_scale", 0)
 
 
 def preset_spec(name: str, seed: int = 0, embed_dims=(64, 64, 64, 64), **overrides) -> DatasetSpec:
@@ -213,12 +214,9 @@ def sample_class_counts(n_classes: int, n_samples: int, cir: float) -> np.ndarra
     division remainder may leave max - min = 1). Raises ConfigError when no
     allocation can satisfy the contract.
     """
-    if n_classes < 1:
-        raise ConfigError(f"n_classes must be >= 1, got {n_classes}")
-    if n_samples < n_classes:
-        raise ConfigError(f"n_samples ({n_samples}) must be >= n_classes ({n_classes})")
-    if not 1 <= cir < math.inf:
-        raise ConfigError(f"cir must be finite and >= 1, got {cir}")
+    _count(n_classes, "n_classes", 1)
+    _count(n_samples, "n_samples", n_classes)
+    _real(cir, "cir", 1)
     if n_classes == 1:
         return np.array([n_samples], dtype=np.int64)
 

@@ -78,7 +78,7 @@ from .fusion import (
     save_model,
 )
 from .imbalance import (
-    ClassStats, TailPartition, _check_ts, _labels, class_stats_from_counts, tail_partition,
+    ClassStats, TailPartition, _count, _labels, _real, class_stats_from_counts, tail_partition,
 )
 from .losses import LOSS_KINDS, LossSpec, _check_loss, _loss_kind
 from .metrics import (
@@ -151,9 +151,8 @@ class SplitConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        for name in ("test_fraction", "val_fraction"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        _real(self.test_fraction, "test_fraction", 0, 1, "[)")
+        _real(self.val_fraction, "val_fraction", 0, 1, "[)")
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,7 @@ class SweepConfig:
             raise ConfigError(f"sweep parameter must be beta/gamma/ts, got {self.parameter!r}")
         if not self.grid:
             raise ConfigError("sweep grid is empty")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        _count(self.repeats, "repeats", 1)
         for v in self.grid:  # each value must make a valid tfl run, checked before any data
             _check_run(RunConfig(loss=LossConfig(kind="tfl", **{self.parameter: v})))
 
@@ -209,8 +207,7 @@ def split_indices(labels, test_fraction: float, seed: int):
     and training needs them more).
     """
     labels = _labels(labels, "labels")
-    if not 0.0 <= test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in [0, 1), got {test_fraction}")
+    _real(test_fraction, "test_fraction", 0, 1, "[)")
     rng = np.random.default_rng(seed)
     train_parts = []
     test_parts = []
@@ -275,9 +272,8 @@ def _check_run(run: RunConfig) -> None:
     generated data, that includes its whole ModelConfig."""
     loss, net = run.loss, run.model
     _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
-    _check_ts(loss.ts)
-    if run.split.test_fraction == 0.0:
-        raise ConfigError("split.test_fraction must be above 0 for a run")
+    _real(loss.ts, "ts", 0, 1)
+    _real(run.split.test_fraction, "split.test_fraction", 0, 1, "()")  # a run needs a test set
     _variant_modalities(net.variant)
     if run.data.path is None:  # the DatasetSpec gives the class count and widths
         spec = _dataset_spec(run.data, seed=run.seed)
@@ -333,10 +329,12 @@ def _as_read(run: RunConfig, model_config: ModelConfig) -> RunConfig:
 
 
 def _check_out_dir(out_dir) -> None:
-    """An OSError unless `out_dir` is None or its nearest existing ancestor
-    (itself, if it exists) is a directory. Creates nothing."""
+    """An OSError unless `out_dir` is None or a non-empty path whose nearest
+    existing ancestor (itself, if it exists) is a directory. Creates nothing."""
     if out_dir is None:
         return
+    if os.fspath(out_dir) == "":
+        raise FileNotFoundError("cannot write outputs to an empty path")
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -407,14 +405,20 @@ _THREAD_VARS = (
 )
 
 
+def _source(run: RunConfig):
+    """What a run's data depends on, so runs with equal sources share one
+    load_run_data: a data file's path, or the generator's config and seed."""
+    return run.data.path if run.data.path is not None else (run.data, run.seed)
+
+
 def _train_in_turn(subs):
     """Train each (key, run) of `subs` in this process, one after another,
-    building data once per stretch of runs sharing a data config and seed;
-    the RunResult of each run, with params None."""
+    loading data once per stretch of runs sharing a _source; the RunResult
+    of each run, with params None."""
     done, source = [], None
     for _, sub in subs:
-        if source != (sub.data, sub.seed):
-            source, data = (sub.data, sub.seed), load_run_data(sub)
+        if source != _source(sub):
+            source, data = _source(sub), load_run_data(sub)
         done.append(replace(run_training(sub, _data=data), params=None))
     return done
 
@@ -445,9 +449,8 @@ def _worker() -> None:
     on stdin until EOF, index being the run's place in submission order,
     and answers each on stdout, pickled: the _advance reply, a finished
     run's RunResult with params None, or ("error", the exception).
-    The worker holds the data of one source (data config and seed) at a
-    time, and the _prepare output of each run of that source it has
-    served."""
+    The worker holds the data of one _source at a time, and the _prepare
+    output of each run of that source it has served."""
     import pickle
 
     reply_to, sys.stdout = sys.stdout.buffer, sys.stderr  # stray prints stay off the pipe
@@ -458,10 +461,10 @@ def _worker() -> None:
         except EOFError:
             return
         try:
-            if source != (run.data, run.seed):
+            if source != _source(run):
                 source = prepared = data = None  # the old source goes before the next is built
                 data = load_run_data(run)
-                source, prepared = (run.data, run.seed), {}
+                source, prepared = _source(run), {}
             if index not in prepared:
                 prepared[index] = _prepare(run, data)
             kind, value = _advance(run, prepared[index], state)
@@ -504,7 +507,7 @@ def _train_pooled(subs, n: int):
         "from tailfocal.experiments import _worker; _worker()"
     )
     env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
-    sources = [(sub.data, sub.seed) for _, sub in subs]
+    sources = [_source(sub) for _, sub in subs]
     waiting = list(range(len(subs)))  # runs waiting for a worker, oldest first
     states = {}  # run index -> its _Training state, while it waits between epochs
     done = [None] * len(subs)

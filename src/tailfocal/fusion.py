@@ -21,11 +21,13 @@ stage is one matmul per modality over all 2B rows, max-pooling is one pass
 over the whole row (pool_window divides every width), and the fused rows
 reshaped to (B, 2F) are the pair vectors without a copy.
 
-forward, predict_proba and train take each drug's features as a dict of
-(n, width) arrays of finite real numbers by modality, checked once per
-call on the whole arrays by the feature-pair rule that Dataset also
-applies (imbalance._feature_pair); anything else, an inf or a text column
-among it, is a ConfigError before any parameter changes. Each is a thin
+forward, predict_proba and train check their parameters against the
+config's layout, and take each drug's features as a dict of (n, width)
+arrays of finite real numbers by modality, checked once per call on the
+whole arrays by the feature-pair rule that Dataset also applies
+(imbalance._feature_pair); anything else, a missing or misshapen
+parameter, or an inf or a text column among the features, is a
+ConfigError before any parameter changes. Each is a thin
 wrapper over private code on checked arrays (for train, a loop over the
 epochs of one training state), which experiments calls with splits it
 checked once per run. The caller's columns are the only copy of the
@@ -58,7 +60,7 @@ import numpy as np
 
 from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
-from .imbalance import _feature_pair, _labels, _widths
+from .imbalance import _count, _feature_pair, _labels, _real, _widths
 from .losses import LossSpec, _softmax_rows, batch_loss
 from .metrics import confusion_metrics
 
@@ -101,14 +103,11 @@ def _variant_modalities(variant: str) -> tuple:
 
 def _check_net(net) -> None:
     """A ConfigError unless `net` (a ModelConfig or NetConfig) obeys the rules needing no data."""
-    if net.hidden_dim < 1:
-        raise ConfigError(f"hidden_dim must be >= 1, got {net.hidden_dim}")
-    if net.k_stages < 1:
-        raise ConfigError(f"k_stages must be >= 1, got {net.k_stages}")
+    _count(net.hidden_dim, "hidden_dim", 1)
+    _count(net.k_stages, "k_stages", 1)
     if net.activation not in ("relu", "tanh"):
         raise ConfigError(f"activation must be 'relu' or 'tanh', got {net.activation!r}")
-    if net.pool_window < 1:
-        raise ConfigError(f"pool_window must be >= 1, got {net.pool_window}")
+    _count(net.pool_window, "pool_window", 1)
     if net.classifier_dims is not None:
         _widths(net.classifier_dims, "classifier_dims")
 
@@ -126,8 +125,7 @@ class ModelConfig:
 
     def __post_init__(self):
         _check_net(self)
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        _count(self.n_classes, "n_classes", 2)
         object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
         mods = tuple(m.lower() for m in self.modalities)
         if not mods or len(set(mods)) != len(mods) or any(m not in MODALITIES for m in mods):
@@ -166,19 +164,14 @@ class OptimConfig:
     patience: int | None = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0.0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
+        _real(self.lr, "lr", 0)
+        _count(self.batch_size, "batch_size", 1)
+        _count(self.epochs, "epochs", 0)
+        _real(self.beta1, "beta1", 0, 1, "[)")
+        _real(self.beta2, "beta2", 0, 1, "[)")
+        _real(self.eps, "eps", 0, ends="()")
+        if self.patience is not None:
+            _count(self.patience, "patience", 1)
 
 
 @dataclass
@@ -442,6 +435,7 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     alone, which backward writes into, so what either returns is the
     caller's.
     """
+    _check_params(config, params, "params dict")
     pair = _rows(config, feats_a, feats_b)
     work = _Work(config, pair.rows.size)
     return _forward(config, params, _pack(config, pair, slice(None), work.x), work)
@@ -518,6 +512,7 @@ def predict_proba(config, params, feats_a, feats_b) -> np.ndarray:
     columns, so no larger copy of the features is made. Raises
     TrainingError if a batch's logits are not finite, naming its first
     row."""
+    _check_params(config, params, "params dict")
     return _predict(config, params, _rows(config, feats_a, feats_b))
 
 

@@ -12,12 +12,15 @@ they land at small positions; rare classes land near 1.
 
 The module also holds the rules for each kind of outside input, which every
 entry point calls where the input enters rather than keeping its own copy:
-`_labels` for class labels (and counts), `_widths` for the four modality or
-classifier widths, `_finite` for non-empty finite vectors or (rows, classes)
-arrays such as logits, `_prob_rows` for rows of class probabilities, and
-`_feature_pair` for a drug pair's per-modality feature blocks, which both
-`Dataset` and the fusion model's entry points apply. Each raises ConfigError
-naming the field, so bad input reaches no training step.
+`_count` for a count setting such as epochs (a whole number, at least a
+bound), `_real` for a real-valued one such as gamma (a finite number in an
+interval), `_labels` for class labels (and counts), `_widths` for the four
+modality or classifier widths, `_finite` for non-empty finite vectors or
+(rows, classes) arrays such as logits, `_prob_rows` for rows of class
+probabilities, and `_feature_pair` for a drug pair's per-modality feature
+blocks, which both `Dataset` and the fusion model's entry points apply.
+Each raises ConfigError naming the field, so bad input reaches no training
+step.
 """
 
 from __future__ import annotations
@@ -32,10 +35,27 @@ from .errors import ConfigError
 __all__ = ["ClassStats", "TailPartition", "class_stats_from_counts", "tail_partition"]
 
 
-def _check_ts(t_s: float) -> None:
-    """A ConfigError unless the split threshold `t_s` (config key loss.ts) is in [0, 1]."""
-    if not 0.0 <= t_s <= 1.0:
-        raise ConfigError(f"ts must be in [0, 1], got {t_s}")
+def _count(value, what: str, least: int) -> None:
+    """A ConfigError naming `what` unless `value` is a whole number at least
+    `least`. A whole number is of integer type, Python's or numpy's, as for
+    `_widths`: a bool, a float such as 8.0, text or None is refused."""
+    if np.ndim(value) or np.asarray(value).dtype.kind not in "iu" or value < least:
+        raise ConfigError(f"{what} must be >= {least}, a whole number, got {value!r}")
+
+
+def _real(value, what: str, lo: float = -np.inf, hi: float = np.inf, ends: str = "[]") -> None:
+    """A ConfigError naming `what` unless `value` is a finite real number
+    (not a bool or text) in the interval from `lo` to `hi`, each end closed
+    ("[" or "]") or open ("(" or ")") as `ends` says. An infinite end admits
+    every finite value."""
+    if np.ndim(value) or np.asarray(value).dtype.kind not in "iuf" or not np.isfinite(value):
+        raise ConfigError(f"{what} must be finite and real, got {value!r}")
+    if not lo <= value <= hi or (value, ends[0]) == (lo, "(") or (value, ends[1]) == (hi, ")"):
+        if hi < np.inf:
+            span = f"in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+        else:
+            span = (">= " if ends[0] == "[" else "> ") + f"{lo:g}"
+        raise ConfigError(f"{what} must be {span}, got {value}")
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -69,9 +89,9 @@ def _labels(values, what: str, n_classes: int | None = None, size: int | None = 
 
 def _widths(dims, what: str) -> tuple[int, int, int, int]:
     """`dims` as a tuple of four ints; a ConfigError naming `what` unless
-    they are four positive whole numbers."""
-    arr = _integers(dims, what)
-    if arr.shape != (4,) or np.any(arr < 1):
+    they are four positive whole numbers, by `_count`'s notion of one."""
+    arr = np.asarray(dims)
+    if arr.shape != (4,) or arr.dtype.kind not in "iu" or np.any(arr < 1):
         raise ConfigError(f"{what} must be four positive widths")
     return tuple(arr.tolist())
 
@@ -194,7 +214,7 @@ def tail_partition(stats: ClassStats, t_s: float) -> TailPartition:
     position is exactly 1, and the comparison is strict); t_s = 0 marks
     every class as tail.
     """
-    _check_ts(t_s)
+    _real(t_s, "ts", 0, 1)
 
     # integer cumsum first, one float division after: the final entry is
     # total/total = 1.0 exactly, and scaling all counts by a constant

@@ -30,13 +30,12 @@ difference checks on the logits stay consistent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import ClassStats, TailPartition, _finite, _labels, _prob_rows
+from .imbalance import ClassStats, TailPartition, _finite, _labels, _prob_rows, _real
 
 __all__ = [
     "LOSS_KINDS",
@@ -89,16 +88,15 @@ def _check_loss(kind: str, gamma: float, beta: float, lam: float, margin_c: floa
     otherwise."""
     kind = _loss_kind(kind)
     for name, value in (("gamma", gamma), ("beta", beta), ("lam", lam), ("margin_c", margin_c)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if kind in ("fl", "tfl") and gamma < 0:
-        raise ConfigError(f"gamma must be >= 0, got {gamma}")
-    if kind == "tfl" and beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
-    if kind == "cb" and not 0.0 < lam < 1.0:
-        raise ConfigError(f"lam must be in (0, 1), got {lam}")
-    if kind == "ldam" and not 0.0 < margin_c <= 1.0:
-        raise ConfigError(f"margin_c must be in (0, 1], got {margin_c}")
+        _real(value, name)
+    if kind in ("fl", "tfl"):
+        _real(gamma, "gamma", 0)
+    if kind == "tfl":
+        _real(beta, "beta", 0)
+    if kind == "cb":
+        _real(lam, "lam", 0, 1, "()")
+    if kind == "ldam":
+        _real(margin_c, "margin_c", 0, 1, "(]")
     return kind
 
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .imbalance import _labels, _prob_rows
+from .imbalance import _count, _labels, _prob_rows
 
 __all__ = [
     "ConfusionMetrics",
@@ -82,8 +81,7 @@ def confusion_metrics(pred, true, n_classes: int) -> ConfusionMetrics:
 
     Macro means run over classes with support > 0 only.
     """
-    if n_classes < 1:
-        raise ConfigError(f"n_classes must be >= 1, got {n_classes}")
+    _count(n_classes, "n_classes", 1)
     true = _labels(true, "true labels", n_classes)
     pred = _labels(pred, "predictions", n_classes, size=true.size)
 

@@ -147,15 +147,20 @@ class TestVanishingThresholds:
     @pytest.mark.parametrize("gamma, beta, name", [
         (math.inf, 2.0, "gamma"),
         (math.nan, 2.0, "gamma"),
+        (-1.0, 2.0, "gamma"),
         (2.0, math.inf, "beta"),
         (2.0, math.nan, "beta"),
     ])
     def test_rejects_non_finite_parameters(self, gamma, beta, name):
         with pytest.raises(ConfigError, match=name):
             tfl_vanishing_threshold(gamma, beta)
+        with pytest.raises(ConfigError, match=name):
+            curve_table("tfl", gamma=gamma, beta=beta)  # not NaN rows
         if name == "gamma":
             with pytest.raises(ConfigError, match=name):
                 fl_vanishing_threshold(gamma)
+            with pytest.raises(ConfigError, match=name):
+                curve_table("fl", gamma=gamma)
 
     def test_crossover_with_lambert_argument_near_float_maximum(self):
         # the Lambert W argument is (1e308 / 2) * exp(1/2) = 8.24e307

@@ -113,6 +113,7 @@ class TestDatasetSpec:
         ("signal_scale", (1.0, 1.0, 1.0, -1.0)),
         ("embed_dims", (4.5, 4, 4, 4)),  # not left to fail in the generator
         ("embed_dims", (4, 0, 4, 4)),
+        ("n_samples", 100.5), ("n_drugs", 10.5), ("noise_scale", "0.5"),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):

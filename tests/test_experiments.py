@@ -41,6 +41,7 @@ from tailfocal import (
     generate_dataset,
     loss_on_logits,
     parse_config_file,
+    read_dataset,
     run_training,
     softmax,
     split_indices,
@@ -93,7 +94,7 @@ REJECTED = {
     ),
     "ts": (_tiny(loss=dict(ts=1.5)), "ts must be in"),
     "path-and-preset": (_tiny(data=dict(path="pairs.tsv", preset="DDIMDL")), "both set"),
-    "test-fraction": (_tiny(split=dict(test_fraction=0.0)), "test_fraction must be above 0"),
+    "test-fraction": (_tiny(split=dict(test_fraction=0.0)), r"test_fraction must be in \(0, 1\)"),
     "allocation": (
         _tiny(data=dict(n_classes=50, n_samples=60, cir=1000.0),
               model=dict(classifier_dims=(8, 8, 8, 50))),
@@ -202,7 +203,7 @@ class TestSplitIndices:
             split_indices(np.array([0, 1]), 1.0, seed=0)
 
     @pytest.mark.parametrize("field", ["test_fraction", "val_fraction"])
-    @pytest.mark.parametrize("value", [-0.5, 1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [-0.5, 1.0, math.nan, math.inf, None])
     def test_split_config_rejects_bad_fraction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             SplitConfig(**{field: value})
@@ -491,6 +492,16 @@ class TestBatchCommands:
         assert lines[0].startswith("beta,mean_accuracy,std_accuracy")
         assert len(lines) == 3
 
+    def test_sweep_reads_a_data_file_once_across_repeats(self, monkeypatch, tmp_path):
+        run = _five_class_file_run(tmp_path)
+        reads = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(
+            experiments, "read_dataset", lambda path: reads.append(path) or read_dataset(path)
+        )
+        sweep(run, SweepConfig(parameter="beta", grid=(0.0, 2.0), repeats=2))
+        assert reads == [run.data.path]  # the seed changes the split, not the file
+
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("command, table", [
         ("compare", "losses.csv"), ("ablate", "ablation.csv"), ("sweep", "sweep.csv"),
@@ -511,8 +522,9 @@ class TestBatchCommands:
             SweepConfig(parameter="lr", grid=(0.1,))
         with pytest.raises(ConfigError):
             SweepConfig(parameter="beta", grid=())
-        with pytest.raises(ConfigError):
-            SweepConfig(parameter="beta", grid=(1.0,), repeats=0)
+        for repeats in (0, 2.5):
+            with pytest.raises(ConfigError, match="repeats"):
+                SweepConfig(parameter="beta", grid=(1.0,), repeats=repeats)
         for parameter, value in [
             ("gamma", -1.0), ("gamma", math.nan), ("gamma", math.inf),
             ("beta", -0.5), ("beta", math.nan), ("beta", math.inf),
@@ -983,20 +995,24 @@ class TestCli:
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare-losses", "ablate", "sweep"])
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("where", ["file", "under-a-file", "empty"])
     def test_out_that_cannot_be_a_directory_exits_4_before_building_data(
-        self, tmp_path, capsys, monkeypatch, command, under
+        self, tmp_path, capsys, monkeypatch, command, where
     ):
         calls = []
         monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
         monkeypatch.setattr(os, "cpu_count", lambda: 1)  # batch commands load in this process
+        cfg = self._write_cfg(tmp_path)
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
-        out = taken / "sub" if under else taken
-        assert main([command, "--config", self._write_cfg(tmp_path), "--out", str(out)]) == 4
-        assert f"{taken} is not a directory" in capsys.readouterr().err
+        monkeypatch.chdir(taken.parent)
+        out = {"file": str(taken), "under-a-file": str(taken / "sub"), "empty": ""}[where]
+        assert main([command, "--config", cfg, "--out", out]) == 4
+        expected = f"{taken} is not a directory" if out else "an empty path"
+        assert expected in capsys.readouterr().err
         assert calls == []
         assert taken.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]  # nothing written
 
     def test_non_finite_value_in_a_data_file_exits_4_naming_its_line(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

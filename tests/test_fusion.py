@@ -129,6 +129,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("k_stages", 0),
+        ("hidden_dim", 8.5), ("k_stages", 1.5), ("n_classes", 4.5),  # not rounded or left to fail
         ("embed_dims", (4.5, 4, 4, 4)),  # not cut to 4
         ("embed_dims", (4, 4, 4)),
         ("classifier_dims", (8.7, 8, 8, 3)),
@@ -154,6 +155,8 @@ class TestOptimConfig:
         ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
         ("beta2", 1.0), ("beta2", math.nan),
         ("eps", -1.0), ("eps", 0.0), ("eps", math.nan), ("eps", math.inf),
+        ("epochs", 2.5), ("patience", 1.5), ("batch_size", 32.5),  # not rounded
+        ("lr", "0.1"), ("eps", None),  # not left to fail in a comparison
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -651,18 +654,20 @@ class TestTraining:
             train(config, params, data, LossSpec(kind="ce"), opt, seed=0)
         assert all(np.array_equal(params[k], before[k]) for k in params)
 
+    @pytest.mark.parametrize("call", list(TestPublicContract.CALLS))
     @pytest.mark.parametrize("name, change", [
         ("s1_b", lambda params: params.pop("s1_b")),
         ("cls2_W", lambda params: params.update(cls2_W=np.zeros((2, 2)))),
-    ], ids=["missing", "wrong-shape"])
-    def test_params_must_fit_the_layout(self, name, change):
+        ("cls3_b", lambda params: params.update(cls3_b=np.zeros(1))),  # numpy would broadcast it
+    ], ids=["missing", "wrong-shape", "broadcastable"])
+    def test_params_must_fit_the_layout(self, call, name, change):
         rng = np.random.default_rng(78)
         config = ModelConfig(**TINY)
         params = init_params(config, seed=15)
         change(params)
-        opt = OptimConfig(batch_size=8, epochs=1, patience=None)
+        fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
         with pytest.raises(ConfigError, match=name):
-            train(config, params, self._toy(rng, config, 8), LossSpec(kind="ce"), opt, seed=0)
+            TestPublicContract.CALLS[call](config, params, fa, fb)
 
     def test_early_stopping_returns_best_epoch(self):
         rng = np.random.default_rng(79)

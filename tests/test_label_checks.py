@@ -69,6 +69,10 @@ CASES = [
     ),
     pytest.param(class_stats_from_counts, [3, 4], ["3", "4"], "integers", id="class counts text"),
     pytest.param(
+        lambda n: confusion_metrics([0, 1, 0], GOOD, n), 2, 3.5, "n_classes",
+        id="confusion_metrics class count",
+    ),
+    pytest.param(
         ENTRY_POINTS["train validation"], GOOD, [0, 1], "validation labels",
         id="train validation one short",
     ),

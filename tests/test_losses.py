@@ -390,7 +390,7 @@ class TestValidation:
         ("fl", "gamma"), ("tfl", "gamma"), ("tfl", "beta"), ("cb", "lam"),
         ("ldam", "margin_c"), ("ce", "gamma"),
     ])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5"])
     def test_spec_rejects_non_finite_hyperparameters(self, kind, field, value):
         stats = class_stats_from_counts([9, 1])
         with pytest.raises(ConfigError, match=field):
