@@ -328,13 +328,18 @@ def _as_read(run: RunConfig, model_config: ModelConfig) -> RunConfig:
     return replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
 
 
+def _check_nonempty(path) -> None:
+    """A FileNotFoundError if `path` is empty, which names nowhere to write."""
+    if os.fspath(path) == "":
+        raise FileNotFoundError("cannot write outputs to an empty path")
+
+
 def _check_out_dir(out_dir) -> None:
     """An OSError unless `out_dir` is None or a non-empty path whose nearest
     existing ancestor (itself, if it exists) is a directory. Creates nothing."""
     if out_dir is None:
         return
-    if os.fspath(out_dir) == "":
-        raise FileNotFoundError("cannot write outputs to an empty path")
+    _check_nonempty(out_dir)
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -745,7 +750,9 @@ def parse_config_file(path) -> RunConfig:
 
 
 def write_generated_dataset(data: DataConfig, seed: int, out_path) -> ClassStats:
-    """cmd-gen workhorse: generate per config and write the dataset file."""
+    """cmd-gen workhorse: generate per config and write the dataset file.
+    An empty `out_path` is refused before any data is built."""
+    _check_nonempty(out_path)
     spec = _dataset_spec(data, seed=seed)
     dataset, stats = generate_dataset(spec)
     write_dataset(out_path, dataset, n_classes=spec.n_classes)

@@ -126,6 +126,10 @@ class ModelConfig:
     def __post_init__(self):
         _check_net(self)
         _count(self.n_classes, "n_classes", 2)
+        # counts are stored as Python ints, as _widths stores widths, so a
+        # numpy integer given for one still saves as JSON
+        for name in ("n_classes", "hidden_dim", "k_stages", "pool_window"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
         mods = tuple(m.lower() for m in self.modalities)
         if not mods or len(set(mods)) != len(mods) or any(m not in MODALITIES for m in mods):

@@ -13,19 +13,20 @@ Every evaluation reports three things: the loss value, the derivative with
 respect to the true-class probability, and the full gradient with respect
 to the logits.
 
-One private core, `_rows`, evaluates all rows of a batch at once. ce/wce/fl/cb/tfl
-are functions of the true-class probability and act on softmax rows,
-reaching the logits through the softmax chain rule; bs and ldam act on the
-logits directly, as cross entropy over count-shifted logits. `batch_loss`
-is the mean of the core's rows. `loss_on_logits` and the seven scalar
-functions are one-row views of the same core; the scalar functions build a
-`LossSpec`. `_check_loss` alone holds the rules for a loss kind and its
-hyperparameters; `LossSpec` applies them, and experiment runs apply them
-before building any data.
+One private core, `_rows`, evaluates all rows of a batch of logits at once.
+It adds the per-class shift for bs and ldam (zero for the other kinds),
+takes log P_y by log-sum-exp, and writes the logit gradient as
+f * (onehot - P), where f = d(loss)/d(log P_y). Nothing clips P_y, so
+the value and the gradient are exact at any logit gap, and the value keeps
+growing with the gap. `batch_loss` is the mean of the core's rows.
+`loss_on_logits` and the seven scalar functions are one-row views of the
+same core; the scalar functions build a `LossSpec`. `_check_loss` alone
+holds the rules for a loss kind and its hyperparameters; `LossSpec`
+applies them, and experiment runs apply them before building any data.
 
-All logs are natural. The true-class probability is clamped to
-[1e-12, 1 - 1e-12] in both the value and the derivative, so finite
-difference checks on the logits stay consistent.
+All logs are natural. Only the five scalar functions that take
+probabilities clamp their input, to [1e-12, 1 - 1e-12], before passing
+its log to the core as logits.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("ce", "wce", "fl", "cb", "bs", "ldam", "tfl")
-_SHIFTED = ("bs", "ldam")
 
 _P_LO = 1e-12
 _P_HI = 1.0 - 1e-12
@@ -66,7 +66,9 @@ class LossEval:
 
     For bs/ldam, grad_p is taken with respect to the loss's own adjusted
     true-class probability (the softmax of the count-shifted logits), since
-    that is the probability whose negative log the loss is.
+    that is the probability whose negative log the loss is. Where P_y
+    underflows to 0 on logits, grad_p is -inf, without a numpy warning;
+    grad_z stays finite.
     """
 
     value: float
@@ -156,58 +158,50 @@ def _per_class(spec: LossSpec) -> np.ndarray | None:
     return -spec.margin_c / counts**0.25
 
 
-def _rows(spec: LossSpec, X: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row (values, grad_p, grad_z) of a finite (B, n) batch.
+def _rows(spec: LossSpec, Z: np.ndarray, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (values, grad_p, grad_z) of a finite (B, n) batch of logits.
 
-    X holds probability rows for the probability-form kinds and logit rows
-    for bs/ldam; grad_z is always with respect to the logits.
+    Every kind is focal loss on its (shifted) logits, at gamma = 0 unless it
+    is fl or tfl, so all share f = (1-p)^gamma (gamma p r - 1), with
+    1 - p = -expm1(log p) and r = log p / (1 - p) (-1 where 1 - p is 0);
+    a weight (wce, cb) or a tail boost (tfl) is applied to f after that.
+    (1-p)^(gamma-1) is never formed, and at gamma = 0 f is exactly -1.
     """
-    b, n = X.shape
+    b, n = Z.shape
     Y = _labels(Y, "labels", n, size=b)
     per_class = _per_class(spec)
     if per_class is not None and per_class.size != n:
         raise ConfigError(f"loss {spec.kind!r} is set up for {per_class.size} classes, got {n}")
     rows = np.arange(b)
 
-    if spec.kind in _SHIFTED:
-        # cross entropy over the shifted logits u = z + shift
-        U = X + per_class
-        m = U.max(axis=1, keepdims=True)
-        log_norm = m[:, 0] + np.log(np.exp(U - m).sum(axis=1))
-        G = np.exp(U - log_norm[:, None])
-        grad_p = -1.0 / np.clip(G[rows, Y], _P_LO, _P_HI)
-        G[rows, Y] -= 1.0
-        return log_norm - U[rows, Y], grad_p, G
+    # G holds the shifted logits, then P, then the gradient
+    G = Z + (per_class if spec.kind in ("bs", "ldam") else 0.0)
+    G -= G.max(axis=1, keepdims=True)
+    log_py = G[rows, Y]
+    np.exp(G, out=G)
+    total = G.sum(axis=1)
+    log_py -= np.log(total)
+    G /= total[:, None]
+    py = G[rows, Y]
 
-    py = X[rows, Y]
-    pc = np.clip(py, _P_LO, _P_HI)
-    log_p = np.log(pc)
-    if spec.kind in ("fl", "tfl"):
-        # two-term form of the derivative; at gamma = 0 the first term is
-        # exactly zero and the second is exactly -1/p, so fl(gamma=0) == ce
-        # holds bit for bit.
-        one_m = 1.0 - pc
-        values = -(one_m**spec.gamma) * log_p
-        grad_p = spec.gamma * one_m ** (spec.gamma - 1.0) * log_p - one_m**spec.gamma / pc
-    else:
-        values, grad_p = -log_p, -1.0 / pc
+    gamma = spec.gamma if spec.kind in ("fl", "tfl") else 0.0
+    one_m = -np.expm1(log_py)
+    focal = one_m**gamma
+    r = np.divide(log_py, one_m, out=np.full(b, -1.0), where=one_m > 0)
+    values = focal * -log_py
+    f = focal * (gamma * py * r - 1.0)
     if spec.kind == "tfl":
         boost = per_class[Y]
-        values = values - boost * log_p
-        grad_p = grad_p - boost / pc
-    elif per_class is not None:
+        values, f = values - boost * log_py, f - boost
+    elif spec.kind in ("wce", "cb"):
         w = per_class[Y]
-        values, grad_p = w * values, w * grad_p
+        values, f = w * values, w * f
 
-    # chain rule through the softmax: dP_y/dz_j = P_y * (delta_yj - p_j)
-    coef = grad_p * py
-    G = -coef[:, None] * X
-    G[rows, Y] += coef
+    with np.errstate(divide="ignore", over="ignore"):
+        grad_p = f / py
+    G *= -f[:, None]
+    G[rows, Y] += f
     return values, grad_p, G
-
-
-def _on_logits(spec: LossSpec, Z: np.ndarray, Y):
-    return _rows(spec, Z if spec.kind in _SHIFTED else _softmax_rows(Z), Y)
 
 
 def _one_row(out) -> LossEval:
@@ -216,7 +210,8 @@ def _one_row(out) -> LossEval:
 
 
 def _on_probs(spec: LossSpec, p, y) -> LossEval:
-    return _one_row(_rows(spec, _prob_rows(_finite(p, 1, "p")[None], "p"), [y]))
+    p = _prob_rows(_finite(p, 1, "p")[None], "p")
+    return _one_row(_rows(spec, np.log(np.clip(p, _P_LO, _P_HI)), [y]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,7 @@ def ldam_loss(z, y, margin_c: float, stats: ClassStats) -> LossEval:
 
 def loss_on_logits(spec: LossSpec, z, y) -> LossEval:
     """Evaluate any configured loss on raw logits."""
-    return _one_row(_on_logits(spec, _finite(z, 1, "logits")[None], [y]))
+    return _one_row(_rows(spec, _finite(z, 1, "logits")[None], [y]))
 
 
 def batch_loss(spec: LossSpec, Z, Y) -> tuple[float, np.ndarray]:
@@ -270,5 +265,7 @@ def batch_loss(spec: LossSpec, Z, Y) -> tuple[float, np.ndarray]:
     the 1/B factor, so it can feed a backward pass directly.
     """
     Z = _finite(Z, 2, "logits")
-    values, _, G = _on_logits(spec, Z, Y)
-    return float(values.mean()), G / Z.shape[0]
+    values, _, G = _rows(spec, Z, Y)
+    values /= Z.shape[0]  # before the sum, which can overflow where no row does
+    G /= Z.shape[0]
+    return float(values.sum()), G

@@ -39,6 +39,7 @@ from tailfocal import (
     config_from_text,
     config_to_text,
     generate_dataset,
+    load_model,
     loss_on_logits,
     parse_config_file,
     read_dataset,
@@ -76,7 +77,7 @@ def _tiny(**sections):
 
 
 # training stays finite, but the test split's logits overflow
-OVERFLOW_RUN = _tiny(loss=dict(kind="ce"), optim=dict(lr=3.75e60, epochs=4))
+OVERFLOW_RUN = _tiny(loss=dict(kind="ce"), optim=dict(lr=1.017e61, epochs=4))
 OVERFLOW = "non-finite logits in prediction, batch starting at row 0"
 
 # runs that every command rejects before any data is built, with the error text
@@ -395,6 +396,18 @@ class TestRunTraining:
             tracemalloc.stop()
         assert peak < total / 4
 
+    def test_numpy_integer_counts_are_checkpointed(self, tmp_path):
+        counts = dict(hidden_dim=np.int64(6), k_stages=np.int64(1), pool_window=np.int64(2))
+        result = run_training(_tiny(model=counts), out_dir=tmp_path / "np")
+        run_training(TINY_RUN, out_dir=tmp_path / "py")
+        config, params = load_model(tmp_path / "np" / "checkpoint.npz")
+        assert config == result.model_config
+        assert params.keys() == result.params.keys()
+        for name, value in params.items():
+            np.testing.assert_array_equal(value, result.params[name])
+        cfg = "effective.cfg"
+        assert (tmp_path / "np" / cfg).read_bytes() == (tmp_path / "py" / cfg).read_bytes()
+
     def test_test_logits_overflow_is_a_training_error(self):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match=OVERFLOW):
@@ -696,10 +709,11 @@ class TestWorkerPool:
         steady = _tiny(optim=dict(epochs=6))
         # both overflow in epoch 1, the first at its third batch and the
         # second at its first; whichever fails first in time, the first's
-        # error is raised, while the steady runs still have epochs left
+        # error is raised, while the steady runs still have epochs left.
+        # They train ce: a tfl run at such rates stops moving after its first step
         subs = [
-            ("late", _tiny(optim=dict(lr=4.5e60, epochs=6))),
-            ("early", _tiny(optim=dict(lr=6e60, epochs=6))),
+            ("late", _tiny(loss=dict(kind="ce"), optim=dict(lr=1.225e61, epochs=6))),
+            ("early", _tiny(loss=dict(kind="ce"), optim=dict(lr=1.37e61, epochs=6))),
             ("tfl", steady),
             ("fl", replace(steady, loss=replace(steady.loss, kind="fl"))),
         ]
@@ -799,7 +813,7 @@ class TestCli:
 
     def test_train_with_overflowing_test_logits_exits_5(self, tmp_path, capsys):
         path = tmp_path / "overflow.cfg"
-        path.write_text(TINY_CFG_TEXT + "loss.kind = ce\noptim.lr = 3.75e60\noptim.epochs = 4\n")
+        path.write_text(TINY_CFG_TEXT + "loss.kind = ce\noptim.lr = 1.017e61\noptim.epochs = 4\n")
         out = tmp_path / "run"
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", str(path), "--out", str(out)]) == 5
@@ -1013,6 +1027,16 @@ class TestCli:
         assert calls == []
         assert taken.read_text() == "kept\n"
         assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]  # nothing written
+
+    def test_gen_to_an_empty_out_exits_4_before_building_data(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "generate_dataset", lambda *a, **k: calls.append(a))
+        cfg = self._write_cfg(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--config", cfg, "--out", ""]) == 4
+        assert "an empty path" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["run.cfg"]  # nothing written
 
     def test_non_finite_value_in_a_data_file_exits_4_naming_its_line(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path)

@@ -1,5 +1,7 @@
 """Property tests for the loss core over randomly drawn loss configurations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,3 +63,45 @@ def test_batch_is_mean_of_rows(case):
     np.testing.assert_allclose(
         grad, np.stack([s.grad_z for s in singles]) / len(Y), rtol=1e-12, atol=1e-15
     )
+
+
+@st.composite
+def gap_cases(draw):
+    """A random LossSpec, a batch of logit rows and labels, and increasing
+    gaps by which each row's true class is put below its top logit."""
+    spec, Z, Y = draw(cases())
+    # a threshold at a class's position leaves both head and tail classes
+    ts = draw(st.sampled_from(sorted(spec.tail.normalized_position)[:-1]))
+    spec = replace(spec, tail=tail_partition(spec.stats, ts))
+    gaps = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=6, unique=True))
+    return spec, Z, Y, np.sort(gaps) / 1e3
+
+
+def _limit(spec, y):
+    """The true-class logit gradient of one row as its gap grows without bound."""
+    stats, tail = spec.stats, spec.tail
+    n_y = float(stats.counts[y])
+    return {
+        "wce": -stats.total / n_y,
+        "cb": -(1.0 - spec.lam) / (1.0 - spec.lam**n_y),
+        "tfl": -1.0 - spec.beta * tail.is_tail[y],
+    }.get(spec.kind, -1.0)
+
+
+@PROPS
+@given(gap_cases())
+def test_gradient_is_exact_at_any_gap(case):
+    spec, Z, Y, gaps = case
+    rows = np.arange(len(Y))
+    values = []
+    for gap in gaps:
+        Z[rows, Y] = -np.inf
+        Z[rows, Y] = Z.max(axis=1) - gap
+        value, grad = batch_loss(spec, Z, Y)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        values.append(value)
+        if gap > 40:
+            true = grad[rows, Y] * len(Y)
+            limits = np.array([_limit(spec, y) for y in Y])
+            np.testing.assert_allclose(true, limits, rtol=0, atol=1e-9)
+    assert np.all(np.diff(values) > 0)

@@ -157,12 +157,16 @@ class TestReductions:
             yield softmax(z), z, y
 
     def test_focal_gamma_zero_is_ce(self):
-        for p, _, y in self._grid():
-            a = focal_loss(p, y, gamma=0.0)
-            b = ce_loss(p, y)
-            assert a.value == b.value
-            assert a.grad_p == b.grad_p
-            np.testing.assert_allclose(a.grad_z, b.grad_z, rtol=0, atol=0)
+        fl, ce = LossSpec(kind="fl", gamma=0.0), LossSpec(kind="ce")
+        for p, z, y in self._grid():
+            far = z.copy()
+            far[y] = z.max() - 60.0  # the true class 60 below the top logit
+            pairs = [(focal_loss(p, y, gamma=0.0), ce_loss(p, y))]
+            pairs += [(loss_on_logits(fl, v, y), loss_on_logits(ce, v, y)) for v in (z, far)]
+            for a, b in pairs:
+                assert a.value == b.value
+                assert a.grad_p == b.grad_p
+                np.testing.assert_allclose(a.grad_z, b.grad_z, rtol=0, atol=0)
 
     def test_tfl_on_head_class_is_focal(self):
         stats = class_stats_from_counts([100, 10, 2])
