@@ -29,17 +29,9 @@ Every run writes its effective config next to its outputs, and that file
 reproduces the run exactly when fed back in.
 
 One driver, _advance, starts, steps and evaluates every run: run_training
-calls it until the run is done, and a batch-command worker once per epoch.
-compare_losses, ablate and sweep check every run before any data is built,
-then train them on up to os.cpu_count() worker interpreters with one BLAS
-thread each (see _train_pooled) and build their tables from each run's
-RunResult. Runs move between workers one epoch at a time: a free worker
-takes the oldest waiting run of the data source it holds (one at a time),
-else the oldest run, with the run's pickled training state, and hands the
-state back after one epoch. After a failure only the runs before it in
-submission order go on, so the error raised, once every worker has exited,
-is that of the first run that fails, and the results or the error are
-those of training the runs one after another in this process.
+calls it until the run is done. compare_losses, ablate and sweep check
+every run before any data is built, train them with the scheduler
+_train_runs and build their tables from each run's RunResult.
 """
 
 from __future__ import annotations
@@ -350,8 +342,8 @@ def _check_out_dir(out_dir) -> None:
 def run_training(run: RunConfig, out_dir=None, _data=None) -> RunResult:
     """One full experiment: check, resolve data, split, train, evaluate, write reports.
 
-    The run is _advance called until it is done, as a batch-command worker
-    calls it one epoch at a time. Training and prediction get each split as
+    The run is _advance called until it is done, as a batch command's
+    _task calls it one epoch at a time. Training and prediction get each split as
     the dataset's columns, checked once, and the split's row indices, so no
     split's features are copied, and the returned params are views of the
     run's one parameter buffer. On a data file, effective.cfg records the
@@ -416,18 +408,6 @@ def _source(run: RunConfig):
     return run.data.path if run.data.path is not None else (run.data, run.seed)
 
 
-def _train_in_turn(subs):
-    """Train each (key, run) of `subs` in this process, one after another,
-    loading data once per stretch of runs sharing a _source; the RunResult
-    of each run, with params None."""
-    done, source = [], None
-    for _, sub in subs:
-        if source != _source(sub):
-            source, data = _source(sub), load_run_data(sub)
-        done.append(replace(run_training(sub, _data=data), params=None))
-    return done
-
-
 def _advance(run: RunConfig, prepared, state):
     """One task of a run, given its _prepare output, and the only code that
     starts, steps and evaluates one: start it if `state` is None, run its
@@ -449,59 +429,72 @@ def _advance(run: RunConfig, prepared, state):
     )
 
 
+def _task(held: dict, index: int, run: RunConfig, state):
+    """One task of the run at `index` in submission order, on an executor
+    whose loaded data is `held`: the data of one _source and the _prepare
+    output of each run of it that the executor has served. Loads the run's
+    source unless `held` has it, dropping the old one first, prepares the run
+    once, and advances it one epoch. Returns the _advance reply, a finished
+    run's RunResult with params None, or ("error", the exception)."""
+    try:
+        if held.get("source") != _source(run):
+            held.clear()  # the old source goes before the next is built
+            held.update(data=load_run_data(run), prepared={}, source=_source(run))
+        prepared = held["prepared"]
+        if index not in prepared:
+            prepared[index] = _prepare(run, held["data"])
+        kind, value = _advance(run, prepared[index], state)
+        return kind, replace(value, params=None) if kind == "done" else value
+    except Exception as exc:
+        return "error", exc
+
+
 def _worker() -> None:
-    """Main of a worker interpreter. Reads pickled tasks (index, run, state)
-    on stdin until EOF, index being the run's place in submission order,
-    and answers each on stdout, pickled: the _advance reply, a finished
-    run's RunResult with params None, or ("error", the exception).
-    The worker holds the data of one _source at a time, and the _prepare
-    output of each run of that source it has served."""
+    """Main of a worker interpreter: reads pickled tasks (index, run, state)
+    on stdin until EOF and answers each on stdout with its _task reply,
+    pickled."""
     import pickle
 
     reply_to, sys.stdout = sys.stdout.buffer, sys.stderr  # stray prints stay off the pipe
-    source = None
+    held = {}
     while True:
         try:
-            index, run, state = pickle.load(sys.stdin.buffer)
+            task = pickle.load(sys.stdin.buffer)
         except EOFError:
             return
-        try:
-            if source != _source(run):
-                source = prepared = data = None  # the old source goes before the next is built
-                data = load_run_data(run)
-                source, prepared = _source(run), {}
-            if index not in prepared:
-                prepared[index] = _prepare(run, data)
-            kind, value = _advance(run, prepared[index], state)
-            reply = (kind, replace(value, params=None) if kind == "done" else value)
-        except Exception as exc:
-            reply = ("error", exc)
-        pickle.dump(reply, reply_to, protocol=5)
+        pickle.dump(_task(held, *task), reply_to, protocol=5)
         reply_to.flush()
 
 
-def _pick(waiting, sources, held) -> int:
+def _pick(waiting, sources, held, n: int) -> int:
     """The position in `waiting`, run indices oldest first, of the run a
-    free worker takes: the oldest whose source (sources[index]) is `held`,
-    the one the worker has loaded, else the oldest."""
+    free executor, one of `n`, takes: the lowest index when it is alone;
+    else the oldest run whose source (sources[index]) is `held`, the one the
+    executor has loaded, else the oldest."""
+    if n == 1:
+        return waiting.index(min(waiting))
     return next((i for i, index in enumerate(waiting) if sources[index] == held), 0)
 
 
-def _train_pooled(subs, n: int):
+def _train_runs(subs, n: int):
     """The RunResult, params None, of each (key, run) of `subs`, in
-    submission order, trained on `n` worker interpreters with one BLAS
-    thread each and handed between them one epoch at a time.
+    submission order, trained on `n` executors and handed between them one
+    epoch at a time.
 
-    Every run waits in one FIFO. A free worker takes the run _pick chooses,
-    with its _Training state, and sends back the state one epoch on, which
-    goes to the back of the queue, or the finished run's outcome. So no
-    worker idles while any run has epochs left. Each worker holds the data
-    of one source at a time, and loads another source's data only when no
-    run of the source it holds waits. After a failure only the runs before
-    the earliest failed one in submission order get tasks, and a worker
-    whose reply is lost gets none; once every worker has exited, the
-    earliest failed run's error is raised. So the error is that of the first
-    run that fails, whatever the timing, as in _train_in_turn."""
+    An executor is a worker interpreter with one BLAS thread, or, when `n`
+    is 1, this process, which then starts no worker. Every run waits in one
+    FIFO. A free executor takes the run _pick chooses, with its _Training
+    state, and gives back the state one epoch on, which goes to the back of
+    the queue, or the finished run's outcome. So no executor idles while
+    any run has epochs left, and a lone executor, which takes the lowest
+    index, finishes the runs in submission order, one at a time. Each
+    executor holds the data of one source at a time, and loads another
+    source's data only when no run of the source it holds waits. After a
+    failure only the runs before the earliest failed one in submission
+    order get tasks, and a worker whose reply is lost gets none; once every
+    worker has exited, the earliest failed run's error is raised. So the
+    results, or the error of the first run that fails, are the same on any
+    number of executors, whatever the timing."""
     import pickle
     import select
     import subprocess
@@ -513,47 +506,52 @@ def _train_pooled(subs, n: int):
     )
     env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
     sources = [_source(sub) for _, sub in subs]
-    waiting = list(range(len(subs)))  # runs waiting for a worker, oldest first
+    waiting = list(range(len(subs)))  # runs waiting for an executor, oldest first
     states = {}  # run index -> its _Training state, while it waits between epochs
     done = [None] * len(subs)
     failed = {}  # run index -> its exception
-    workers = []
+    workers, here = [], {}  # here: the data this process holds when n is 1
     try:
-        for _ in range(n):
+        for _ in range(n if n > 1 else 0):
             workers.append(subprocess.Popen(
                 [sys.executable, "-c", code],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
             ))
-        free, held, busy = list(range(n)), [None] * n, {}  # busy: worker -> its run
+        free, held, busy = list(range(n)), [None] * n, {}  # busy: executor -> its run
         while True:
             # after a failure, only the runs before the earliest failed one go on
             waiting = [i for i in waiting if i < min(failed, default=len(subs))]
             while free and waiting:
                 w = free.pop(0)
-                index = waiting.pop(_pick(waiting, sources, held[w]))
+                index = waiting.pop(_pick(waiting, sources, held[w], n))
                 held[w], busy[w] = sources[index], index
-                try:  # protocol 5 writes and reads an array's buffer with no copy
-                    task = (index, subs[index][1], states.pop(index, None))
-                    pickle.dump(task, workers[w].stdin, protocol=5)
-                    task = None  # no reference here keeps a handed-on state alive
-                    workers[w].stdin.flush()
-                except BrokenPipeError:  # it has exited; its missing reply is reported below
-                    pass
+                task = (index, subs[index][1], states.pop(index, None))
+                if not workers:  # the lone executor is this process: the task runs now
+                    reply = _task(here, *task)
+                else:  # an exited worker's missing reply is reported below
+                    with contextlib.suppress(BrokenPipeError):  # protocol 5 copies no array
+                        pickle.dump(task, workers[w].stdin, protocol=5)
+                        workers[w].stdin.flush()
+                task = None  # no reference here keeps a handed-on state alive
             if not busy:
                 break
-            # one reply at a time, so its worker is sent its next task before
-            # another reply is read and the parent holds as few states as it can
-            ready, _, _ = select.select([workers[w].stdout for w in busy], [], [])
-            w = next(w for w in busy if workers[w].stdout in ready)
+            w = next(iter(busy))  # the lone executor, whose reply is in hand
+            if workers:
+                # one reply at a time, so its worker is sent its next task before
+                # another reply is read and the parent holds as few states as it can
+                ready, _, _ = select.select([workers[w].stdout for w in busy], [], [])
+                w = next(w for w in busy if workers[w].stdout in ready)
+                try:
+                    reply = pickle.load(workers[w].stdout)
+                except (EOFError, pickle.UnpicklingError):
+                    reply = "lost", TrainingError(
+                        f"the worker training {subs[busy[w]][0]!r} exited with "
+                        f"status {workers[w].wait()} and no result"
+                    )
             index = busy.pop(w)
-            try:
-                kind, value = pickle.load(workers[w].stdout)
+            kind, value = reply
+            if kind != "lost":  # a worker whose reply is lost gets no further task
                 free.append(w)
-            except (EOFError, pickle.UnpicklingError):
-                kind, value = "error", TrainingError(
-                    f"the worker training {subs[index][0]!r} exited with "
-                    f"status {workers[w].wait()} and no result"
-                )
             if kind == "epoch":
                 states[index] = value
                 waiting.append(index)
@@ -561,7 +559,7 @@ def _train_pooled(subs, n: int):
                 done[index] = value
             else:
                 failed[index] = value
-            value = None  # nor here, once states hands it on
+            reply = value = None  # nor here, once states hands it on
         for worker in workers:  # end of input: each worker exits
             with contextlib.suppress(BrokenPipeError):  # unsent bytes to an exited worker
                 worker.stdin.close()
@@ -581,19 +579,16 @@ def _train_pooled(subs, n: int):
 
 
 def _train_each(subs, out_dir=None) -> list[RunResult]:
-    """Check every (key, run) of `subs` and out_dir, then train the runs on
-    up to `os.cpu_count()` worker interpreters with one BLAS thread each,
-    handed between them one epoch at a time, or in this process on a single
-    core. Returns each run's RunResult, params None, in submission order;
-    the results are identical either way, and so is the error of the first
-    run that fails (see _train_pooled)."""
+    """Check every (key, run) of `subs` and out_dir, then train the runs
+    with _train_runs on up to `os.cpu_count()` executors. Returns each run's
+    RunResult, params None, in submission order."""
     if not subs:
         raise ConfigError("no runs to train")
     for _, sub in subs:
         _check_run(sub)
     _check_out_dir(out_dir)
     n = min(os.cpu_count() or 1, len(subs))
-    return _train_in_turn(subs) if n == 1 else _train_pooled(subs, n)
+    return _train_runs(subs, n)
 
 
 def _table(run: RunConfig, subs, out_dir, name: str, label: str):

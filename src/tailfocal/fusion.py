@@ -589,7 +589,7 @@ class _Training:
     def _steps(self, pair: _Rows, labels: np.ndarray, loss_spec: LossSpec) -> float:
         """The next epoch's shuffle and one Adam step per batch, in a
         workspace and Adam scratch that die with the call; the epoch's mean
-        training loss."""
+        training loss, finite wherever the batch losses are."""
         config, opt, theta = self.config, self.opt, self.theta
         plan = _plan(config)
         views = _views(plan, theta)
@@ -606,7 +606,7 @@ class _Training:
         t2 = np.empty_like(t1)
 
         perm = self.rng.permutation(n)
-        total = 0.0
+        total = mean = 0.0  # mean is the result only where the total overflows
         for lo in range(0, n, opt.batch_size):
             idx = perm[lo : lo + opt.batch_size]
             x = _pack(config, pair, idx, work.x)
@@ -621,6 +621,7 @@ class _Training:
                     f"non-finite loss at epoch {epoch}, batch starting at sample {lo}"
                 )
             total += value * idx.size
+            mean += value * (idx.size / n)
             backward(config, views, cache, grad_logits)
 
             # per slice: m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
@@ -644,12 +645,14 @@ class _Training:
                 w += opt.eps
                 u /= w
                 th -= u
-                if not np.isfinite(th).all():
+                # once g*g overflows, v is inf and the update m / inf = 0
+                # would freeze the parameters with th still finite
+                if not (np.isfinite(th).all() and np.isfinite(v).all()):
                     raise TrainingError(
                         f"non-finite parameters after the update at epoch {epoch}, "
                         f"batch starting at sample {lo}"
                     )
-        return total / n
+        return total / n if np.isfinite(total) else mean
 
 
 def train(
@@ -674,14 +677,15 @@ def train(
     batch_size rows, each batch is gathered straight from the caller's
     columns into it, and forward and backward write into it. The Adam
     update runs its thirteen in-place passes over cache-sized slices of the
-    flat buffers, checking each slice for finiteness as it goes.
+    flat buffers, checking each slice's parameters and second moment for
+    finiteness as it goes.
 
     Writes the trained values into the arrays of `params` and returns
     per-epoch statistics. With val_data and a patience, stops once
     validation macro-F1 has not improved for `patience` consecutive epochs
     and returns the parameters of the best validation epoch. Raises
-    TrainingError the moment logits, a batch loss or the updated parameters
-    go non-finite, leaving `params` as they were.
+    TrainingError the moment logits, a batch loss, the updated parameters
+    or their second moment go non-finite, leaving `params` as they were.
     """
     feats_a, feats_b, labels = train_data
     pair = _rows(config, feats_a, feats_b)

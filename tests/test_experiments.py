@@ -76,8 +76,6 @@ def _tiny(**sections):
     return replace(TINY_RUN, **{s: replace(getattr(TINY_RUN, s), **v) for s, v in sections.items()})
 
 
-# training stays finite, but the test split's logits overflow
-OVERFLOW_RUN = _tiny(loss=dict(kind="ce"), optim=dict(lr=1.017e61, epochs=4))
 OVERFLOW = "non-finite logits in prediction, batch starting at row 0"
 
 # runs that every command rejects before any data is built, with the error text
@@ -154,6 +152,19 @@ def _five_class_file_run(tmp_path) -> RunConfig:
         data=dict(path=str(path), n_classes=3, embed_dims=(8, 8, 8, 8)),
         model=dict(classifier_dims=(8, 8, 8, 5)),
     )
+
+
+def _overflow_run(tmp_path) -> RunConfig:
+    """TINY_RUN on a file of its own data whose test-split rows hold features
+    of +-1.7e308: finite, so the file reads and the run trains as usual, but
+    the test split's logits overflow."""
+    data, stats = generate_dataset(experiments._dataset_spec(TINY_RUN.data, TINY_RUN.seed))
+    *_, (test, _) = experiments._prepare(TINY_RUN, experiments.load_run_data(TINY_RUN))
+    for block in (*data.features_a.values(), *data.features_b.values()):
+        block[test.rows] = np.copysign(1.7e308, block[test.rows])
+    path = tmp_path / "overflow.tsv"
+    write_dataset(path, data, n_classes=stats.n_classes)
+    return _tiny(data=dict(path=str(path)))
 
 
 def _strip_timestamp(text: str) -> str:
@@ -408,10 +419,27 @@ class TestRunTraining:
         cfg = "effective.cfg"
         assert (tmp_path / "np" / cfg).read_bytes() == (tmp_path / "py" / cfg).read_bytes()
 
-    def test_test_logits_overflow_is_a_training_error(self):
+    def test_test_logits_overflow_is_a_training_error(self, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match=OVERFLOW):
-                run_training(OVERFLOW_RUN)
+                run_training(_overflow_run(tmp_path))
+
+    def test_overflowing_second_moment_stops_training_at_its_step(self):
+        # g*g overflows: the second moment is inf and the update m / inf = 0
+        # would leave the parameters finite but frozen
+        where = "non-finite parameters after the update at epoch 0, batch starting at sample 32"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=where):
+                run_training(_tiny(optim=dict(lr=5e60, epochs=4)))
+
+    def test_epoch_loss_is_finite_where_every_batch_loss_is(self):
+        # saturated tanh units pass no gradient, so only the output layer
+        # grows, by about lr a step: each batch loss is near 1e306 and finite,
+        # while their sum over the epoch's 90 samples overflows
+        run = _tiny(loss=dict(kind="ce"), model=dict(activation="tanh"), optim=dict(lr=1e306))
+        with np.errstate(over="ignore"):
+            trace = run_training(run).trace
+        assert all(1e305 < s.train_loss < np.inf for s in trace)
 
     def test_columns_are_checked_once_per_run(self, monkeypatch):
         real, calls = fusion._rows, []
@@ -697,12 +725,16 @@ class TestWorkerPool:
 
     def test_a_free_worker_takes_the_oldest_run_of_its_source_else_the_oldest(self):
         sources = ["x", "y", "x", "y", "z"]
-        pick = experiments._pick
+        pick = partial(experiments._pick, n=2)
         assert pick([1, 2, 3], sources, "x") == 1
         assert pick([3, 0, 1, 2], sources, "y") == 0
         assert pick([3, 0, 1, 2], sources, "x") == 1
         assert pick([1, 3, 0], sources, "z") == 0  # no run of its source: the oldest
         assert pick([2, 4], sources, None) == 0  # a worker that holds nothing yet
+        # a lone executor takes the lowest index, whatever it holds
+        assert experiments._pick([3, 0, 1, 2], sources, "y", n=1) == 1
+        assert experiments._pick([4, 2, 3], sources, "y", n=1) == 1
+        assert experiments._pick([2, 4], sources, None, n=1) == 0
 
     def test_run_diverging_in_its_second_epoch_stops_the_pool(self, monkeypatch, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -710,10 +742,13 @@ class TestWorkerPool:
         # both overflow in epoch 1, the first at its third batch and the
         # second at its first; whichever fails first in time, the first's
         # error is raised, while the steady runs still have epochs left.
-        # They train ce: a tfl run at such rates stops moving after its first step
+        # Their tanh units saturate after the first step and pass no
+        # gradient, so only the output layer grows, by about lr a step,
+        # until the logits overflow
+        diverging = partial(_tiny, loss=dict(kind="ce"), model=dict(activation="tanh"))
         subs = [
-            ("late", _tiny(loss=dict(kind="ce"), optim=dict(lr=1.225e61, epochs=6))),
-            ("early", _tiny(loss=dict(kind="ce"), optim=dict(lr=1.37e61, epochs=6))),
+            ("late", diverging(optim=dict(lr=7e306, epochs=6))),
+            ("early", diverging(optim=dict(lr=1e307, epochs=6))),
             ("tfl", steady),
             ("fl", replace(steady, loss=replace(steady.loss, kind="fl"))),
         ]
@@ -750,22 +785,26 @@ class TestWorkerPool:
         assert all(proc.returncode is not None for proc, _ in workers)
         assert {v: os.environ.get(v) for v in experiments._THREAD_VARS} == threads
 
-    def test_test_logits_overflow_in_a_worker_is_a_training_error(self, monkeypatch, workers):
+    def test_test_logits_overflow_in_a_worker_is_a_training_error(
+        self, monkeypatch, tmp_path, workers
+    ):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        subs = [("first", OVERFLOW_RUN), ("second", OVERFLOW_RUN)]
+        run = _overflow_run(tmp_path)
+        subs = [("first", run), ("second", run)]
         with pytest.raises(TrainingError, match=OVERFLOW):
             experiments._train_each(subs)
         assert len(workers) == 2
         assert all(proc.returncode is not None for proc, _ in workers)
 
-    def test_earliest_failing_run_is_raised(self, monkeypatch, tmp_path, workers):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_earliest_failing_run_is_raised(self, monkeypatch, tmp_path, workers, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         subs = [("ok", TINY_RUN)] + [
             (i, _tiny(data=dict(path=str(tmp_path / f"missing-{i}.tsv")))) for i in (1, 2)
         ]
         with pytest.raises(FileNotFoundError, match="missing-1"):
             experiments._train_each(subs)
-        assert len(workers) == 3
+        assert len(workers) == (0 if cores == 1 else 3)  # a lone executor is this process
         assert all(proc.returncode is not None for proc, _ in workers)
 
     def test_worker_without_a_result_is_a_training_error(self, monkeypatch):
@@ -813,7 +852,7 @@ class TestCli:
 
     def test_train_with_overflowing_test_logits_exits_5(self, tmp_path, capsys):
         path = tmp_path / "overflow.cfg"
-        path.write_text(TINY_CFG_TEXT + "loss.kind = ce\noptim.lr = 1.017e61\noptim.epochs = 4\n")
+        path.write_text(TINY_CFG_TEXT + f"data.path = {_overflow_run(tmp_path).data.path}\n")
         out = tmp_path / "run"
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["train", "--config", str(path), "--out", str(out)]) == 5
