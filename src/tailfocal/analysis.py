@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import _real
+from .imbalance import _finite, _real
 
 __all__ = [
     "VanishingReport",
@@ -156,9 +156,7 @@ def curve_table(loss_kind: str, grid=None, gamma: float = 2.0, beta: float = 2.0
     if grid is None:
         lo, hi, n = _DEFAULT_GRID
         grid = np.linspace(lo, hi, n)
-    p = np.asarray(grid, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ConfigError("grid must be a non-empty 1-D array")
+    p = _finite(grid, 1, "grid")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ConfigError("grid probabilities must lie strictly inside (0, 1)")
     if kind != "ce":

@@ -316,9 +316,11 @@ def write_dataset(path, data: Dataset, n_classes: int) -> None:
     are checked again by the Dataset's own rules, since its arrays stay
     writable after it is built, so a text, non-finite or misshapen feature
     block, an id holding a tab or a line break, or a label outside
-    [0, n_classes) raises ConfigError before the file is opened, and every
-    file written reads back.
+    [0, n_classes) raises ConfigError before the file is opened, as does a
+    class count that is not a whole number >= 1, and every file written
+    reads back.
     """
+    _count(n_classes, "n_classes", 1)
     data._check_columns()
     for column in (data.pair_ids, data.drug_a, data.drug_b):
         ids = np.ascontiguousarray(column, dtype=str)

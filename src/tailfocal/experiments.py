@@ -663,9 +663,9 @@ def analyze(gamma: float = 2.0, beta: float = 2.0, out_dir=None) -> str:
 def _fmt_value(v) -> str:
     if v is None:
         return "none"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, tuple):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # a numpy float's repr is np.float64(...) under numpy 2
+    if isinstance(v, (tuple, list, np.ndarray)):
         return ",".join(_fmt_value(x) for x in v)
     return str(v)
 

@@ -13,27 +13,18 @@ ending in logits. Weights are shared between the two drugs. Concatenation
 order is fixed, so swapping the pair generally changes the output; callers
 choose a canonical pair order.
 
-Both drugs of a batch run as one packed block of 2B rows, interleaved
-a0, b0, a1, b1, and so on. A row holds the active modalities side by side
-in canonical order g, s, t, e, so a partner sits right after the stream it
-enhances and each stream's input is one contiguous column slice. Each
-stage is one matmul per modality over all 2B rows, max-pooling is one pass
-over the whole row (pool_window divides every width), and the fused rows
-reshaped to (B, 2F) are the pair vectors without a copy.
-
-forward, predict_proba and train check their parameters against the
-config's layout, and take each drug's features as a dict of (n, width)
-arrays of finite real numbers by modality, checked once per call on the
-whole arrays by the feature-pair rule that Dataset also applies
-(imbalance._feature_pair); anything else, a missing or misshapen
-parameter, or an inf or a text column among the features, is a
-ConfigError before any parameter changes. Each is a thin
+Both drugs of a batch run as one block of 2B rows, gathered a batch at a
+time from the caller's columns, which stay the only copy of the features;
+_forward describes the block and the gather. forward, predict_proba and
+train check their parameters against the config's layout, and take each
+drug's features as a dict of (n, width) arrays of finite real numbers by
+modality, checked once per call on the whole arrays by the feature-pair
+rule that Dataset also applies (imbalance._feature_pair); anything else, a
+missing or misshapen parameter, or an inf or a text column among the
+features, is a ConfigError before any parameter changes. Each is a thin
 wrapper over private code on checked arrays (for train, a loop over the
 epochs of one training state), which experiments calls with splits it
-checked once per run. The caller's columns are the only copy of the
-features: each batch's rows are gathered straight from them into a
-workspace made once per call (once per epoch in train), which forward and
-backward write into, so a training step allocates no large array.
+checked once per run.
 
 Everything is explicit: forward caches intermediates, backward walks them
 in reverse and computes the parameter gradients alone, and training is
@@ -159,6 +150,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """Adam settings and the epoch budget. patience counts epochs without a
+    validation improvement, so without a validation split every epoch runs."""
+
     lr: float = 1e-3
     batch_size: int = 256
     epochs: int = 50
@@ -298,9 +292,8 @@ def _check_params(config: ModelConfig, params, where: str) -> None:
 
 class _Rows(NamedTuple):
     """Rows `rows` of the drug pair (feats_a, feats_b), dicts of the
-    caller's columns: a split that stays in those columns and is gathered
-    a batch at a time. _rows makes one over every row; a split of it is
-    pair._replace(rows=idx)."""
+    caller's columns, which _forward gathers from a batch at a time. _rows
+    makes one over every row; a split of it is pair._replace(rows=idx)."""
 
     feats_a: dict
     feats_b: dict
@@ -319,38 +312,19 @@ def _rows(config: ModelConfig, feats_a, feats_b) -> _Rows:
     return _Rows(*cols, np.arange(n))
 
 
-def _pack(config: ModelConfig, pair: _Rows, idx, out: np.ndarray) -> np.ndarray:
-    """Rows pair.rows[idx] (idx an index array or a slice) gathered into the
-    leading rows of `out`, a (B, 2, D) block in canonical column order, with
-    one np.take per modality and side straight from the columns. Nothing is
-    checked: `pair` is _rows' or a split of it."""
-    rows = pair.rows[idx]
-    block = out[: rows.size]
-    plan = _plan(config)
-    for k, feats in enumerate(pair[:2]):
-        for m, cols in plan.cols.items():
-            # mode="clip" skips take's bounds check; the rows are in range
-            block[:, k, cols] = np.take(feats[m], rows, axis=0, mode="clip")
-    return block
-
-
 class _Work:
-    """The arrays _pack, forward and backward write, allocated once for
-    batches of up to `rows` pairs; a shorter batch uses leading-row views of
-    them.
-
-    _Training makes one per epoch for its batch steps alone, gathers each
-    batch into its `x` and passes both to _forward on every step, which
-    hands the _Work on to backward in its cache. forward makes a full one
-    for that call alone, so the arrays forward and backward return stay the
-    caller's; _predict, which never runs backward, makes one with
-    backward=False.
+    """The arrays _forward and backward write, allocated once for batches of
+    up to `rows` pairs; a shorter batch uses leading-row views of them.
+    _Training makes one per epoch for its batch steps alone, which _forward
+    hands on to backward in its cache. forward makes a full one for that
+    call alone, so the arrays forward and backward return stay the caller's;
+    _predict, which never runs backward, makes one with backward=False.
     """
 
     def __init__(self, config: ModelConfig, rows: int, backward=True):
         plan = _plan(config)
         n2 = 2 * rows
-        self.x = np.empty((rows, 2, plan.width))  # the batch, as _pack gathers it
+        self.x = np.empty((rows, 2, plan.width))  # the batch, as _forward gathers it
         # each classifier layer's input (the pair vectors first), then the logits
         widths = (2 * config.fused_width(), *config.classifier_dims)
         mask = bool if config.activation == "relu" else float  # what _act_grad writes
@@ -403,11 +377,30 @@ def _pool(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(config: ModelConfig, params: dict, x: np.ndarray, work: _Work):
-    """The forward pass of `x`, a (B, 2, D) batch that _pack gathered into
-    work.x, writing every array into `work`. Returns (logits, cache), the
-    cache holding `work` for backward."""
+def _forward(config: ModelConfig, params: dict, pair: _Rows, idx, work: _Work):
+    """The forward pass of rows pair.rows[idx] (idx an index array or a
+    slice) of `pair`, _rows' or a split of it, writing every array into
+    `work`. Returns (logits, cache), the cache holding `work` for backward.
+
+    The batch is gathered straight from the pair's columns into the leading
+    rows of work.x, a (B, 2, D) block, with one np.take per modality and
+    side. Nothing else writes work.x and nothing here is checked, so the
+    caller's columns stay the only copy of the features and a step
+    allocates no large array. As 2B rows the block interleaves a0, b0, a1,
+    b1, and so on. A row holds the active modalities side by side in
+    canonical order g, s, t, e, so a partner sits right after the stream it
+    enhances and each stream's input is one contiguous column slice. Each
+    stage is one matmul per modality over all 2B rows, max-pooling is one
+    pass over the whole row (pool_window divides every width), and the
+    fused rows reshaped to (B, 2F) are the pair vectors without a copy.
+    """
     plan = _plan(config)
+    rows = pair.rows[idx]
+    x = work.x[: rows.size]
+    for k, feats in enumerate(pair[:2]):
+        for m, cols in plan.cols.items():
+            # mode="clip" skips take's bounds check; the rows are in range
+            x[:, k, cols] = np.take(feats[m], rows, axis=0, mode="clip")
     x = x.reshape(-1, plan.width)
     n2 = x.shape[0]
     acts = [a[: n2 // 2] for a in work.acts]
@@ -442,7 +435,7 @@ def forward(config: ModelConfig, params: dict, feats_a, feats_b):
     _check_params(config, params, "params dict")
     pair = _rows(config, feats_a, feats_b)
     work = _Work(config, pair.rows.size)
-    return _forward(config, params, _pack(config, pair, slice(None), work.x), work)
+    return _forward(config, params, pair, slice(None), work)
 
 
 def backward(config: ModelConfig, params: dict, cache: dict, grad_logits) -> dict:
@@ -501,8 +494,7 @@ def _predict(config: ModelConfig, params: dict, pair: _Rows) -> np.ndarray:
     out = np.empty((n, config.n_classes))
     work = _Work(config, min(_PREDICT_ROWS, n), backward=False)
     for lo in range(0, n, _PREDICT_ROWS):
-        x = _pack(config, pair, slice(lo, lo + _PREDICT_ROWS), work.x)
-        logits, _ = _forward(config, params, x, work)
+        logits, _ = _forward(config, params, pair, slice(lo, lo + _PREDICT_ROWS), work)
         if not np.all(np.isfinite(logits)):
             raise TrainingError(f"non-finite logits in prediction, batch starting at row {lo}")
         _softmax_rows(logits, out=out[lo : lo + _PREDICT_ROWS])
@@ -609,8 +601,7 @@ class _Training:
         total = mean = 0.0  # mean is the result only where the total overflows
         for lo in range(0, n, opt.batch_size):
             idx = perm[lo : lo + opt.batch_size]
-            x = _pack(config, pair, idx, work.x)
-            logits, cache = _forward(config, views, x, work)
+            logits, cache = _forward(config, views, pair, idx, work)
             if not np.all(np.isfinite(logits)):
                 raise TrainingError(
                     f"non-finite logits at epoch {epoch}, batch starting at sample {lo}"

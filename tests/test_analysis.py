@@ -220,6 +220,13 @@ class TestCurveTable:
         with pytest.raises(ConfigError):
             curve_table("ce", grid=np.array([0.5, 1.0]))
 
+    @pytest.mark.parametrize(
+        "grid", [[0.5, np.nan], [0.5, np.inf], [0.5, "0.3"]], ids=["nan", "inf", "text"]
+    )
+    def test_rejects_a_grid_that_is_not_finite_reals(self, grid):
+        with pytest.raises(ConfigError, match="grid"):
+            curve_table("fl", grid=grid)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             curve_table("wce")

@@ -281,6 +281,20 @@ class TestDatasetColumns:
             write_dataset(path, dataclasses.replace(data, labels=labels), n_classes=n_classes)
         assert not path.exists()
 
+    # read_dataset's header takes a whole number, so write_dataset refuses anything else
+    @pytest.mark.parametrize("n_classes", [3.0, 2.5, True, "3"])
+    def test_write_rejects_a_class_count_that_is_not_a_whole_number(self, tmp_path, n_classes):
+        path = tmp_path / "d.tsv"
+        with pytest.raises(ConfigError, match="n_classes"):
+            write_dataset(path, self._dataset(), n_classes=n_classes)
+        assert not path.exists()
+
+    def test_a_numpy_class_count_round_trips(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        write_dataset(path, self._dataset(), n_classes=np.int64(3))
+        _, stats = read_dataset(path)
+        assert stats.n_classes == 3
+
 
 class TestDatasetFiles:
     def _records(self, seed=11):

@@ -275,6 +275,18 @@ class TestConfigRoundTrip:
         )
         assert config_from_text(config_to_text(run)) == run
 
+    def test_a_run_from_numpy_values_reruns_from_its_effective_cfg(self, tmp_path):
+        # numpy floats and list widths are written as the text format spells them
+        run = _tiny(
+            data=dict(embed_dims=[4, 4, 4, 4], noise_scale=np.float32(0.3)),
+            optim=dict(lr=np.float64(1e-2)),
+        )
+        first, again = tmp_path / "run", tmp_path / "rerun"
+        run_training(run, out_dir=first)
+        assert main(["train", "--config", str(first / "effective.cfg"), "--out", str(again)]) == 0
+        for name in ("per_class.csv", "trace.csv", "effective.cfg"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_text_parses_to_expected_config(self):
         run = config_from_text(TINY_CFG_TEXT)
         assert run == TINY_RUN
@@ -440,6 +452,14 @@ class TestRunTraining:
         with np.errstate(over="ignore"):
             trace = run_training(run).trace
         assert all(1e305 < s.train_loss < np.inf for s in trace)
+
+    def test_patience_without_a_validation_split_runs_every_epoch(self):
+        # patience counts epochs without a validation improvement, so with no
+        # validation split nothing is counted and no epoch is skipped
+        run = _tiny(split=dict(val_fraction=0.0), optim=dict(patience=1, epochs=4))
+        trace = run_training(run).trace
+        assert len(trace) == 4
+        assert all(s.val_macro_f1 is None for s in trace)
 
     def test_columns_are_checked_once_per_run(self, monkeypatch):
         real, calls = fusion._rows, []

@@ -31,7 +31,7 @@ from tailfocal import (
     train,
 )
 from tailfocal import fusion
-from tailfocal.fusion import _forward, _pack, _plan, _pool, _rows, _Rows, _Work
+from tailfocal.fusion import _forward, _plan, _pool, _rows, _Rows, _Work
 from tailfocal.metrics import confusion_metrics
 
 TINY = dict(
@@ -487,8 +487,7 @@ class TestBackward:
         fa, fb = _rand_feats(rng, config, 4), _rand_feats(rng, config, 4)
         work = _Work(config, 4)
         if packed:
-            x = _pack(config, _rows(config, fa, fb), slice(None), work.x)
-            logits, cache = _forward(config, params, x, work)
+            logits, cache = _forward(config, params, _rows(config, fa, fb), slice(None), work)
         else:
             logits, cache = forward(config, params, fa, fb)
         _, grad_logits = batch_loss(LossSpec(kind="ce"), logits, rng.integers(0, 3, size=4))
