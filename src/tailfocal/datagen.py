@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .imbalance import (
-    ClassStats, _count, _feature_pair, _integers, _real, _widths, class_stats_from_counts,
+    ClassStats, _count, _feature_pair, _integers, _path, _real, _widths, class_stats_from_counts,
 )
 
 __all__ = [
@@ -151,11 +151,14 @@ class DatasetSpec:
 
 
 def preset_spec(name: str, seed: int = 0, embed_dims=(64, 64, 64, 64), **overrides) -> DatasetSpec:
-    """DatasetSpec matching a published corpus shape by name."""
-    key = name.upper()
-    if key not in PRESETS:
+    """DatasetSpec matching a published corpus shape by name, in any case;
+    `overrides` may set any field the preset does not fix."""
+    if not isinstance(name, str) or name.upper() not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
-    n_samples, n_classes, n_drugs, cir = PRESETS[key]
+    fixed = sorted(set(overrides) & {"n_samples", "n_classes", "n_drugs", "cir"})
+    if fixed:
+        raise ConfigError(f"preset {name} fixes {', '.join(fixed)}; give no value for it")
+    n_samples, n_classes, n_drugs, cir = PRESETS[name.upper()]
     return DatasetSpec(n_classes, n_samples, cir, n_drugs, embed_dims, seed, **overrides)
 
 
@@ -249,13 +252,29 @@ def sample_class_counts(n_classes: int, n_samples: int, cir: float) -> np.ndarra
 
 
 def _names(prefix: str, n: int) -> np.ndarray:
+    """f"{prefix}{i:0{w}d}" for i in range(n), w the digits of max(n - 1, 1)."""
     width = len(str(max(n - 1, 1)))
-    return np.array([f"{prefix}{i:0{width}d}" for i in range(n)])
+    codes = np.empty((n, len(prefix) + width), dtype="<u4")
+    codes[:, : len(prefix)] = [ord(c) for c in prefix]
+    rest = np.arange(n)
+    for k in range(codes.shape[1] - 1, len(prefix) - 1, -1):  # last digit first
+        rest, codes[:, k] = np.divmod(rest, 10)
+    codes[:, len(prefix) :] += ord("0")
+    return codes.view(f"<U{codes.shape[1]}").reshape(n)
+
+
+# rows of offsets and noise added to a feature block at a time: 2 MB of a
+# 64-wide block, so the temporaries stay in cache. DDI-DB171 at embed 16 (2
+# cores, median of 7) took 0.55-0.62 s at 4096 rows and 0.55-0.58 s at 1024
+# to 16384, against 0.73 s over whole blocks; the bytes are identical.
+_GEN_ROWS = 4096
 
 
 def generate_dataset(spec: DatasetSpec) -> tuple[Dataset, ClassStats]:
     """Generate the dataset for a spec. Same spec, same bytes: all draws come
-    from one seeded generator in a fixed order."""
+    from one seeded generator in a fixed order. Each feature block is its
+    rows' class prototypes; the drug offsets and noise then go in _GEN_ROWS
+    rows at a time, so peak memory is the dataset plus one chunk."""
     counts = sample_class_counts(spec.n_classes, spec.n_samples, spec.cir)
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
@@ -271,15 +290,14 @@ def generate_dataset(spec: DatasetSpec) -> tuple[Dataset, ClassStats]:
     offsets = {m: rng.normal(size=(spec.n_drugs, d)) * spec.offset_scale for m, d in dims}
 
     def features(drugs):
-        # (P + O) + N * s per modality, built in place in the output block
+        # (P + O) + N * s per element, in place; chunks drawn in row order are one draw
         feats = {}
-        for m, d in dims:
+        for m in MODALITIES:
             block = feats[m] = np.take(protos[m], labels, axis=0)
-            block += np.take(offsets[m], drugs, axis=0)
-            noise = rng.normal(size=(n, d))
-            noise *= spec.noise_scale
-            block += noise
-            del noise  # before the next block is taken: at most two blocks in flight
+            for lo in range(0, n, _GEN_ROWS):
+                part = block[lo : lo + _GEN_ROWS]
+                part += np.take(offsets[m], drugs[lo : lo + _GEN_ROWS], axis=0)
+                part += rng.normal(size=part.shape) * spec.noise_scale
         return feats
 
     names = _names("D", spec.n_drugs)
@@ -317,9 +335,10 @@ def write_dataset(path, data: Dataset, n_classes: int) -> None:
     writable after it is built, so a text, non-finite or misshapen feature
     block, an id holding a tab or a line break, or a label outside
     [0, n_classes) raises ConfigError before the file is opened, as does a
-    class count that is not a whole number >= 1, and every file written
-    reads back.
+    class count that is not a whole number >= 1 or a path that is not a str
+    or an os.PathLike, and every file written reads back.
     """
+    _path(path, "path")
     _count(n_classes, "n_classes", 1)
     data._check_columns()
     for column in (data.pair_ids, data.drug_a, data.drug_b):
@@ -374,9 +393,10 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
     Returns (dataset, stats); stats is None when the file is empty or some
     declared class has no records (per-class statistics would be undefined).
     Malformed lines, a non-finite feature value among them, raise
-    DataFormatError naming the 1-based line number.
+    DataFormatError naming the 1-based line number; a path that is not a
+    str or an os.PathLike raises ConfigError.
     """
-    with open(path) as fh:
+    with open(_path(path, "path")) as fh:
         header = fh.readline().rstrip("\n")
         match = _HEADER_RE.match(header)
         if not match:

@@ -70,7 +70,8 @@ from .fusion import (
     save_model,
 )
 from .imbalance import (
-    ClassStats, TailPartition, _count, _labels, _real, class_stats_from_counts, tail_partition,
+    ClassStats, TailPartition, _count, _labels, _path, _real, class_stats_from_counts,
+    tail_partition,
 )
 from .losses import LOSS_KINDS, LossSpec, _check_loss, _loss_kind
 from .metrics import (
@@ -203,8 +204,10 @@ def split_indices(labels, test_fraction: float, seed: int):
     rng = np.random.default_rng(seed)
     train_parts = []
     test_parts = []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
+    # one stable sort groups the rows: classes ascending, each class's rows ascending
+    order = np.argsort(labels, kind="stable")
+    edges = np.flatnonzero(np.diff(labels[order])) + 1
+    for idx in np.split(order, edges):
         if idx.size == 1 or test_fraction == 0.0:
             train_parts.append(idx)
             continue
@@ -273,6 +276,7 @@ def _check_run(run: RunConfig) -> None:
     elif run.data.preset is not None:
         raise ConfigError("data.path and data.preset are both set; give one of them")
     else:
+        _path(run.data.path, "data.path")
         _check_net(net)
 
 

@@ -87,7 +87,7 @@ _ENHANCED_BY = {"g": "s", "t": "e"}
 def _variant_modalities(variant: str) -> tuple:
     """The modalities of `variant`, spelled in any case; a ConfigError if it
     names no variant."""
-    if variant.upper() not in VARIANTS:
+    if not isinstance(variant, str) or variant.upper() not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {tuple(VARIANTS)}")
     return VARIANTS[variant.upper()]
 

@@ -14,9 +14,10 @@ The module also holds the rules for each kind of outside input, which every
 entry point calls where the input enters rather than keeping its own copy:
 `_count` for a count setting such as epochs (a whole number, at least a
 bound), `_real` for a real-valued one such as gamma (a finite number in an
-interval), `_labels` for class labels (and counts), `_widths` for the four
-modality or classifier widths, `_finite` for non-empty finite vectors or
-(rows, classes) arrays such as logits, `_prob_rows` for rows of class
+interval), `_path` for a file path (a str or an os.PathLike), `_labels`
+for class labels (and counts), `_widths` for the four modality or
+classifier widths, `_finite` for non-empty finite vectors or (rows,
+classes) arrays such as logits, `_prob_rows` for rows of class
 probabilities, and `_feature_pair` for a drug pair's per-modality feature
 blocks, which both `Dataset` and the fusion model's entry points apply.
 Each raises ConfigError naming the field, so bad input reaches no training
@@ -25,6 +26,7 @@ step.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -56,6 +58,15 @@ def _real(value, what: str, lo: float = -np.inf, hi: float = np.inf, ends: str =
         else:
             span = (">= " if ends[0] == "[" else "> ") + f"{lo:g}"
         raise ConfigError(f"{what} must be {span}, got {value}")
+
+
+def _path(value, what: str):
+    """`value`, once it is a str or an os.PathLike; a ConfigError naming
+    `what` otherwise, so a number is refused rather than opened as a file
+    descriptor that the caller owns."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{what} must be a str or an os.PathLike, got {value!r}")
+    return value
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -79,7 +79,7 @@ class LossEval:
 def _loss_kind(kind: str) -> str:
     """The lower-case name of loss `kind`, spelled in any case; a ConfigError
     if it names no loss."""
-    if kind.lower() not in LOSS_KINDS:
+    if not isinstance(kind, str) or kind.lower() not in LOSS_KINDS:
         raise ConfigError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     return kind.lower()
 

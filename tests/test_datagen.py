@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tailfocal import (
     sample_class_counts,
     write_dataset,
 )
+from tailfocal.datagen import _GEN_ROWS
 
 TINY = dict(n_classes=3, n_samples=60, cir=4.0, n_drugs=8, embed_dims=(5, 4, 3, 2))
 
@@ -101,6 +104,10 @@ class TestPresets:
         with pytest.raises(ConfigError):
             preset_spec("DDI-DB999")
 
+    def test_preset_refuses_a_value_for_a_field_it_fixes(self):
+        with pytest.raises(ConfigError, match="n_classes"):
+            preset_spec("DDIMDL", n_classes=3)
+
 
 class TestDatasetSpec:
     @pytest.mark.parametrize("field, value", [
@@ -141,6 +148,9 @@ class TestGenerator:
         DatasetSpec(seed=6, **TINY),
         preset_spec("DDIMDL", seed=5, embed_dims=(8, 4, 8, 4)),
         preset_spec("DDIMDL", seed=6, embed_dims=(8, 4, 8, 4)),
+        # rows below, at, one past and at a multiple of the rows added at a time
+        *(DatasetSpec(n_classes=2, n_samples=n, cir=1.0, n_drugs=7, embed_dims=(5, 4, 3, 2), seed=n)
+          for n in (100, _GEN_ROWS, _GEN_ROWS + 1, 3 * _GEN_ROWS)),
     ])
     def test_features_match_the_whole_expression(self, spec):
         # generate_dataset's draws in its order, each block as one expression
@@ -161,6 +171,41 @@ class TestGenerator:
                 want = protos[m][labels] + offsets[m][drugs] + noise * spec.noise_scale
                 assert feats[m].tobytes() == want.tobytes()
         assert np.array_equal(data.labels, labels)
+
+    @pytest.mark.parametrize("n", [2, 10, 11, 100, 101])
+    def test_ids_are_the_formatted_names(self, n):
+        # n rows over n drugs puts both kinds of id at the edges of a width
+        spec = DatasetSpec(n_classes=2, n_samples=n, cir=1.0, n_drugs=n, embed_dims=(1, 1, 1, 1))
+        rng = np.random.default_rng(spec.seed)
+        rng.permutation(n)
+        drug_a = rng.integers(0, n, size=n)
+        drug_b = (drug_a + 1 + rng.integers(0, n - 1, size=n)) % n
+        w = len(str(n - 1))
+        data, _ = generate_dataset(spec)
+        for got, prefix, idx in (
+            (data.pair_ids, "P", range(n)), (data.drug_a, "D", drug_a), (data.drug_b, "D", drug_b)
+        ):
+            want = np.array([f"{prefix}{i:0{w}d}" for i in idx])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_is_the_dataset_plus_under_half_a_block(self):
+        spec = preset_spec("DDIMDL", embed_dims=(64, 4, 4, 4))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            data, _ = generate_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        columns = [data.pair_ids, data.drug_a, data.drug_b, data.labels]
+        columns += [*data.features_a.values(), *data.features_b.values()]
+        block = spec.n_samples * max(spec.embed_dims) * 8  # the widest output block, in bytes
+        assert peak - sum(c.nbytes for c in columns) < block / 2
 
     def test_seed_changes_output(self):
         a, _ = generate_dataset(DatasetSpec(seed=5, **TINY))
@@ -288,6 +333,20 @@ class TestDatasetColumns:
         with pytest.raises(ConfigError, match="n_classes"):
             write_dataset(path, self._dataset(), n_classes=n_classes)
         assert not path.exists()
+
+    def test_a_file_descriptor_is_not_a_path(self):
+        # opened as a number, the caller's descriptor would be read or written, then closed
+        r, w = os.pipe()
+        try:
+            os.write(w, b"x\n")
+            with pytest.raises(ConfigError, match="path"):
+                read_dataset(r)
+            with pytest.raises(ConfigError, match="path"):
+                write_dataset(w, self._dataset(), n_classes=3)
+            os.fstat(r), os.fstat(w)  # both still open
+        finally:
+            os.close(r)
+            os.close(w)
 
     def test_a_numpy_class_count_round_trips(self, tmp_path):
         path = tmp_path / "d.tsv"

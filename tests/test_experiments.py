@@ -626,6 +626,21 @@ class TestBatchCommands:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    # each would reach a str method it lacks, or be opened as a file descriptor
+    @pytest.mark.parametrize("run, name", [
+        (_tiny(data=dict(preset=3)), "preset"),
+        (_tiny(model=dict(variant=3)), "variant"),
+        (_tiny(loss=dict(kind=3)), "loss kind"),
+        (_tiny(data=dict(path=3)), "data.path"),
+    ], ids=["preset", "variant", "kind", "path"])
+    def test_a_setting_that_is_not_text_is_refused(self, monkeypatch, tmp_path, run, name):
+        calls = []
+        monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=name):
+            run_training(run, out_dir=tmp_path / "out")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["path-and-preset", "hidden-dim"])
     def test_file_source_checked_before_reading(self, monkeypatch, tmp_path, case):
         calls = []

@@ -5,10 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfocal import class_stats_from_counts, split_indices
+from tailfocal.datagen import _round_half_up
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=300)
 
 LABELS = st.lists(st.integers(0, 6), min_size=1, max_size=80)
+# a few classes anywhere in int64: negative, with gaps, past 2**31
+CLASSES = st.integers(-(2**40), 2**40) | st.sampled_from([-1, 2**31, 2**31 + 1, 2**62])
+WIDE_LABELS = st.lists(CLASSES, min_size=1, max_size=7, unique=True).flatmap(
+    lambda classes: st.lists(st.sampled_from(classes), min_size=1, max_size=80)
+)
 FRACTIONS = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
 
 
@@ -47,3 +53,31 @@ def test_every_class_keeps_a_training_row_after_test_and_validation(
     present = np.unique(labels)
     tally = np.bincount(labels[train[sub_train]], minlength=present.max() + 1)[present]
     class_stats_from_counts(tally)  # a ConfigError if a class has no training row
+
+
+def _split_by_class(labels, test_fraction, seed):
+    """split_indices as one `labels == c` pass per class, classes ascending."""
+    rng = np.random.default_rng(seed)
+    train_parts, test_parts = [], []
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        if idx.size == 1 or test_fraction == 0.0:
+            train_parts.append(idx)
+            continue
+        shuffled = idx[rng.permutation(idx.size)]
+        n_test = min(idx.size - 1, max(1, _round_half_up(idx.size * test_fraction)))
+        test_parts.append(shuffled[:n_test])
+        train_parts.append(shuffled[n_test:])
+    train = np.sort(np.concatenate(train_parts))
+    test = np.sort(np.concatenate(test_parts)) if test_parts else np.array([], dtype=np.int64)
+    return train, test
+
+
+@PROPS
+@given(WIDE_LABELS | LABELS, FRACTIONS, st.integers(0, 2**32 - 1))
+def test_split_matches_the_per_class_loop(labels, test_fraction, seed):
+    labels = np.array(labels, dtype=np.int64)
+    got = split_indices(labels, test_fraction, seed=seed)
+    for g, w in zip(got, _split_by_class(labels, test_fraction, seed)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
