@@ -141,6 +141,7 @@ class DatasetSpec:
         _count(self.n_classes, "n_classes", 2)
         sample_class_counts(self.n_classes, self.n_samples, self.cir)
         _count(self.n_drugs, "n_drugs", 2)
+        _count(self.seed, "seed", 0)
         object.__setattr__(self, "embed_dims", _widths(self.embed_dims, "embed_dims"))
         if np.shape(self.signal_scale) != (4,):
             raise ConfigError("signal_scale must be four factors")

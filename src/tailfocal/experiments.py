@@ -157,8 +157,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.parameter not in ("beta", "gamma", "ts"):
             raise ConfigError(f"sweep parameter must be beta/gamma/ts, got {self.parameter!r}")
-        if not self.grid:
-            raise ConfigError("sweep grid is empty")
+        if not isinstance(self.grid, (tuple, list)) or not self.grid:
+            raise ConfigError(f"sweep grid must be a non-empty tuple or list, got {self.grid!r}")
         _count(self.repeats, "repeats", 1)
         for v in self.grid:  # each value must make a valid tfl run, checked before any data
             _check_run(RunConfig(loss=LossConfig(kind="tfl", **{self.parameter: v})))
@@ -201,23 +201,18 @@ def split_indices(labels, test_fraction: float, seed: int):
     """
     labels = _labels(labels, "labels")
     _real(test_fraction, "test_fraction", 0, 1, "[)")
+    _count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    train_parts = []
-    test_parts = []
+    is_test = np.zeros(labels.size, dtype=bool)
     # one stable sort groups the rows: classes ascending, each class's rows ascending
     order = np.argsort(labels, kind="stable")
     edges = np.flatnonzero(np.diff(labels[order])) + 1
     for idx in np.split(order, edges):
         if idx.size == 1 or test_fraction == 0.0:
-            train_parts.append(idx)
             continue
-        shuffled = idx[rng.permutation(idx.size)]
         n_test = min(idx.size - 1, max(1, _round_half_up(idx.size * test_fraction)))
-        test_parts.append(shuffled[:n_test])
-        train_parts.append(shuffled[n_test:])
-    train_idx = np.sort(np.concatenate(train_parts))
-    test_idx = np.sort(np.concatenate(test_parts)) if test_parts else np.array([], dtype=np.int64)
-    return train_idx, test_idx
+        is_test[idx[rng.permutation(idx.size)[:n_test]]] = True
+    return np.flatnonzero(~is_test), np.flatnonzero(is_test)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +261,7 @@ def _check_run(run: RunConfig) -> None:
     """A ConfigError unless `run` holds every rule that needs no data; with
     generated data, that includes its whole ModelConfig."""
     loss, net = run.loss, run.model
+    _count(run.seed, "seed", 0)
     _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
     _real(loss.ts, "ts", 0, 1)
     _real(run.split.test_fraction, "split.test_fraction", 0, 1, "()")  # a run needs a test set
@@ -324,9 +320,10 @@ def _as_read(run: RunConfig, model_config: ModelConfig) -> RunConfig:
     return replace(run, data=replace(run.data, n_classes=n_classes, embed_dims=embed_dims))
 
 
-def _check_nonempty(path) -> None:
-    """A FileNotFoundError if `path` is empty, which names nowhere to write."""
-    if os.fspath(path) == "":
+def _check_nonempty(path, what: str) -> None:
+    """A ConfigError naming `what` unless `path` is a str or an os.PathLike,
+    and a FileNotFoundError if it is empty, which names nowhere to write."""
+    if os.fspath(_path(path, what)) == "":
         raise FileNotFoundError("cannot write outputs to an empty path")
 
 
@@ -335,7 +332,7 @@ def _check_out_dir(out_dir) -> None:
     existing ancestor (itself, if it exists) is a directory. Creates nothing."""
     if out_dir is None:
         return
-    _check_nonempty(out_dir)
+    _check_nonempty(out_dir, "out_dir")
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
@@ -609,12 +606,18 @@ def _table(run: RunConfig, subs, out_dir, name: str, label: str):
 
 def compare_losses(run: RunConfig, kinds=LOSS_KINDS, out_dir=None):
     """Train once per loss on the same data, split, and init; tabulate metrics."""
+    if isinstance(kinds, str):  # a str would be read as one kind per letter
+        raise ConfigError(f"kinds must be a sequence of loss kinds, not the str {kinds!r}")
     subs = [(kind, replace(run, loss=replace(run.loss, kind=kind))) for kind in kinds]
     return _table(run, subs, out_dir, "losses.csv", "loss")
 
 
 def ablate(run: RunConfig, variants=tuple(VARIANTS), out_dir=None):
     """Train the configured loss once per modality variant; tabulate metrics."""
+    if isinstance(variants, str):  # a str would be read as one variant per letter
+        raise ConfigError(f"variants must be a sequence of variants, not the str {variants!r}")
+    for v in variants:  # each name is checked before it is spelled as a key
+        _variant_modalities(v)
     subs = [(v.upper(), replace(run, model=replace(run.model, variant=v))) for v in variants]
     return _table(run, subs, out_dir, "ablation.csv", "variant")
 
@@ -642,6 +645,7 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
 
 def analyze(gamma: float = 2.0, beta: float = 2.0, out_dir=None) -> str:
     """Report gradient-vanishing crossovers and write ce/fl/tfl curve tables."""
+    _check_out_dir(out_dir)
     fl = fl_vanishing_threshold(gamma)
     tfl = tfl_vanishing_threshold(gamma, beta)
     lines = [
@@ -751,7 +755,7 @@ def parse_config_file(path) -> RunConfig:
 def write_generated_dataset(data: DataConfig, seed: int, out_path) -> ClassStats:
     """cmd-gen workhorse: generate per config and write the dataset file.
     An empty `out_path` is refused before any data is built."""
-    _check_nonempty(out_path)
+    _check_nonempty(out_path, "out_path")
     spec = _dataset_spec(data, seed=seed)
     dataset, stats = generate_dataset(spec)
     write_dataset(out_path, dataset, n_classes=spec.n_classes)

@@ -269,6 +269,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Uniform fan-in init, one seeded generator, fixed parameter order; a
     bias takes its fan-in from the weight just before it."""
+    _count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     params = {}
     for name, _, _, shape in _plan(config).params:
@@ -535,6 +536,7 @@ class _Training:
 
     def __init__(self, config: ModelConfig, params: dict, opt: OptimConfig, seed: int):
         _check_params(config, params, "params dict")
+        _count(seed, "seed", 0)
         self.config, self.opt = config, opt
         self.theta, views = _flat(_plan(config))
         for name, view in views.items():

@@ -121,6 +121,7 @@ class TestDatasetSpec:
         ("embed_dims", (4.5, 4, 4, 4)),  # not left to fail in the generator
         ("embed_dims", (4, 0, 4, 4)),
         ("n_samples", 100.5), ("n_drugs", 10.5), ("noise_scale", "0.5"),
+        ("seed", -1), ("seed", 1.5),  # not left to fail in numpy's generator
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError, match=field):

@@ -99,6 +99,8 @@ REJECTED = {
               model=dict(classifier_dims=(8, 8, 8, 50))),
         "cannot allocate 60 samples over 50 classes",
     ),
+    "seed": (replace(TINY_RUN, seed=-1), "seed must be >= 0"),
+    "fractional-seed": (replace(TINY_RUN, seed=1.5), "seed must be >= 0"),
 }
 # each command that trains, called on a run and an output directory
 COMMANDS = {
@@ -213,6 +215,11 @@ class TestSplitIndices:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ConfigError):
             split_indices(np.array([0, 1]), 1.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_a_seed_that_is_not_a_whole_number_of_0_or_more(self, seed):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            split_indices(np.array([0, 0, 1, 1]), 0.5, seed=seed)
 
     @pytest.mark.parametrize("field", ["test_fraction", "val_fraction"])
     @pytest.mark.parametrize("value", [-0.5, 1.0, math.nan, math.inf, None])
@@ -638,6 +645,31 @@ class TestBatchCommands:
         monkeypatch.setattr(experiments, "load_run_data", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError, match=name):
             run_training(run, out_dir=tmp_path / "out")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    # each would reach a str method or os.fspath with a number, or a loop over one
+    @pytest.mark.parametrize("call, name", [
+        (lambda out: run_training(TINY_RUN, out_dir=3), "out_dir"),
+        (lambda out: compare_losses(TINY_RUN, out_dir=3), "out_dir"),
+        (lambda out: write_generated_dataset(TINY_RUN.data, 1, out_path=3), "out_path"),
+        (lambda out: analyze(out_dir=3), "out_dir"),
+        (lambda out: ablate(TINY_RUN, variants=("G", 3), out_dir=out), "unknown variant 3"),
+        (lambda out: sweep(TINY_RUN, SweepConfig("beta", 5), out_dir=out), "sweep grid"),
+        # a str of names would train one run per letter
+        (lambda out: ablate(TINY_RUN, variants="GS", out_dir=out), "not the str 'GS'"),
+        (lambda out: compare_losses(TINY_RUN, kinds="ce", out_dir=out), "not the str 'ce'"),
+    ], ids=["train-out", "compare-out", "gen-out", "analyze-out", "ablate-variant", "grid",
+            "ablate-str", "compare-str"])
+    def test_an_argument_of_the_wrong_kind_is_refused_naming_it(
+        self, monkeypatch, tmp_path, call, name
+    ):
+        calls = []
+        for built in ("load_run_data", "generate_dataset", "write_curve"):
+            monkeypatch.setattr(experiments, built, lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # data would be built in this process
+        with pytest.raises(ConfigError, match=name):
+            call(tmp_path / "out")
         assert calls == []
         assert not (tmp_path / "out").exists()
 
@@ -1082,7 +1114,7 @@ class TestCli:
         assert "gamma" in capsys.readouterr().err
         assert calls == [] and not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "compare-losses", "ablate", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "compare-losses", "ablate", "sweep", "analyze"])
     @pytest.mark.parametrize("where", ["file", "under-a-file", "empty"])
     def test_out_that_cannot_be_a_directory_exits_4_before_building_data(
         self, tmp_path, capsys, monkeypatch, command, where
@@ -1095,12 +1127,33 @@ class TestCli:
         taken.write_text("kept\n")
         monkeypatch.chdir(taken.parent)
         out = {"file": str(taken), "under-a-file": str(taken / "sub"), "empty": ""}[where]
-        assert main([command, "--config", cfg, "--out", out]) == 4
+        config = [] if command == "analyze" else ["--config", cfg]
+        assert main([command, *config, "--out", out]) == 4
         expected = f"{taken} is not a directory" if out else "an empty path"
         assert expected in capsys.readouterr().err
         assert calls == []
         assert taken.read_text() == "kept\n"
         assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]  # nothing written
+
+    @pytest.mark.parametrize("command, flags", [
+        ("gen", ["--seed", "-1"]),
+        ("train", ["--seed", "-1"]),
+        ("compare-losses", []),  # seed = -1 in the config file
+    ])
+    def test_a_negative_seed_exits_3_before_building_data(
+        self, tmp_path, capsys, monkeypatch, command, flags
+    ):
+        calls = []
+        for built in ("load_run_data", "generate_dataset"):
+            monkeypatch.setattr(experiments, built, lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)  # batch commands load in this process
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG_TEXT + ("" if flags else "seed = -1\n"))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 3
+        assert "seed must be >= 0, a whole number, got -1" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_gen_to_an_empty_out_exits_4_before_building_data(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -416,6 +416,19 @@ class TestPublicContract:
                   OptimConfig(batch_size=4, epochs=1, patience=None), val_data=val[carrier])
         assert steps == []
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_a_seed_that_is_not_a_whole_number_of_0_or_more_is_refused(self, seed):
+        config = ModelConfig(**TINY)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            init_params(config, seed=seed)
+        params = init_params(config, seed=4)
+        kept = {name: p.copy() for name, p in params.items()}
+        fa = _rand_feats(np.random.default_rng(60), config, 4)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            train(config, params, (fa, fa, np.zeros(4, dtype=int)), LossSpec(kind="ce"),
+                  OptimConfig(batch_size=4, epochs=1, patience=None), seed=seed)
+        assert all(np.array_equal(params[name], kept[name]) for name in kept)
+
     def test_public_docstrings_name_no_private_carrier(self):
         for name in fusion.__all__:
             obj = getattr(fusion, name)
