@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imbalance import _finite, _real
+from .imbalance import _finite, _path, _real
 
 __all__ = [
     "VanishingReport",
@@ -183,7 +183,7 @@ def write_curve(path, table: np.ndarray) -> None:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 3:
         raise ConfigError("curve table must have three columns")
-    with open(path, "w") as fh:
+    with open(_path(path, "path"), "w") as fh:
         fh.write("p,loss,grad\n")
         for row in table:
             fh.write(f"{row[0]:.15g},{row[1]:.15g},{row[2]:.15g}\n")

@@ -164,6 +164,11 @@ class SweepConfig:
             _check_run(RunConfig(loss=LossConfig(kind="tfl", **{self.parameter: v})))
 
 
+# the largest run seed: a run also seeds its splits, init and shuffling with
+# seed + 1 to seed + 4
+_SEED_MAX = 2**64 - 5
+
+
 @dataclass(frozen=True)
 class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
@@ -261,7 +266,7 @@ def _check_run(run: RunConfig) -> None:
     """A ConfigError unless `run` holds every rule that needs no data; with
     generated data, that includes its whole ModelConfig."""
     loss, net = run.loss, run.model
-    _count(run.seed, "seed", 0)
+    _count(run.seed, "seed", 0, _SEED_MAX)
     _check_loss(loss.kind, loss.gamma, loss.beta, loss.lam, loss.margin_c)
     _real(loss.ts, "ts", 0, 1)
     _real(run.split.test_fraction, "split.test_fraction", 0, 1, "()")  # a run needs a test set
@@ -626,6 +631,7 @@ def sweep(run: RunConfig, cfg: SweepConfig, out_dir=None):
     """Grid over one hyperparameter of a tfl run with repeated seeds; mean and spread per point."""
     if _loss_kind(run.loss.kind) != "tfl":
         raise ConfigError(f"sweep trains tfl only, got loss kind {run.loss.kind!r}")
+    _count(run.seed, "seed", 0, _SEED_MAX - (cfg.repeats - 1))  # repeat r runs at seed + r
     subs = [
         (v, replace(run, seed=run.seed + r, loss=replace(run.loss, **{cfg.parameter: float(v)})))
         for r in range(cfg.repeats) for v in cfg.grid
@@ -748,7 +754,7 @@ def _with_values(run: RunConfig, values: dict) -> RunConfig:
 
 
 def parse_config_file(path) -> RunConfig:
-    with open(path) as fh:
+    with open(_path(path, "path")) as fh:
         return config_from_text(fh.read())
 
 

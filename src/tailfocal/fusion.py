@@ -51,7 +51,7 @@ import numpy as np
 
 from .datagen import MODALITIES
 from .errors import ConfigError, TrainingError
-from .imbalance import _count, _feature_pair, _labels, _real, _widths
+from .imbalance import _count, _feature_pair, _labels, _path, _real, _widths
 from .losses import LossSpec, _softmax_rows, batch_loss
 from .metrics import confusion_metrics
 
@@ -704,12 +704,12 @@ def save_model(path, config: ModelConfig, params: dict) -> None:
     """Self-describing checkpoint: config as JSON plus every tensor with its shape."""
     meta = asdict(config)
     arrays = {f"param/{k}": np.asarray(v, dtype=float) for k, v in params.items()}
-    np.savez(path, config=np.array(json.dumps(meta)), **arrays)
+    np.savez(_path(path, "path"), config=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Inverse of save_model; rejects checkpoints whose tensors do not fit the config."""
-    with np.load(path, allow_pickle=False) as archive:
+    with np.load(_path(path, "path"), allow_pickle=False) as archive:
         meta = json.loads(str(archive["config"]))
         if sorted(meta) != sorted(f.name for f in fields(ModelConfig)):
             raise ConfigError(f"checkpoint config keys {sorted(meta)} do not match ModelConfig")

@@ -12,8 +12,8 @@ they land at small positions; rare classes land near 1.
 
 The module also holds the rules for each kind of outside input, which every
 entry point calls where the input enters rather than keeping its own copy:
-`_count` for a count setting such as epochs (a whole number, at least a
-bound), `_real` for a real-valued one such as gamma (a finite number in an
+`_count` for a count setting such as epochs or a seed (a whole number in
+a range), `_real` for a real-valued one such as gamma (a finite number in an
 interval), `_path` for a file path (a str or an os.PathLike), `_labels`
 for class labels (and counts), `_widths` for the four modality or
 classifier widths, `_finite` for non-empty finite vectors or (rows,
@@ -37,12 +37,16 @@ from .errors import ConfigError
 __all__ = ["ClassStats", "TailPartition", "class_stats_from_counts", "tail_partition"]
 
 
-def _count(value, what: str, least: int) -> None:
-    """A ConfigError naming `what` unless `value` is a whole number at least
-    `least`. A whole number is of integer type, Python's or numpy's, as for
-    `_widths`: a bool, a float such as 8.0, text or None is refused."""
-    if np.ndim(value) or np.asarray(value).dtype.kind not in "iu" or value < least:
+def _count(value, what: str, least: int, most: int = 2**64 - 1) -> None:
+    """A ConfigError naming `what` unless `value` is a whole number from
+    `least` to `most`, by default the largest one numpy holds. A whole
+    number is of integer type, Python's or numpy's, as for `_widths`: a
+    bool, a float such as 8.0, text or None is refused."""
+    whole = not np.ndim(value) and (type(value) is int or np.asarray(value).dtype.kind in "iu")
+    if not whole or value < least:
         raise ConfigError(f"{what} must be >= {least}, a whole number, got {value!r}")
+    if value > most:
+        raise ConfigError(f"{what} must be at most {most}, got {value!r}")
 
 
 def _real(value, what: str, lo: float = -np.inf, hi: float = np.inf, ends: str = "[]") -> None:

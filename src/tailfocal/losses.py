@@ -9,24 +9,23 @@ cross-entropy term on tail classes only:
     tfl(p_y) = -(1 - p_y)^gamma * ln(p_y) - beta * ln(p_y)   [tail classes]
     tfl(p_y) = fl(p_y)                                        [head classes]
 
-Every evaluation reports three things: the loss value, the derivative with
-respect to the true-class probability, and the full gradient with respect
-to the logits.
+`LossSpec` gives each kind's formula. Every evaluation reports three
+things: the loss value, the derivative with respect to the true-class
+probability, and the full gradient with respect to the logits.
 
 One private core, `_rows`, evaluates all rows of a batch of logits at once.
 It adds the per-class shift for bs and ldam (zero for the other kinds),
 takes log P_y by log-sum-exp, and writes the logit gradient as
 f * (onehot - P), where f = d(loss)/d(log P_y). Nothing clips P_y, so
 the value and the gradient are exact at any logit gap, and the value keeps
-growing with the gap. `batch_loss` is the mean of the core's rows.
-`loss_on_logits` and the seven scalar functions are one-row views of the
-same core; the scalar functions build a `LossSpec`. `_check_loss` alone
+growing with the gap. There is one entry point per input form:
+`batch_loss` is the mean of the core's rows, and `loss_on_logits` and
+`loss_on_probs` are one-row views of the same core. `_check_loss` alone
 holds the rules for a loss kind and its hyperparameters; `LossSpec`
 applies them, and experiment runs apply them before building any data.
 
-All logs are natural. Only the five scalar functions that take
-probabilities clamp their input, to [1e-12, 1 - 1e-12], before passing
-its log to the core as logits.
+All logs are natural. Only `loss_on_probs` clamps its input, to
+[1e-12, 1 - 1e-12], before passing its log to the core as logits.
 """
 
 from __future__ import annotations
@@ -43,13 +42,7 @@ __all__ = [
     "LossEval",
     "LossSpec",
     "softmax",
-    "ce_loss",
-    "wce_loss",
-    "focal_loss",
-    "cb_loss",
-    "bs_loss",
-    "ldam_loss",
-    "tfl_loss",
+    "loss_on_probs",
     "loss_on_logits",
     "batch_loss",
 ]
@@ -105,6 +98,17 @@ def _check_loss(kind: str, gamma: float, beta: float, lam: float, margin_c: floa
 @dataclass(frozen=True)
 class LossSpec:
     """Which loss to run and with what hyperparameters.
+
+    With P the softmax of the logits z, n_i the count of class i and N the
+    total, each kind's loss on the true class y is:
+
+        ce    -ln(P_y)
+        wce   (N / n_y) * -ln(P_y)
+        fl    -(1 - P_y)^gamma * ln(P_y)
+        cb    (1 - lam) / (1 - lam^n_y) * -ln(P_y)
+        bs    -ln( n_y e^{z_y} / sum_i n_i e^{z_i} )
+        ldam  ce over the logits z_i - margin_c / n_i^(1/4), every i shifted
+        tfl   fl, plus beta * -ln(P_y) on tail classes
 
     Every hyperparameter must be finite; beyond that, fields irrelevant to
     `kind` are ignored. wce/cb/bs/ldam need `stats`; tfl needs `tail` (and
@@ -209,48 +213,12 @@ def _one_row(out) -> LossEval:
     return LossEval(value=float(values[0]), grad_p=float(grad_p[0]), grad_z=grad_z[0])
 
 
-def _on_probs(spec: LossSpec, p, y) -> LossEval:
+def loss_on_probs(spec: LossSpec, p, y) -> LossEval:
+    """Evaluate any configured loss on a probability vector, as on the
+    logits ln(p). This is the one place p is clamped, to
+    [1e-12, 1 - 1e-12], so a 0 or a 1 in p gives finite values."""
     p = _prob_rows(_finite(p, 1, "p")[None], "p")
     return _one_row(_rows(spec, np.log(np.clip(p, _P_LO, _P_HI)), [y]))
-
-
-# ---------------------------------------------------------------------------
-# scalar API: one-row views of the core
-
-
-def ce_loss(p, y) -> LossEval:
-    """Cross entropy -ln(P_y). grad_z comes out as p - onehot(y)."""
-    return _on_probs(LossSpec(kind="ce"), p, y)
-
-
-def wce_loss(p, y, stats: ClassStats) -> LossEval:
-    """Cross entropy weighted by inverse class frequency, total / n_y."""
-    return _on_probs(LossSpec(kind="wce", stats=stats), p, y)
-
-
-def focal_loss(p, y, gamma: float = 2.0) -> LossEval:
-    """Focal loss -(1 - P_y)^gamma * ln(P_y)."""
-    return _on_probs(LossSpec(kind="fl", gamma=gamma), p, y)
-
-
-def cb_loss(p, y, lam: float, stats: ClassStats) -> LossEval:
-    """Class-balanced cross entropy: weight (1 - lam) / (1 - lam^n_y)."""
-    return _on_probs(LossSpec(kind="cb", lam=lam, stats=stats), p, y)
-
-
-def tfl_loss(p, y, gamma: float, beta: float, tail: TailPartition) -> LossEval:
-    """Tail-aware focal loss: focal everywhere, plus beta * (-ln P_y) on tail classes."""
-    return _on_probs(LossSpec(kind="tfl", gamma=gamma, beta=beta, tail=tail), p, y)
-
-
-def bs_loss(z, y, stats: ClassStats) -> LossEval:
-    """Balanced softmax: -ln( n_y e^{z_y} / sum_i n_i e^{z_i} )."""
-    return loss_on_logits(LossSpec(kind="bs", stats=stats), z, y)
-
-
-def ldam_loss(z, y, margin_c: float, stats: ClassStats) -> LossEval:
-    """Margin loss: cross entropy over z_i - C / n_i^(1/4), applied to all classes."""
-    return loss_on_logits(LossSpec(kind="ldam", margin_c=margin_c, stats=stats), z, y)
 
 
 def loss_on_logits(spec: LossSpec, z, y) -> LossEval:

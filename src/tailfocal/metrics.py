@@ -9,12 +9,15 @@ and one negative, AUPR at least one positive; per-class slots that cannot
 be computed hold NaN.
 
 Zero-denominator conventions: precision and recall fall back to 0, as does
-F1 when both components are 0. AUC uses the Mann-Whitney rank statistic
-with midranks for ties; AUPR is the step-summed average precision
-sum_k (R_k - R_{k-1}) * P_k over descending score thresholds. Both are read
-from a value sort of each class's score column and of its positives' scores:
-midranks from where a positive's tie group starts and ends in the column,
-and each threshold's true positives from where it falls among the positives.
+F1 when both components are 0. AUC_c is the Mann-Whitney statistic of
+class c's score column, the probability that a random positive outscores
+a random negative, ties counting 0.5; AUPR is the step-summed average
+precision sum_k (R_k - R_{k-1}) * P_k over the column's distinct values,
+descending. `metrics_report` gives both, per class and as macro means.
+Both are read from a value sort of each class's score column and of its
+positives' scores: midranks from where a positive's tie group starts and
+ends in the column, and each threshold's true positives from where it
+falls among the positives.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ __all__ = [
     "ConfusionMetrics",
     "MetricsReport",
     "confusion_metrics",
-    "roc_auc_ovr",
-    "pr_auc_ovr",
     "metrics_report",
     "format_summary",
     "format_per_class",
@@ -149,27 +150,6 @@ def _ovr_auc_ap(s: np.ndarray, true: np.ndarray) -> tuple[np.ndarray, np.ndarray
         rec = tp / n_pos
         ap[c] = float(np.sum(np.diff(np.concatenate(([0.0], rec))) * prec))
     return auc, ap
-
-
-def roc_auc_ovr(scores, true) -> tuple[np.ndarray, float]:
-    """One-vs-rest AUC per class (NaN where undefined) and the macro mean.
-
-    AUC_c is the Mann-Whitney statistic of column c's scores: the
-    probability a random positive outranks a random negative, ties at 0.5.
-    Classes lacking positives or negatives are NaN and skipped in the macro.
-    """
-    auc, _ = _ovr_auc_ap(*_check_inputs(scores, true))
-    return auc, _macro(auc)
-
-
-def pr_auc_ovr(scores, true) -> tuple[np.ndarray, float]:
-    """One-vs-rest average precision per class (NaN where undefined), macro mean.
-
-    Thresholds sweep the distinct score values of column c in descending
-    order; AP accumulates precision at each recall step.
-    """
-    _, ap = _ovr_auc_ap(*_check_inputs(scores, true))
-    return ap, _macro(ap)
 
 
 def metrics_report(scores, true) -> MetricsReport:

@@ -24,25 +24,20 @@ from tailfocal import (
     RunConfig,
     SplitConfig,
     batch_loss,
-    bs_loss,
-    cb_loss,
-    ce_loss,
     class_stats_from_counts,
     compare_losses,
     curve_table,
     fl_vanishing_threshold,
-    focal_loss,
     generate_dataset,
     init_params,
     lambert_w0,
     loss_on_logits,
+    loss_on_probs,
     metrics_report,
     preset_spec,
     softmax,
     tail_partition,
-    tfl_loss,
     tfl_vanishing_threshold,
-    wce_loss,
 )
 from tailfocal.cli import main as cli_main
 from tailfocal.experiments import _train_each
@@ -176,13 +171,18 @@ def test_criterion_04_reduction_identities():
         gamma = float(rng.uniform(0.5, 3.0))
         beta = float(rng.uniform(0.5, 3.0))
 
+        ce, fl = LossSpec(kind="ce"), LossSpec(kind="fl", gamma=gamma)
+        tfl = LossSpec(kind="tfl", gamma=gamma, beta=beta, tail=head_tail)
+        wce = LossSpec(kind="wce", stats=class_stats_from_counts([25]))
+        cb = LossSpec(kind="cb", lam=0.999, stats=class_stats_from_counts([40, 1]))
+        one = np.array([1.0])
         pairs = [
-            (focal_loss(p, 0, gamma=0.0), ce_loss(p, 0)),
-            (tfl_loss(p, 0, gamma, beta, head_tail), focal_loss(p, 0, gamma=gamma)),
-            (tfl_loss(p, 1, gamma, 0.0, head_tail), focal_loss(p, 1, gamma=gamma)),
-            (tfl_loss(p, 1, gamma, beta, no_tail), focal_loss(p, 1, gamma=gamma)),
-            (wce_loss(np.array([1.0]), 0, class_stats_from_counts([25])), ce_loss(np.array([1.0]), 0)),
-            (cb_loss(p, 1, 0.999, class_stats_from_counts([40, 1])), ce_loss(p, 1)),
+            (loss_on_probs(replace(fl, gamma=0.0), p, 0), loss_on_probs(ce, p, 0)),
+            (loss_on_probs(tfl, p, 0), loss_on_probs(fl, p, 0)),
+            (loss_on_probs(replace(tfl, beta=0.0), p, 1), loss_on_probs(fl, p, 1)),
+            (loss_on_probs(replace(tfl, tail=no_tail), p, 1), loss_on_probs(fl, p, 1)),
+            (loss_on_probs(wce, one, 0), loss_on_probs(ce, one, 0)),
+            (loss_on_probs(cb, p, 1), loss_on_probs(ce, p, 1)),
         ]
         for a, b in pairs:
             worst = max(worst, abs(a.value - b.value), np.abs(a.grad_z - b.grad_z).max())
@@ -191,13 +191,14 @@ def test_criterion_04_reduction_identities():
         z = rng.normal(0.0, 2.0, size=n)
         y = int(rng.integers(0, n))
         uniform = class_stats_from_counts([7] * n)
-        a = bs_loss(z, y, uniform)
-        b = ce_loss(softmax(z), y)
+        a = loss_on_logits(LossSpec(kind="bs", stats=uniform), z, y)
+        b = loss_on_probs(ce, softmax(z), y)
         worst = max(worst, abs(a.value - b.value), np.abs(a.grad_z - b.grad_z).max())
 
         counts = rng.integers(1, 500, size=n)
-        shifted = ce_loss(softmax(z + np.log(counts)), y)
-        worst = max(worst, abs(bs_loss(z, y, class_stats_from_counts(counts)).value - shifted.value))
+        shifted = loss_on_probs(ce, softmax(z + np.log(counts)), y)
+        bs = LossSpec(kind="bs", stats=class_stats_from_counts(counts))
+        worst = max(worst, abs(loss_on_logits(bs, z, y).value - shifted.value))
 
     ok = worst <= 1e-12
     _verdict(4, ok, f"max residual over all eight identities {worst:.2e} (tol 1e-12)")

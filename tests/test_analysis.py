@@ -9,13 +9,13 @@ import pytest
 
 from tailfocal import (
     ConfigError,
+    LossSpec,
     class_stats_from_counts,
     curve_table,
     fl_vanishing_threshold,
-    focal_loss,
     lambert_w0,
+    loss_on_probs,
     tail_partition,
-    tfl_loss,
     tfl_vanishing_threshold,
     write_curve,
 )
@@ -196,11 +196,13 @@ class TestCurveTable:
         tail = tail_partition(stats, 0.995)
         fl_table = curve_table("fl", grid=grid, gamma=2.0)
         tfl_table = curve_table("tfl", grid=grid, gamma=2.0, beta=2.0)
+        fl = LossSpec(kind="fl", gamma=2.0)
+        tfl = LossSpec(kind="tfl", gamma=2.0, beta=2.0, tail=tail)
         for i, py in enumerate(grid):
             # class 1 is the tail class of a [100, 1] count profile
             p = np.array([1.0 - py, py])
-            f = focal_loss(p, 1, gamma=2.0)
-            t = tfl_loss(p, 1, gamma=2.0, beta=2.0, tail=tail)
+            f = loss_on_probs(fl, p, 1)
+            t = loss_on_probs(tfl, p, 1)
             assert fl_table[i, 1] == pytest.approx(f.value, rel=1e-12, abs=1e-15)
             assert fl_table[i, 2] == pytest.approx(f.grad_p, rel=1e-12, abs=1e-15)
             assert tfl_table[i, 1] == pytest.approx(t.value, rel=1e-12, abs=1e-15)

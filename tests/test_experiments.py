@@ -24,6 +24,7 @@ from tailfocal import (
     DatasetSpec,
     EpochStats,
     LossConfig,
+    ModelConfig,
     NetConfig,
     OptimConfig,
     RunConfig,
@@ -38,15 +39,19 @@ from tailfocal import (
     compare_losses,
     config_from_text,
     config_to_text,
+    curve_table,
     generate_dataset,
+    init_params,
     load_model,
     loss_on_logits,
     parse_config_file,
     read_dataset,
     run_training,
+    save_model,
     softmax,
     split_indices,
     sweep,
+    write_curve,
     write_dataset,
     write_generated_dataset,
 )
@@ -65,6 +70,9 @@ TINY_RUN = RunConfig(
     split=SplitConfig(test_fraction=0.25, val_fraction=0.0),
     seed=3,
 )
+
+TINY_MODEL = ModelConfig(3, (4, 4, 4, 4), hidden_dim=6, k_stages=1, classifier_dims=(8, 8, 8, 3),
+                         pool_window=2)
 
 BAD_VARIANT = replace(TINY_RUN, model=replace(TINY_RUN.model, variant="XX"))
 BAD_KIND = replace(TINY_RUN, loss=replace(TINY_RUN.loss, kind="nope"))
@@ -648,19 +656,25 @@ class TestBatchCommands:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
-    # each would reach a str method or os.fspath with a number, or a loop over one
+    # each would reach a str method or os.fspath with a number, or a loop over one, or take
+    # the number as a file descriptor the caller owns and close it
     @pytest.mark.parametrize("call, name", [
-        (lambda out: run_training(TINY_RUN, out_dir=3), "out_dir"),
-        (lambda out: compare_losses(TINY_RUN, out_dir=3), "out_dir"),
-        (lambda out: write_generated_dataset(TINY_RUN.data, 1, out_path=3), "out_path"),
-        (lambda out: analyze(out_dir=3), "out_dir"),
-        (lambda out: ablate(TINY_RUN, variants=("G", 3), out_dir=out), "unknown variant 3"),
-        (lambda out: sweep(TINY_RUN, SweepConfig("beta", 5), out_dir=out), "sweep grid"),
+        (lambda out, fd: run_training(TINY_RUN, out_dir=3), "out_dir"),
+        (lambda out, fd: compare_losses(TINY_RUN, out_dir=3), "out_dir"),
+        (lambda out, fd: write_generated_dataset(TINY_RUN.data, 1, out_path=3), "out_path"),
+        (lambda out, fd: analyze(out_dir=3), "out_dir"),
+        (lambda out, fd: ablate(TINY_RUN, variants=("G", 3), out_dir=out), "unknown variant 3"),
+        (lambda out, fd: sweep(TINY_RUN, SweepConfig("beta", 5), out_dir=out), "sweep grid"),
         # a str of names would train one run per letter
-        (lambda out: ablate(TINY_RUN, variants="GS", out_dir=out), "not the str 'GS'"),
-        (lambda out: compare_losses(TINY_RUN, kinds="ce", out_dir=out), "not the str 'ce'"),
+        (lambda out, fd: ablate(TINY_RUN, variants="GS", out_dir=out), "not the str 'GS'"),
+        (lambda out, fd: compare_losses(TINY_RUN, kinds="ce", out_dir=out), "not the str 'ce'"),
+        (lambda out, fd: write_curve(fd, curve_table("ce")), "path"),
+        (lambda out, fd: parse_config_file(fd), "path"),
+        (lambda out, fd: save_model(fd, TINY_MODEL, init_params(TINY_MODEL)), "path"),
+        (lambda out, fd: load_model(fd), "path"),
     ], ids=["train-out", "compare-out", "gen-out", "analyze-out", "ablate-variant", "grid",
-            "ablate-str", "compare-str"])
+            "ablate-str", "compare-str", "write-curve-fd", "config-fd", "save-model-fd",
+            "load-model-fd"])
     def test_an_argument_of_the_wrong_kind_is_refused_naming_it(
         self, monkeypatch, tmp_path, call, name
     ):
@@ -668,8 +682,13 @@ class TestBatchCommands:
         for built in ("load_run_data", "generate_dataset", "write_curve"):
             monkeypatch.setattr(experiments, built, lambda *a, **k: calls.append(a))
         monkeypatch.setattr(os, "cpu_count", lambda: 1)  # data would be built in this process
-        with pytest.raises(ConfigError, match=name):
-            call(tmp_path / "out")
+        fd = os.open(tmp_path / "held", os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(ConfigError, match=name):
+                call(tmp_path / "out", fd)
+            os.fstat(fd)  # raises if the call closed the descriptor
+        finally:
+            os.close(fd)
         assert calls == []
         assert not (tmp_path / "out").exists()
 
@@ -1139,10 +1158,21 @@ class TestCli:
         ("gen", ["--seed", "-1"]),
         ("train", ["--seed", "-1"]),
         ("compare-losses", []),  # seed = -1 in the config file
+        ("gen", ["--seed", str(2**64)]),
+        ("train", ["--seed", str(2**64 - 1)]),
+        ("train", ["--seed", str(2**64)]),
+        ("sweep", ["--seed", str(2**64 - 5)]),
     ])
     def test_a_negative_seed_exits_3_before_building_data(
         self, tmp_path, capsys, monkeypatch, command, flags
     ):
+        seed = int(flags[1]) if flags else -1
+        # a run also seeds with seed + 1 to seed + 4, and a sweep's repeat r (of 3) with seed + r
+        most = {"gen": 2**64 - 1, "sweep": 2**64 - 7}.get(command, 2**64 - 5)
+        if seed < 0:
+            expected = f"seed must be >= 0, a whole number, got {seed}"
+        else:
+            expected = f"seed must be at most {most}, got {seed}"
         calls = []
         for built in ("load_run_data", "generate_dataset"):
             monkeypatch.setattr(experiments, built, lambda *a, **k: calls.append(a))
@@ -1151,7 +1181,7 @@ class TestCli:
         cfg.write_text(TINY_CFG_TEXT + ("" if flags else "seed = -1\n"))
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 3
-        assert "seed must be >= 0, a whole number, got -1" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 

@@ -19,8 +19,6 @@ from tailfocal import (
     confusion_metrics,
     init_params,
     metrics_report,
-    pr_auc_ovr,
-    roc_auc_ovr,
     split_indices,
     train,
     write_dataset,
@@ -50,8 +48,6 @@ ENTRY_POINTS = {
     "metrics_report": lambda y: metrics_report(SCORES, y),
     "confusion_metrics true": lambda y: confusion_metrics([0, 1, 0], y, 2),
     "confusion_metrics pred": lambda y: confusion_metrics(y, [0, 1, 0], 2),
-    "roc_auc_ovr": lambda y: roc_auc_ovr(SCORES, y),
-    "pr_auc_ovr": lambda y: pr_auc_ovr(SCORES, y),
     "batch_loss": lambda y: batch_loss(LossSpec(kind="ce"), np.zeros((3, 2)), y),
     "split_indices": lambda y: split_indices(y, 0.5, seed=0),
     "train": _train,

@@ -11,20 +11,16 @@ from tailfocal import (
     ConfigError,
     LossSpec,
     batch_loss,
-    bs_loss,
-    cb_loss,
-    ce_loss,
     class_stats_from_counts,
-    focal_loss,
-    ldam_loss,
     loss_on_logits,
+    loss_on_probs,
     softmax,
     tail_partition,
-    tfl_loss,
-    wce_loss,
 )
 
 LN2 = math.log(2.0)
+CE = LossSpec(kind="ce")
+FL = LossSpec(kind="fl", gamma=2.0)
 
 
 def _fd_grad_z(fn, z, h=1e-6):
@@ -77,35 +73,36 @@ class TestPointValues:
     """Hand-derived values at simple operating points."""
 
     def test_ce_example(self):
-        out = ce_loss(np.array([0.25, 0.75]), 1)
+        out = loss_on_probs(CE, np.array([0.25, 0.75]), 1)
         assert out.value == pytest.approx(-math.log(0.75), abs=1e-15)
         assert out.grad_p == pytest.approx(-4.0 / 3.0, abs=1e-15)
         np.testing.assert_allclose(out.grad_z, [0.25, -0.25], atol=1e-15)
 
     def test_wce_rescales_by_inverse_frequency(self):
         stats = class_stats_from_counts([90, 10])
-        out = wce_loss(np.array([0.5, 0.5]), 1, stats)
+        out = loss_on_probs(LossSpec(kind="wce", stats=stats), np.array([0.5, 0.5]), 1)
         assert out.value == pytest.approx(6.931471805599453, abs=1e-12)
 
     def test_wce_uniform_two_class_doubles_ce(self):
         stats = class_stats_from_counts([50, 50])
         p = np.array([0.3, 0.7])
-        assert wce_loss(p, 1, stats).value == pytest.approx(
-            2.0 * ce_loss(p, 1).value, abs=1e-15
+        wce = LossSpec(kind="wce", stats=stats)
+        assert loss_on_probs(wce, p, 1).value == pytest.approx(
+            2.0 * loss_on_probs(CE, p, 1).value, abs=1e-15
         )
 
     def test_focal_downweights_confident_example(self):
         p_easy = np.array([0.1, 0.9])
         p_hard = np.array([0.9, 0.1])
-        easy = focal_loss(p_easy, 1, gamma=2.0)
-        hard = focal_loss(p_hard, 1, gamma=2.0)
+        easy = loss_on_probs(FL, p_easy, 1)
+        hard = loss_on_probs(FL, p_hard, 1)
         assert easy.value == pytest.approx(0.001053605156578263, abs=1e-15)
-        assert easy.value / ce_loss(p_easy, 1).value == pytest.approx(0.01, abs=1e-12)
-        assert hard.value / ce_loss(p_hard, 1).value == pytest.approx(0.81, abs=1e-12)
+        assert easy.value / loss_on_probs(CE, p_easy, 1).value == pytest.approx(0.01, abs=1e-12)
+        assert hard.value / loss_on_probs(CE, p_hard, 1).value == pytest.approx(0.81, abs=1e-12)
 
     def test_cb_weight_at_thousand_samples(self):
         stats = class_stats_from_counts([1000, 1000])
-        out = cb_loss(np.array([0.5, 0.5]), 0, 0.999, stats)
+        out = loss_on_probs(LossSpec(kind="cb", lam=0.999, stats=stats), np.array([0.5, 0.5]), 0)
         assert out.value == pytest.approx(0.0010962235728072518, abs=1e-15)
 
     def test_cb_weight_matches_exact_arithmetic_on_small_counts(self):
@@ -115,33 +112,36 @@ class TestPointValues:
         p = np.full(len(counts), 1.0 / len(counts))
         ce = -math.log(p[0])
         lam = Fraction(0.999)
+        cb = LossSpec(kind="cb", lam=0.999, stats=stats)
         for y, n in enumerate(counts):
             want = float((1 - lam) / (1 - lam**n)) * ce
-            got = cb_loss(p, y, 0.999, stats).value
+            got = loss_on_probs(cb, p, y).value
             assert abs(got - want) <= 1e-15 * want, n
 
     def test_bs_uniform_logits_skewed_counts(self):
         stats = class_stats_from_counts([99, 1])
-        out = bs_loss(np.array([0.0, 0.0]), 1, stats)
+        out = loss_on_logits(LossSpec(kind="bs", stats=stats), np.array([0.0, 0.0]), 1)
         assert out.value == pytest.approx(math.log(100.0), abs=1e-12)
 
     def test_ldam_margins_shrink_with_count(self):
         stats = class_stats_from_counts([16, 1])
-        out = ldam_loss(np.array([0.0, 0.0]), 1, 0.5, stats)
+        ldam = LossSpec(kind="ldam", margin_c=0.5, stats=stats)
+        out = loss_on_logits(ldam, np.array([0.0, 0.0]), 1)
         assert out.value == pytest.approx(0.8259394198788437, abs=1e-12)
 
     def test_tfl_tail_point(self):
         stats = class_stats_from_counts([100, 10, 2])
         tail = tail_partition(stats, 0.9)
         p = np.array([0.5, 0.25, 0.25])
-        out = tfl_loss(p, 2, gamma=2.0, beta=2.0, tail=tail)
+        out = loss_on_probs(LossSpec(kind="tfl", gamma=2.0, beta=2.0, tail=tail), p, 2)
         expect = (0.75**2) * (-math.log(0.25)) + 2.0 * (-math.log(0.25))
         assert out.value == pytest.approx(expect, abs=1e-12)
 
     def test_tfl_tail_half_probability(self):
         stats = class_stats_from_counts([9, 1])
         tail = tail_partition(stats, 0.9)
-        out = tfl_loss(np.array([0.5, 0.5]), 1, gamma=2.0, beta=2.0, tail=tail)
+        tfl = LossSpec(kind="tfl", gamma=2.0, beta=2.0, tail=tail)
+        out = loss_on_probs(tfl, np.array([0.5, 0.5]), 1)
         assert out.value == pytest.approx(1.559581156259877, abs=1e-12)
 
 
@@ -161,7 +161,7 @@ class TestReductions:
         for p, z, y in self._grid():
             far = z.copy()
             far[y] = z.max() - 60.0  # the true class 60 below the top logit
-            pairs = [(focal_loss(p, y, gamma=0.0), ce_loss(p, y))]
+            pairs = [(loss_on_probs(fl, p, y), loss_on_probs(ce, p, y))]
             pairs += [(loss_on_logits(fl, v, y), loss_on_logits(ce, v, y)) for v in (z, far)]
             for a, b in pairs:
                 assert a.value == b.value
@@ -171,82 +171,89 @@ class TestReductions:
     def test_tfl_on_head_class_is_focal(self):
         stats = class_stats_from_counts([100, 10, 2])
         tail = tail_partition(stats, 0.9)
+        tfl = LossSpec(kind="tfl", gamma=2.0, beta=2.0, tail=tail)
         rng = np.random.default_rng(6)
         for _ in range(40):
             p = softmax(rng.normal(size=3) * 2)
-            a = tfl_loss(p, 0, gamma=2.0, beta=2.0, tail=tail)
-            b = focal_loss(p, 0, gamma=2.0)
+            a = loss_on_probs(tfl, p, 0)
+            b = loss_on_probs(FL, p, 0)
             assert a.value == b.value
             assert a.grad_p == b.grad_p
 
     def test_tfl_beta_zero_is_focal(self):
         stats = class_stats_from_counts([100, 10, 2])
         tail = tail_partition(stats, 0.9)
+        tfl = LossSpec(kind="tfl", gamma=2.0, beta=0.0, tail=tail)
         rng = np.random.default_rng(7)
         for _ in range(40):
             p = softmax(rng.normal(size=3) * 2)
             y = int(rng.integers(0, 3))
-            a = tfl_loss(p, y, gamma=2.0, beta=0.0, tail=tail)
-            b = focal_loss(p, y, gamma=2.0)
+            a = loss_on_probs(tfl, p, y)
+            b = loss_on_probs(FL, p, y)
             assert abs(a.value - b.value) <= 1e-12
             assert abs(a.grad_p - b.grad_p) <= 1e-12
 
     def test_tfl_threshold_one_is_focal(self):
         stats = class_stats_from_counts([100, 10, 2])
         tail = tail_partition(stats, 1.0)
+        tfl = LossSpec(kind="tfl", gamma=2.0, beta=3.0, tail=tail)
         rng = np.random.default_rng(8)
         for _ in range(40):
             p = softmax(rng.normal(size=3) * 2)
             y = int(rng.integers(0, 3))
-            a = tfl_loss(p, y, gamma=2.0, beta=3.0, tail=tail)
-            b = focal_loss(p, y, gamma=2.0)
+            a = loss_on_probs(tfl, p, y)
+            b = loss_on_probs(FL, p, y)
             assert a.value == b.value
 
     def test_wce_single_class_is_ce(self):
         stats = class_stats_from_counts([25])
         p = np.array([1.0])
-        a = wce_loss(p, 0, stats)
-        b = ce_loss(p, 0)
+        a = loss_on_probs(LossSpec(kind="wce", stats=stats), p, 0)
+        b = loss_on_probs(CE, p, 0)
         assert a.value == b.value
 
     def test_cb_unit_count_is_ce(self):
         stats = class_stats_from_counts([1, 1])
+        cb = LossSpec(kind="cb", lam=0.999, stats=stats)
         rng = np.random.default_rng(9)
         for _ in range(20):
             p = softmax(rng.normal(size=2) * 2)
             y = int(rng.integers(0, 2))
-            a = cb_loss(p, y, 0.999, stats)
-            b = ce_loss(p, y)
+            a = loss_on_probs(cb, p, y)
+            b = loss_on_probs(CE, p, y)
             assert abs(a.value - b.value) <= 1e-12
 
     def test_bs_uniform_counts_is_ce(self):
         stats = class_stats_from_counts([50, 50, 50])
+        bs = LossSpec(kind="bs", stats=stats)
         rng = np.random.default_rng(10)
         for _ in range(40):
             z = rng.normal(size=3) * 3
             y = int(rng.integers(0, 3))
-            a = bs_loss(z, y, stats)
+            a = loss_on_logits(bs, z, y)
             b = loss_on_logits(_spec_for("ce", None, None), z, y)
             assert abs(a.value - b.value) <= 1e-12
             np.testing.assert_allclose(a.grad_z, b.grad_z, rtol=0, atol=1e-12)
 
     def test_ldam_uniform_counts_is_ce(self):
         stats = class_stats_from_counts([10, 10, 10, 10])
+        ldam = LossSpec(kind="ldam", margin_c=0.5, stats=stats)
         rng = np.random.default_rng(11)
         for _ in range(40):
             z = rng.normal(size=4) * 3
             y = int(rng.integers(0, 4))
-            a = ldam_loss(z, y, 0.5, stats)
+            a = loss_on_logits(ldam, z, y)
             b = loss_on_logits(_spec_for("ce", None, None), z, y)
             assert abs(a.value - b.value) <= 1e-12
 
     def test_bs_equals_ce_on_shifted_logits(self):
         stats = class_stats_from_counts([70, 20, 10])
+        bs = LossSpec(kind="bs", stats=stats)
         rng = np.random.default_rng(12)
         for _ in range(40):
             z = rng.normal(size=3) * 3
             y = int(rng.integers(0, 3))
-            a = bs_loss(z, y, stats)
+            a = loss_on_logits(bs, z, y)
             b = loss_on_logits(
                 _spec_for("ce", None, None), z + np.log(stats.counts), y
             )
@@ -261,23 +268,26 @@ class TestTailDominance:
         tail = tail_partition(stats, 0.9)
         grid = np.linspace(0.001, 0.999, 512)
         for gamma in (1.0, 2.0, 3.0):
+            fl = LossSpec(kind="fl", gamma=gamma)
             for beta in (1.0, 2.0, 3.0):
+                tfl = LossSpec(kind="tfl", gamma=gamma, beta=beta, tail=tail)
                 for py in grid:
                     p = np.array([1.0 - py, py])
-                    t = tfl_loss(p, 1, gamma=gamma, beta=beta, tail=tail)
-                    f = focal_loss(p, 1, gamma=gamma)
+                    t = loss_on_probs(tfl, p, 1)
+                    f = loss_on_probs(fl, p, 1)
                     assert t.value >= f.value
                     assert abs(t.grad_p) >= abs(f.grad_p)
 
     def test_excess_is_beta_scaled_ce(self):
         stats = class_stats_from_counts([9, 1])
         tail = tail_partition(stats, 0.9)
+        tfl = LossSpec(kind="tfl", gamma=2.0, beta=1.5, tail=tail)
         rng = np.random.default_rng(13)
         for _ in range(40):
             p = softmax(rng.normal(size=2) * 2)
-            t = tfl_loss(p, 1, gamma=2.0, beta=1.5, tail=tail)
-            f = focal_loss(p, 1, gamma=2.0)
-            c = ce_loss(p, 1)
+            t = loss_on_probs(tfl, p, 1)
+            f = loss_on_probs(FL, p, 1)
+            c = loss_on_probs(CE, p, 1)
             assert t.value - f.value == pytest.approx(1.5 * c.value, rel=1e-12)
 
 
@@ -320,6 +330,19 @@ class TestGradients:
         for spec, z, y in self._cases():
             out = loss_on_logits(spec, z, y)
             assert out.grad_z[y] < 0
+
+
+class TestInputForms:
+    def test_probs_are_logits_ln_p_for_every_kind(self):
+        stats = class_stats_from_counts([60, 25, 10, 5])
+        tail = tail_partition(stats, 0.9)
+        p = np.array([0.1, 0.2, 0.3, 0.4])
+        for kind in LOSS_KINDS:
+            spec = _spec_for(kind, stats, tail)
+            for y in range(4):
+                a, b = loss_on_probs(spec, p, y), loss_on_logits(spec, np.log(p), y)
+                assert (a.value, a.grad_p) == (b.value, b.grad_p), (kind, y)
+                np.testing.assert_array_equal(a.grad_z, b.grad_z)
 
 
 class TestBatchLoss:
@@ -403,15 +426,15 @@ class TestValidation:
     def test_label_out_of_range_is_config_error_on_every_path(self):
         stats = class_stats_from_counts([9, 1])
         with pytest.raises(ConfigError, match="out of range"):
-            ce_loss(np.array([0.5, 0.5]), 5)
+            loss_on_probs(CE, np.array([0.5, 0.5]), 5)
         with pytest.raises(ConfigError, match="out of range"):
-            loss_on_logits(LossSpec(kind="ce"), np.zeros(2), -1)
+            loss_on_logits(CE, np.zeros(2), -1)
         with pytest.raises(ConfigError, match="out of range"):
-            bs_loss(np.zeros(2), 2, stats)
+            loss_on_logits(LossSpec(kind="bs", stats=stats), np.zeros(2), 2)
 
     def test_rejects_probability_vector_not_summing_to_one(self):
         with pytest.raises(ConfigError):
-            ce_loss(np.array([0.2, 0.2]), 0)
+            loss_on_probs(CE, np.array([0.2, 0.2]), 0)
 
     def test_rejects_stats_of_wrong_width(self):
         stats = class_stats_from_counts([9, 1])
@@ -421,6 +444,6 @@ class TestValidation:
 
     def test_clamp_keeps_extreme_probabilities_finite(self):
         p = np.array([1.0, 0.0])
-        out = ce_loss(p, 1)
+        out = loss_on_probs(CE, p, 1)
         assert np.isfinite(out.value)
         assert np.isfinite(out.grad_p)

@@ -14,8 +14,6 @@ from tailfocal import (
     format_per_class,
     format_summary,
     metrics_report,
-    pr_auc_ovr,
-    roc_auc_ovr,
 )
 
 
@@ -129,27 +127,31 @@ class TestRankingMetrics:
     def test_perfect_ranking_auc_is_one(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]])
         true = np.array([0, 0, 1, 1])
-        per_class, macro = roc_auc_ovr(scores, true)
+        report = metrics_report(scores, true)
+        per_class, macro = report.auc, report.macro_auc
         np.testing.assert_allclose(per_class, [1.0, 1.0])
         assert macro == 1.0
 
     def test_constant_scores_auc_is_half(self):
         scores = np.full((6, 2), 0.5)
         true = np.array([0, 1, 0, 1, 0, 1])
-        per_class, macro = roc_auc_ovr(scores, true)
+        report = metrics_report(scores, true)
+        per_class, macro = report.auc, report.macro_auc
         np.testing.assert_allclose(per_class, [0.5, 0.5])
         assert macro == 0.5
 
     def test_single_class_truth_gives_nan_auc(self):
         scores = np.array([[0.7, 0.3], [0.6, 0.4]])
-        per_class, macro = roc_auc_ovr(scores, np.array([0, 0]))
+        report = metrics_report(scores, np.array([0, 0]))
+        per_class, macro = report.auc, report.macro_auc
         assert math.isnan(per_class[0])
         assert math.isnan(per_class[1])
         assert math.isnan(macro)
 
     def test_aupr_with_no_positives_is_nan(self):
         scores = np.array([[0.7, 0.3], [0.6, 0.4]])
-        per_class, macro = pr_auc_ovr(scores, np.array([0, 0]))
+        report = metrics_report(scores, np.array([0, 0]))
+        per_class, macro = report.aupr, report.macro_aupr
         assert math.isnan(per_class[1])
         assert per_class[0] == 1.0
         assert macro == 1.0
@@ -158,8 +160,8 @@ class TestRankingMetrics:
         rng = np.random.default_rng(29)
         for _ in range(200):
             scores, true = _random_instance(rng)
-            auc, _ = roc_auc_ovr(scores, true)
-            ap, _ = pr_auc_ovr(scores, true)
+            report = metrics_report(scores, true)
+            auc, ap = report.auc, report.aupr
             for c in range(scores.shape[1]):
                 col = list(scores[:, c])
                 b_auc = _brute_auc(col, list(true), c)

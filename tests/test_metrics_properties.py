@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailfocal import metrics_report, pr_auc_ovr, roc_auc_ovr
+from tailfocal import metrics_report
 from tailfocal.metrics import _ovr_auc_ap
 
 from test_metrics import _brute_ap, _brute_auc, _brute_confusion
@@ -67,8 +67,9 @@ def test_auc_and_ap_match_brute_force(case):
     want_auc = [_brute_auc(col, true, c) for c, col in enumerate(cols)]
     want_ap = [_brute_ap(col, true, c) for c, col in enumerate(cols)]
 
-    auc, macro_auc = roc_auc_ovr(scores, labels)
-    ap, macro_ap = pr_auc_ovr(scores, labels)
+    report = metrics_report(scores, labels)
+    auc, macro_auc = report.auc, report.macro_auc
+    ap, macro_ap = report.aupr, report.macro_aupr
     _assert_matches(auc, want_auc)
     _assert_matches(ap, want_ap)
     _assert_matches([macro_auc, macro_ap], [_macro(want_auc), _macro(want_ap)])
@@ -158,8 +159,9 @@ def test_tied_hand_case():
     # rows 0 and 1, one of each class, tie at 0.75 in column 0; class 2 never occurs
     scores = np.array([[0.75, 0.25, 0.0], [0.75, 0.25, 0.0], [0.5, 0.5, 0.0], [0.25, 0.75, 0.0]])
     labels = np.array([0, 1, 1, 0])
-    auc, macro_auc = roc_auc_ovr(scores, labels)
-    ap, macro_ap = pr_auc_ovr(scores, labels)
+    report = metrics_report(scores, labels)
+    auc, macro_auc = report.auc, report.macro_auc
+    ap, macro_ap = report.aupr, report.macro_aupr
     assert np.array_equal(auc, [0.375, 0.375, np.nan], equal_nan=True)
     assert np.array_equal(ap, [0.5, 0.5, np.nan], equal_nan=True)
     assert (macro_auc, macro_ap) == (0.375, 0.5)
