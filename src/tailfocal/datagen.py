@@ -11,13 +11,19 @@ a modality's prototypes to zero makes that block pure noise.
 A Dataset checks its features with the feature-pair rule that the fusion
 model's entry points also apply (imbalance._feature_pair), and its labels
 as whole numbers. A DatasetSpec asks the generator's own allocation,
-sample_class_counts, whether its class counts exist. read_dataset checks
-the values it parses, so a non-finite one is a DataFormatError naming its
-line.
+sample_class_counts, whether its class counts exist.
+
+write_dataset formats the text in chunks of rows. read_dataset parses
+every feature value of a file in one np.loadtxt call and checks the
+values it parses. A file that call refuses is read again one line at a
+time, which is the one error path: a bad line, a non-finite value among
+them, is a DataFormatError naming that line.
 """
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -388,6 +394,83 @@ def _block_error(lineno: int, blocks: list[str], dims: list[int]) -> DataFormatE
     return DataFormatError(f"line {lineno}: unparseable feature blocks")
 
 
+def _marked_lines(fh, n_classes: int, ids: list, labels: list):
+    """The feature text of each record line left in fh for np.loadtxt, each
+    tab turned into a nan column (",nan,"); each line's ids and label go onto
+    ids and labels. A line that is not three ids, a label in [0, n_classes)
+    and eight blocks, or that holds a character np.loadtxt would read and
+    float would not, raises ValueError."""
+    for line in fh:
+        if line == "\n":
+            continue
+        a, b, c, label, rest = line.split("\t", 4)
+        label = int(label)
+        if not 0 <= label < n_classes or rest.count("\t") != 7:
+            raise ValueError("not a record line")
+        # np.loadtxt strips these information separators around a number, float does not
+        if "\x1c" in rest or "\x1d" in rest or "\x1e" in rest or "\x1f" in rest:
+            raise ValueError("an information separator in a feature block")
+        ids.append((a, b, c))
+        labels.append(label)
+        yield rest.replace("\t", ",nan,")
+
+
+def _bulk_read(fh, n_classes: int, dims: list[int]):
+    """The ids, labels and marked feature table of the record lines left in
+    fh, every value parsed by one np.loadtxt call; None when anything
+    refuses them. The table holds the eight blocks in file order, each but
+    the last followed by a column of nan."""
+    widths = dims * 2  # g, s, t, e of drug a, then of drug b
+    ids, labels = [], []
+    lines = _marked_lines(fh, n_classes, ids, labels)
+    try:
+        first = next(lines, None)  # loadtxt warns on an input with no lines
+        if first is None:
+            return None
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # A block of the wrong width moves a nan out of its marked column, so every
+    # block has its width and every value is finite iff nan fills exactly those
+    n, marks = len(labels), np.cumsum(widths[:-1]) + np.arange(7)
+    if table.shape != (n, sum(widths) + 7) or not np.isnan(table[:, marks]).all():
+        return None
+    return (ids, labels, table) if np.count_nonzero(np.isfinite(table)) == n * sum(widths) else None
+
+
+def _line_read(fh, n_classes: int, dims: list[int]):
+    """What _bulk_read returns, each value parsed by Python's float; the
+    first bad line raises DataFormatError naming it."""
+    widths = dims * 2
+    ids, labels, values = [], [], array.array("d")
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 12:
+            raise DataFormatError(f"line {lineno}: expected 12 fields, got {len(fields)}")
+        try:
+            label = int(fields[3])
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: bad label {fields[3]!r}") from None
+        if not 0 <= label < n_classes:
+            raise DataFormatError(f"line {lineno}: label {label} outside [0, {n_classes})")
+        blocks = fields[4:]
+        try:
+            row = [float(v) for b in blocks if b for v in b.split(",")]
+        except ValueError:
+            row = None
+        counts = [b.count(",") + 1 if b else 0 for b in blocks]
+        if row is None or counts != widths or not all(map(math.isfinite, row)):
+            raise _block_error(lineno, blocks, dims)
+        ids.append(fields[:3])
+        labels.append(label)
+        values.extend(row)
+    table = np.reshape(np.frombuffer(values), (len(labels), sum(widths)))
+    return ids, labels, np.insert(table, np.cumsum(widths[:-1]), np.nan, axis=1)
+
+
 def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
     """Inverse of write_dataset.
 
@@ -396,6 +479,15 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
     Malformed lines, a non-finite feature value among them, raise
     DataFormatError naming the 1-based line number; a path that is not a
     str or an os.PathLike raises ConfigError.
+
+    The feature values of the whole file are parsed by one np.loadtxt call.
+    A value reads as Python's float reads it: blanks around it, digits in
+    any script and underscores between digits are accepted, and "inf" or
+    "nan" in any spelling is refused once parsed. Lines may end in LF, CRLF
+    or CR. When anything refuses the file, it is read again line by line,
+    each value parsed by float; that loop returns the same columns, for
+    values only float accepts (such as 1_000), or names the first bad line.
+    A pipe, which cannot be read twice, is read by that loop alone.
     """
     with open(_path(path, "path")) as fh:
         header = fh.readline().rstrip("\n")
@@ -403,42 +495,21 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
         if not match:
             raise DataFormatError(f"line 1: bad header {header!r}")
         n_classes, *dims = (int(group) for group in match.groups())
-        widths = dims * 2  # g, s, t, e of drug a, then of drug b
-
-        names, labels, rows = [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 12:
-                raise DataFormatError(f"line {lineno}: expected 12 fields, got {len(fields)}")
-            try:
-                label = int(fields[3])
-            except ValueError:
-                raise DataFormatError(f"line {lineno}: bad label {fields[3]!r}") from None
-            if not 0 <= label < n_classes:
-                raise DataFormatError(f"line {lineno}: label {label} outside [0, {n_classes})")
-            # widths by counting commas, and all eight blocks in one parse
-            blocks = fields[4:]
-            text = ",".join(filter(None, blocks))
-            try:
-                values = np.array(text.split(",") if text else [], dtype=float)
-            except ValueError:
-                values = None
-            counts = [b.count(",") + 1 if b else 0 for b in blocks]
-            if values is None or counts != widths or not np.isfinite(values).all():
-                raise _block_error(lineno, blocks, dims)
-            rows.append(values)
-            names.append(fields[:3])
-            labels.append(label)
-
-    table = np.reshape(rows, (len(rows), sum(widths)))
-    del rows
-    edges = np.cumsum([0] + widths)
-    blocks = [np.ascontiguousarray(table[:, lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
-    names = np.reshape(np.array(names, dtype=str), (len(labels), 3))
+        seekable = fh.seekable()  # a pipe cannot be read twice, so it takes the line loop alone
+        read = _bulk_read(fh, n_classes, dims) if seekable else None
+        if read is None:
+            if seekable:
+                fh.seek(0)
+                fh.readline()
+            read = _line_read(fh, n_classes, dims)
+    ids, labels, table = read
+    del read
+    names = np.reshape(np.array(ids, dtype=str), (len(labels), 3))
+    del ids  # before the blocks are copied out, so the two never add up
     labels = np.array(labels, dtype=np.int64)
+    edges = np.cumsum([0] + [dim + 1 for dim in dims * 2])  # each block and its nan column
+    blocks = [np.ascontiguousarray(table[:, lo : hi - 1]) for lo, hi in zip(edges[:-1], edges[1:])]
+    del table
     sides = dict(zip(MODALITIES, blocks[:4])), dict(zip(MODALITIES, blocks[4:]))
     data = Dataset(*names.T, labels, *sides)
     # stats need a row in each class; a damaged header may declare billions

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from tailfocal import (
     sample_class_counts,
     write_dataset,
 )
+from tailfocal import datagen
 from tailfocal.datagen import _GEN_ROWS
 
 TINY = dict(n_classes=3, n_samples=60, cir=4.0, n_drugs=8, embed_dims=(5, 4, 3, 2))
@@ -384,6 +386,73 @@ class TestDatasetFiles:
         np.testing.assert_allclose(
             loaded[3].features_b[1], records[3].features_b[1], rtol=1e-8
         )
+
+    def test_crlf_file_reads_as_its_lf_form(self, tmp_path):
+        records, _ = self._records()
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        write_dataset(lf, records, n_classes=3)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        (a, _), (b, _) = read_dataset(lf), read_dataset(crlf)
+        for column in ("pair_ids", "drug_a", "drug_b", "labels"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+        for side in ("features_a", "features_b"):
+            for m in MODALITIES:
+                assert getattr(a, side)[m].tobytes() == getattr(b, side)[m].tobytes()
+
+    def test_written_files_take_the_bulk_parse(self, tmp_path, monkeypatch):
+        records, _ = self._records()
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        write_dataset(lf, records, n_classes=3)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+
+        def line_read(*args):
+            raise AssertionError("the line loop read a well-formed file")
+
+        monkeypatch.setattr(datagen, "_line_read", line_read)
+        for path in (lf, crlf):
+            assert len(read_dataset(path)[0]) == len(records)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("value", ["1_0", "x"])
+    def test_a_pipe_reads_as_a_file(self, tmp_path, value):
+        text = "ddipairs v1 n_classes=1 g=1 s=1 t=1 e=1\nP\tD\tD\t0\t" + value + "\t1" * 7 + "\n"
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        try:
+            if value == "x":
+                with pytest.raises(DataFormatError, match="line 2: unparseable g block for drug a"):
+                    read_dataset(pipe)
+            else:
+                assert read_dataset(pipe)[0].features_a["g"].tolist() == [[10.0]]
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_read_peak_memory_is_the_columns_plus_one_parsed_table(self, tmp_path):
+        spec = DatasetSpec(n_classes=5, n_samples=4000, cir=4.0, n_drugs=30,
+                           embed_dims=(16, 16, 16, 16), seed=3)
+        path = tmp_path / "d.tsv"
+        write_dataset(path, generate_dataset(spec)[0], n_classes=spec.n_classes)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            data, _ = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        features = [*data.features_a.values(), *data.features_b.values()]
+        columns = [data.pair_ids, data.drug_a, data.drug_b, data.labels, *features]
+        feature_bytes = sum(c.nbytes for c in features)
+        # the parsed table, 7 nan columns wider than the features (1.05x), is the
+        # one temporary of their size; a list of per-row arrays beside it or in
+        # its place (1.33x in the per-line reader) crosses the bound
+        assert peak - sum(c.nbytes for c in columns) < 1.2 * feature_bytes
 
     def test_header_line(self, tmp_path):
         records, _ = self._records()

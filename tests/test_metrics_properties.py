@@ -44,6 +44,34 @@ def cases(draw):
     return scores, labels
 
 
+@st.composite
+def near_tie_cases(draw):
+    """Unquantized scores with near-ties, and long-tailed labels.
+
+    Rows are normalized draws from [0.01, 1]. Some rows copy an earlier one
+    with one entry a ulp higher and another a ulp lower, so columns hold
+    ties and values one ulp apart. Labels give a head class most rows, and
+    one row each to up to c - 1 tail classes.
+    """
+    n = draw(st.integers(2, 25))
+    c = draw(st.integers(2, 6))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=n * c, max_size=n * c))
+    scores = np.array(raw).reshape(n, c)
+    scores /= scores.sum(axis=1, keepdims=True)
+    for j in range(1, n):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, j - 1))
+            up, down = draw(st.permutations(range(c)))[:2]
+            scores[j] = scores[i]
+            scores[j, up] = np.nextafter(scores[i, up], 1.0)
+            scores[j, down] = np.nextafter(scores[i, down], 0.0)
+    tail = draw(st.integers(1, min(c, n) - 1))
+    head = draw(st.integers(0, c - 1))
+    singles = [k for k in range(c) if k != head][:tail]
+    labels = np.array(draw(st.permutations(singles + [head] * (n - tail))))
+    return scores, labels
+
+
 def _assert_matches(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -59,7 +87,7 @@ def _macro(values):
 
 
 @PROPS
-@given(cases())
+@given(near_tie_cases())
 def test_auc_and_ap_match_brute_force(case):
     scores, labels = case
     true = labels.tolist()
