@@ -13,17 +13,15 @@ model's entry points also apply (imbalance._feature_pair), and its labels
 as whole numbers. A DatasetSpec asks the generator's own allocation,
 sample_class_counts, whether its class counts exist.
 
-write_dataset formats the text in chunks of rows. read_dataset parses
-every feature value of a file in one np.loadtxt call and checks the
-values it parses. A file that call refuses is read again one line at a
-time, which is the one error path: a bad line, a non-finite value among
-them, is a DataFormatError naming that line.
+write_dataset formats the text in chunks of rows. read_dataset reads a
+file in one pass: it checks each line's fields and label as it goes, and
+parses the feature values of each chunk of lines in one np.loadtxt call.
+A chunk that call refuses is parsed with Python's float, which reads it
+or names its first bad line, a non-finite value among them.
 """
 
 from __future__ import annotations
 
-import array
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -376,99 +374,72 @@ _HEADER_RE = re.compile(
 )
 
 
-def _block_error(lineno: int, blocks: list[str], dims: list[int]) -> DataFormatError:
-    """The error for a line's first bad feature block, in file order."""
+# record lines per np.loadtxt call. Read time is flat from 64 to 4096 (desk file, 2 cores,
+# median of 9: 0.33-0.36 s), so memory sets it: a chunk's text is held three times over,
+# and at 1024 lines a 4000-line, 128-value file's traced peak is 1.36x its features, not 1.09x
+_READ_ROWS = 256
+
+
+def _fields(lineno: int, line: str, n_classes: int) -> list:
+    """A record line's three ids, its label and its feature text; a line that
+    is not 12 tab-separated fields with a label in [0, n_classes) raises
+    DataFormatError naming it."""
+    fields = line.split("\t", 4)
+    count = len(fields) + fields[-1].count("\t")
+    if count != 12:
+        raise DataFormatError(f"line {lineno}: expected 12 fields, got {count}")
+    try:
+        label = int(fields[3])
+    except ValueError:
+        raise DataFormatError(f"line {lineno}: bad label {fields[3]!r}") from None
+    if not 0 <= label < n_classes:
+        raise DataFormatError(f"line {lineno}: label {label} outside [0, {n_classes})")
+    fields[3] = label
+    return fields
+
+
+def _line_values(lineno: int, blocks: list[str], dims: list[int]) -> list[float]:
+    """The values of a line's eight feature blocks, each parsed by Python's
+    float; the first bad block, in file order, raises DataFormatError."""
+    values = []
     for k, raw in enumerate(blocks):
         m, side, dim = MODALITIES[k % 4], "ab"[k // 4], dims[k % 4]
         try:
-            values = [float(v) for v in raw.split(",")] if raw else []
+            block = [float(v) for v in raw.split(",")] if raw else []
         except ValueError:
-            return DataFormatError(f"line {lineno}: unparseable {m} block for drug {side}")
-        width = len(values)
-        if width != dim:
-            return DataFormatError(
-                f"line {lineno}: modality {m} of drug {side} has {width} values, expected {dim}"
-            )
-        if not all(map(math.isfinite, values)):
-            return DataFormatError(f"line {lineno}: non-finite value in {m} block for drug {side}")
-    return DataFormatError(f"line {lineno}: unparseable feature blocks")
+            message = f"line {lineno}: unparseable {m} block for drug {side}"
+            raise DataFormatError(message) from None
+        if len(block) != dim:
+            raise DataFormatError(f"line {lineno}: modality {m} of drug {side} has "
+                                  f"{len(block)} values, expected {dim}")
+        if not all(map(math.isfinite, block)):
+            raise DataFormatError(f"line {lineno}: non-finite value in {m} block for drug {side}")
+        values += block
+    return values
 
 
-def _marked_lines(fh, n_classes: int, ids: list, labels: list):
-    """The feature text of each record line left in fh for np.loadtxt, each
-    tab turned into a nan column (",nan,"); each line's ids and label go onto
-    ids and labels. A line that is not three ids, a label in [0, n_classes)
-    and eight blocks, or that holds a character np.loadtxt would read and
-    float would not, raises ValueError."""
-    for line in fh:
-        if line == "\n":
-            continue
-        a, b, c, label, rest = line.split("\t", 4)
-        label = int(label)
-        if not 0 <= label < n_classes or rest.count("\t") != 7:
-            raise ValueError("not a record line")
-        # np.loadtxt strips these information separators around a number, float does not
-        if "\x1c" in rest or "\x1d" in rest or "\x1e" in rest or "\x1f" in rest:
-            raise ValueError("an information separator in a feature block")
-        ids.append((a, b, c))
-        labels.append(label)
-        yield rest.replace("\t", ",nan,")
-
-
-def _bulk_read(fh, n_classes: int, dims: list[int]):
-    """The ids, labels and marked feature table of the record lines left in
-    fh, every value parsed by one np.loadtxt call; None when anything
-    refuses them. The table holds the eight blocks in file order, each but
-    the last followed by a column of nan."""
+def _parse(chunk: list, dims: list[int]) -> np.ndarray:
+    """The feature table of a chunk of (line number, feature text) pairs, each
+    block but the last followed by a nan column: parsed by one np.loadtxt call,
+    or by _line_values, which names the first bad line, when that call refuses it."""
     widths = dims * 2  # g, s, t, e of drug a, then of drug b
-    ids, labels = [], []
-    lines = _marked_lines(fh, n_classes, ids, labels)
-    try:
-        first = next(lines, None)  # loadtxt warns on an input with no lines
-        if first is None:
-            return None
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    # A block of the wrong width moves a nan out of its marked column, so every
-    # block has its width and every value is finite iff nan fills exactly those
-    n, marks = len(labels), np.cumsum(widths[:-1]) + np.arange(7)
-    if table.shape != (n, sum(widths) + 7) or not np.isnan(table[:, marks]).all():
-        return None
-    return (ids, labels, table) if np.count_nonzero(np.isfinite(table)) == n * sum(widths) else None
-
-
-def _line_read(fh, n_classes: int, dims: list[int]):
-    """What _bulk_read returns, each value parsed by Python's float; the
-    first bad line raises DataFormatError naming it."""
-    widths = dims * 2
-    ids, labels, values = [], [], array.array("d")
-    for lineno, line in enumerate(fh, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 12:
-            raise DataFormatError(f"line {lineno}: expected 12 fields, got {len(fields)}")
+    n, total, cuts = len(chunk), sum(widths), np.cumsum(widths[:-1])
+    marked = [rest.replace("\t", ",nan,") for _, rest in chunk]  # each tab a nan column
+    text = "".join(marked)
+    # np.loadtxt warns on no lines, and strips these separators where float refuses them
+    if text and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
         try:
-            label = int(fields[3])
+            table = np.loadtxt(marked, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            raise DataFormatError(f"line {lineno}: bad label {fields[3]!r}") from None
-        if not 0 <= label < n_classes:
-            raise DataFormatError(f"line {lineno}: label {label} outside [0, {n_classes})")
-        blocks = fields[4:]
-        try:
-            row = [float(v) for b in blocks if b for v in b.split(",")]
-        except ValueError:
-            row = None
-        counts = [b.count(",") + 1 if b else 0 for b in blocks]
-        if row is None or counts != widths or not all(map(math.isfinite, row)):
-            raise _block_error(lineno, blocks, dims)
-        ids.append(fields[:3])
-        labels.append(label)
-        values.extend(row)
-    table = np.reshape(np.frombuffer(values), (len(labels), sum(widths)))
-    return ids, labels, np.insert(table, np.cumsum(widths[:-1]), np.nan, axis=1)
+            pass
+        else:
+            # A block of the wrong width moves a nan out of its marked column, so every
+            # block has its width and every value is finite iff nan fills exactly those
+            fits = table.shape == (n, total + 7) and np.isnan(table[:, cuts + np.arange(7)]).all()
+            if fits and np.count_nonzero(np.isfinite(table)) == n * total:
+                return table
+    rows = [_line_values(lineno, rest.rstrip("\n").split("\t"), dims) for lineno, rest in chunk]
+    return np.insert(np.reshape(rows, (n, total)), cuts, np.nan, axis=1)
 
 
 def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
@@ -480,14 +451,14 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
     DataFormatError naming the 1-based line number; a path that is not a
     str or an os.PathLike raises ConfigError.
 
-    The feature values of the whole file are parsed by one np.loadtxt call.
-    A value reads as Python's float reads it: blanks around it, digits in
-    any script and underscores between digits are accepted, and "inf" or
-    "nan" in any spelling is refused once parsed. Lines may end in LF, CRLF
-    or CR. When anything refuses the file, it is read again line by line,
-    each value parsed by float; that loop returns the same columns, for
-    values only float accepts (such as 1_000), or names the first bad line.
-    A pipe, which cannot be read twice, is read by that loop alone.
+    The file is read once, from start to end. The feature values of each
+    _READ_ROWS record lines are parsed by one np.loadtxt call. A value reads
+    as Python's float reads it: blanks around it, digits in any script and
+    underscores between digits are accepted, and "inf" or "nan" in any
+    spelling is refused once parsed. Lines may end in LF, CRLF or CR. A
+    chunk of lines that np.loadtxt refuses is parsed with float, line by
+    line; that gives the same columns, for values only float accepts (such
+    as 1_000), or names the first bad line in the file.
     """
     with open(_path(path, "path")) as fh:
         header = fh.readline().rstrip("\n")
@@ -495,21 +466,30 @@ def read_dataset(path) -> tuple[Dataset, ClassStats | None]:
         if not match:
             raise DataFormatError(f"line 1: bad header {header!r}")
         n_classes, *dims = (int(group) for group in match.groups())
-        seekable = fh.seekable()  # a pipe cannot be read twice, so it takes the line loop alone
-        read = _bulk_read(fh, n_classes, dims) if seekable else None
-        if read is None:
-            if seekable:
-                fh.seek(0)
-                fh.readline()
-            read = _line_read(fh, n_classes, dims)
-    ids, labels, table = read
-    del read
+        ids, labels, tables, chunk = [], [], [], []
+        for lineno, line in enumerate(fh, start=2):
+            if line == "\n":
+                continue
+            try:
+                a, b, c, label, rest = _fields(lineno, line, n_classes)
+            except DataFormatError:
+                _parse(chunk, dims)  # a bad block on an earlier line is named first
+                raise
+            ids.append((a, b, c))
+            labels.append(label)
+            chunk.append((lineno, rest))
+            if len(chunk) == _READ_ROWS:
+                tables.append(_parse(chunk, dims))
+                chunk = []
+        tables.append(_parse(chunk, dims))
+    del chunk
     names = np.reshape(np.array(ids, dtype=str), (len(labels), 3))
     del ids  # before the blocks are copied out, so the two never add up
     labels = np.array(labels, dtype=np.int64)
-    edges = np.cumsum([0] + [dim + 1 for dim in dims * 2])  # each block and its nan column
-    blocks = [np.ascontiguousarray(table[:, lo : hi - 1]) for lo, hi in zip(edges[:-1], edges[1:])]
-    del table
+    starts = np.cumsum([0] + [dim + 1 for dim in dims * 2])  # each block and its nan column
+    blocks = [np.concatenate([table[:, lo : lo + dim] for table in tables])
+              for lo, dim in zip(starts, dims * 2)]
+    del tables
     sides = dict(zip(MODALITIES, blocks[:4])), dict(zip(MODALITIES, blocks[4:]))
     data = Dataset(*names.T, labels, *sides)
     # stats need a row in each class; a damaged header may declare billions

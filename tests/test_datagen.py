@@ -400,17 +400,47 @@ class TestDatasetFiles:
                 assert getattr(a, side)[m].tobytes() == getattr(b, side)[m].tobytes()
 
     def test_written_files_take_the_bulk_parse(self, tmp_path, monkeypatch):
-        records, _ = self._records()
+        spec = DatasetSpec(seed=11, **{**TINY, "n_samples": 2 * datagen._READ_ROWS + 5})
+        records, _ = generate_dataset(spec)
         lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
         write_dataset(lf, records, n_classes=3)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
 
-        def line_read(*args):
-            raise AssertionError("the line loop read a well-formed file")
+        def line_values(*args):
+            raise AssertionError("float parsed a line of a well-formed file")
 
-        monkeypatch.setattr(datagen, "_line_read", line_read)
+        monkeypatch.setattr(datagen, "_line_values", line_values)
         for path in (lf, crlf):
             assert len(read_dataset(path)[0]) == len(records)
+        if hasattr(os, "mkfifo"):
+            pipe = tmp_path / "pipe"
+            os.mkfifo(pipe)
+            writer = threading.Thread(target=pipe.write_bytes, args=(lf.read_bytes(),), daemon=True)
+            writer.start()
+            try:
+                assert len(read_dataset(pipe)[0]) == len(records)
+            finally:
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    @pytest.mark.parametrize("block, message", [
+        ("x", "unparseable s block for drug a"),
+        ("1,2", "modality s of drug a has 2 values, expected 1"),
+        ("inf", "non-finite value in s block for drug a"),
+    ])
+    @pytest.mark.parametrize("later", [{"extra": "\tx"}, {"label": "7"}], ids=["fields", "label"])
+    @pytest.mark.parametrize("gap", [2, datagen._READ_ROWS], ids=["same chunk", "later chunk"])
+    def test_the_first_bad_line_in_the_file_is_named(self, tmp_path, block, message, later, gap):
+        def record(label="0", s="1", extra=""):
+            return f"P\tD0\tD1\t{label}\t1\t{s}\t1\t1\t1\t1\t1\t1{extra}\n"
+
+        records = [record()] * (gap + 8)
+        records[3] = record(s=block)  # line 5
+        records[3 + gap] = record(**later)  # a later line breaks the field or label rule
+        path = tmp_path / "d.tsv"
+        path.write_text("ddipairs v1 n_classes=2 g=1 s=1 t=1 e=1\n" + "".join(records))
+        with pytest.raises(DataFormatError, match=f"^line 5: {message}$"):
+            read_dataset(path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("value", ["1_0", "x"])
@@ -449,9 +479,9 @@ class TestDatasetFiles:
         features = [*data.features_a.values(), *data.features_b.values()]
         columns = [data.pair_ids, data.drug_a, data.drug_b, data.labels, *features]
         feature_bytes = sum(c.nbytes for c in features)
-        # the parsed table, 7 nan columns wider than the features (1.05x), is the
-        # one temporary of their size; a list of per-row arrays beside it or in
-        # its place (1.33x in the per-line reader) crosses the bound
+        # the parsed chunks, 7 nan columns wider than the features (1.05x), are
+        # the one temporary of their size; a list of per-row arrays beside them or
+        # in their place (1.33x in the per-line reader) crosses the bound
         assert peak - sum(c.nbytes for c in columns) < 1.2 * feature_bytes
 
     def test_header_line(self, tmp_path):

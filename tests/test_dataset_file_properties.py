@@ -1,5 +1,6 @@
 """Property tests for the dataset file format: round trips and mutated files."""
 
+import math
 import re
 import string
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfocal import MODALITIES, DataFormatError, Dataset, read_dataset, write_dataset
-from tailfocal.datagen import _HEADER_RE, _block_error
+from tailfocal.datagen import _HEADER_RE
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -67,19 +68,16 @@ def test_round_trip_is_byte_stable_and_keeps_nine_digits(tmp_path_factory, case)
 MUTATIONS = ("drop_tab", "add_tab", "drop_comma", "add_comma", "truncate", "replace_char", "label",
              "non_finite")
 CHARS = st.characters(max_codepoint=0x24F, blacklist_categories=("Cs",))
+# values only Python's float reads, values nothing reads as finite, and text
+# np.loadtxt would read where float would not ("\x1c" to "\x1f" are blanks to it)
+TOKENS = ("1_000", "\u0663", "\u0661.\u0665", " 1.0 ", "\xa01", "1e999", "infinity", "-Infinity",
+          "nan", "#", "1#", "", " ", "1,5", "0x10", "1e-400", "\x1c1", "1\x1f", "\x0b2\x0c")
+BAD_LABELS = ("-1", "", "x", "1.5", "\u0661", " 1 ", "1_0", str(10**30))
 
 
-@PROPS
-@given(datasets(min_rows=1), st.sampled_from(MUTATIONS), st.data())
-def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, data):
-    dataset, n_classes = case
-    path = tmp_path_factory.mktemp("mutated") / "d.tsv"
-    write_dataset(path, dataset, n_classes=n_classes)
-    lines = path.read_text().split("\n")[:-1]
-    k = data.draw(st.integers(0, len(lines) - 1), label="line index")
-    line = lines[k]
-
-    expected = None  # the line that must be named, when the file cannot be read
+def _mutate(data, line, mutation, bad_labels):
+    """`line` with one mutation applied, each position and token drawn from `data`;
+    a label mutation draws from `bad_labels`."""
 
     def at(text):
         return data.draw(st.integers(0, len(text)), label="position")
@@ -98,24 +96,52 @@ def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, da
     elif mutation == "replace_char":
         i = at(line)
         line = line[:i] + data.draw(CHARS, label="character") + line[i + 1:]
-    elif mutation == "non_finite":
-        k = data.draw(st.integers(1, len(lines) - 1), label="record line")
-        fields = lines[k].split("\t")
+    elif mutation == "add_line":  # a line of blanks or empty fields after this one
+        line += "\n" + data.draw(st.sampled_from(["", " ", "\x0c", "\t" * 11]), label="line")
+    elif mutation == "shift_value":  # the last value of a block moves to the next one
+        fields = line.split("\t")
+        wide = [i for i in range(4, 11) if "," in fields[i]]
+        if wide:
+            i = data.draw(st.sampled_from(wide), label="block")
+            fields[i], last = fields[i].rsplit(",", 1)
+            fields[i + 1] = ",".join(filter(None, [last, fields[i + 1]]))
+        line = "\t".join(fields)
+    elif mutation == "label":
+        fields = line.split("\t")
+        fields[3] = data.draw(st.sampled_from(bad_labels), label="label")
+        line = "\t".join(fields)
+    else:  # a value of a non-empty block replaced
+        fields = line.split("\t")
         filled = [i for i in range(4, 12) if fields[i]]
         if filled:
             i = data.draw(st.sampled_from(filled), label="block")
             values = fields[i].split(",")
+            pool = ["nan", "inf", "-inf", "1e999"] if mutation == "non_finite" else TOKENS
             values[data.draw(st.integers(0, len(values) - 1), label="value")] = data.draw(
-                st.sampled_from(["nan", "inf", "-inf", "1e999"]), label="non-finite"
+                st.sampled_from(pool), label="token"
             )
             fields[i] = ",".join(values)
-            expected = k + 1  # the 1-based line number
         line = "\t".join(fields)
-    elif k > 0:
-        fields = line.split("\t")
+    return line
+
+
+@PROPS
+@given(datasets(min_rows=1), st.sampled_from(MUTATIONS), st.data())
+def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, data):
+    dataset, n_classes = case
+    path = tmp_path_factory.mktemp("mutated") / "d.tsv"
+    write_dataset(path, dataset, n_classes=n_classes)
+    lines = path.read_text().split("\n")[:-1]
+    k = data.draw(st.integers(0, len(lines) - 1), label="line index")
+    if mutation == "non_finite":
+        k = data.draw(st.integers(1, len(lines) - 1), label="record line")
+    line = lines[k]
+    if mutation != "label" or k > 0:  # the header has no label
         bad = ["-1", str(n_classes), str(n_classes + 7), str(10**30), "", "x", "1.5"]
-        fields[3] = data.draw(st.sampled_from(bad), label="label")
-        line = "\t".join(fields)
+        line = _mutate(data, line, mutation, bad)
+
+    # the line that must be named, when the file cannot be read
+    expected = k + 1 if mutation == "non_finite" and line != lines[k] else None
     lines[k] = line
     path.write_text("\n".join(lines) + "\n")
 
@@ -126,6 +152,21 @@ def test_mutated_file_reads_or_names_a_line(tmp_path_factory, case, mutation, da
         assert re.match(rf"line {named}: ", str(err)), str(err)
     else:
         assert expected is None, f"line {expected} was read"
+
+
+def _block_message(lineno, blocks, dims):
+    """The per-line reader's message for a line's first bad feature block, in file order."""
+    for k, raw in enumerate(blocks):
+        m, side, dim = MODALITIES[k % 4], "ab"[k // 4], dims[k % 4]
+        try:
+            values = [float(v) for v in raw.split(",")] if raw else []
+        except ValueError:
+            return f"line {lineno}: unparseable {m} block for drug {side}"
+        if len(values) != dim:
+            return (f"line {lineno}: modality {m} of drug {side} has {len(values)} values, "
+                    f"expected {dim}")
+        if not all(map(math.isfinite, values)):
+            return f"line {lineno}: non-finite value in {m} block for drug {side}"
 
 
 def _read_per_line(path):
@@ -159,7 +200,7 @@ def _read_per_line(path):
                 values = None
             counts = [b.count(",") + 1 if b else 0 for b in blocks]
             if values is None or counts != dims * 2 or not np.isfinite(values).all():
-                raise _block_error(lineno, blocks, dims)
+                raise DataFormatError(_block_message(lineno, blocks, dims))
             rows.append(values)
             names.append(fields[:3])
             labels.append(label)
@@ -196,13 +237,6 @@ def _assert_reads_alike(path):
         assert g.tobytes() == w.tobytes()
 
 
-# values only Python's float reads, values nothing reads as finite, and text
-# np.loadtxt would read where float would not ("\x1c" to "\x1f" are blanks to it)
-TOKENS = ("1_000", "\u0663", "\u0661.\u0665", " 1.0 ", "\xa01", "1e999", "infinity", "-Infinity",
-          "nan", "#", "1#", "", " ", "1,5", "0x10", "1e-400", "\x1c1", "1\x1f", "\x0b2\x0c")
-BAD_LABELS = ("-1", "", "x", "1.5", "\u0661", " 1 ", "1_0", str(10**30))
-
-
 @PROPS
 @given(datasets(min_rows=1) | datasets(min_rows=1, min_dim=1),
        st.sampled_from(MUTATIONS + ("token", "shift_value", "add_line")),
@@ -214,52 +248,7 @@ def test_reads_as_the_per_line_reader(tmp_path_factory, case, mutation, eol, dat
     lines = path.read_text().split("\n")[:-1]
     record = mutation in ("label", "non_finite", "token", "shift_value")
     k = data.draw(st.integers(int(record), len(lines) - 1), label="line index")
-    line = lines[k]
-
-    def at(text):
-        return data.draw(st.integers(0, len(text)), label="position")
-
-    if mutation in ("drop_tab", "drop_comma"):
-        sep = "\t" if mutation == "drop_tab" else ","
-        spots = [i for i, c in enumerate(line) if c == sep]
-        if spots:
-            i = data.draw(st.sampled_from(spots), label="separator")
-            line = line[:i] + line[i + 1:]
-    elif mutation in ("add_tab", "add_comma"):
-        i = at(line)
-        line = line[:i] + ("\t" if mutation == "add_tab" else ",") + line[i:]
-    elif mutation == "truncate":
-        line = line[:at(line)]
-    elif mutation == "replace_char":
-        i = at(line)
-        line = line[:i] + data.draw(CHARS, label="character") + line[i + 1:]
-    elif mutation == "add_line":  # a line of blanks or empty fields after this one
-        line += "\n" + data.draw(st.sampled_from(["", " ", "\x0c", "\t" * 11]), label="line")
-    elif mutation == "shift_value":  # the last value of a block moves to the next one
-        fields = line.split("\t")
-        wide = [i for i in range(4, 11) if "," in fields[i]]
-        if wide:
-            i = data.draw(st.sampled_from(wide), label="block")
-            fields[i], last = fields[i].rsplit(",", 1)
-            fields[i + 1] = ",".join(filter(None, [last, fields[i + 1]]))
-        line = "\t".join(fields)
-    elif mutation == "label":
-        fields = line.split("\t")
-        fields[3] = data.draw(st.sampled_from(BAD_LABELS + (str(n_classes),)), label="label")
-        line = "\t".join(fields)
-    else:
-        fields = line.split("\t")
-        filled = [i for i in range(4, 12) if fields[i]]
-        if filled:
-            i = data.draw(st.sampled_from(filled), label="block")
-            values = fields[i].split(",")
-            pool = ["nan", "inf", "-inf", "1e999"] if mutation == "non_finite" else TOKENS
-            values[data.draw(st.integers(0, len(values) - 1), label="value")] = data.draw(
-                st.sampled_from(pool), label="token"
-            )
-            fields[i] = ",".join(values)
-        line = "\t".join(fields)
-    lines[k] = line
+    lines[k] = _mutate(data, lines[k], mutation, BAD_LABELS + (str(n_classes),))
     path.write_bytes((eol.join(lines) + eol).encode())
     _assert_reads_alike(path)
 
